@@ -13,7 +13,8 @@ inside the main lobe, zero outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, as used by TR 38.901 breakpoint formula
@@ -35,6 +36,21 @@ class Role(Enum):
     UE = "ue"
     RELAY = "relay"
     MMAP = "mmap"
+
+
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_POSITIVE = (lambda v: v > 0.0, "be strictly positive")
+_BEAMWIDTH = (lambda v: 0.0 < v <= 360.0, "lie in (0, 360]")
+
+# Domains of the float fields of ScenarioConfig beyond being finite; the
+# dB-valued fields (gamma_db, p_t_dbm, p_n_dbm) have none.
+_FIELD_DOMAINS = {
+    "q_u": _UNIT, "q_uf": _UNIT, "q_ur": _UNIT, "q_r": _UNIT, "alpha": _UNIT,
+    "f_c_ghz": _POSITIVE, "h_ap_m": _POSITIVE, "h_ue_m": _POSITIVE,
+    "d_ur_m": _POSITIVE, "d_ud_m": _POSITIVE,
+    "theta_rd_deg": (lambda v: 0.0 < v < 180.0, "lie in (0, 180)"),
+    "theta_bw_fd_deg": _BEAMWIDTH, "theta_bw_br_deg": _BEAMWIDTH,
+}
 
 
 @dataclass(frozen=True)
@@ -70,31 +86,35 @@ class ScenarioConfig:
     theta_bw_br_deg: float | None = None  # None -> theta_rd_deg
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_ues, int) and self.n_ues >= 1):
-            raise ValueError(f"n_ues must be a positive integer, got {self.n_ues!r}")
-        for name in ("q_u", "q_uf", "q_ur", "q_r", "alpha"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        for name in ("f_c_ghz", "h_ap_m", "h_ue_m", "d_ur_m", "d_ud_m"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {v!r}")
-        if not (0.0 < self.theta_rd_deg < 180.0):
-            raise ValueError(
-                f"theta_rd_deg must lie in (0, 180), got {self.theta_rd_deg!r}")
-        for name in ("theta_bw_fd_deg", "theta_bw_br_deg"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not (0.0 < v <= 360.0):
-                raise ValueError(f"{name} must lie in (0, 360], got {v!r}")
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
         # A BR beam must cover both receivers whenever BR transmissions can occur.
         if self.q_uf < 1.0 and self.theta_bw_br < self.theta_rd_deg:
             raise ValueError(
                 "theta_bw_br_deg must be >= theta_rd_deg when BR transmissions "
                 f"are enabled (q_uf={self.q_uf}): "
                 f"{self.theta_bw_br} < {self.theta_rd_deg}")
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Reject, naming the field, a value outside ``name``'s own domain.
+
+        Numbers must be finite and not bool; cross-field constraints are
+        left to ``__post_init__``.
+        """
+        if name == "n_ues":
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"n_ues must be a positive integer, got {value!r}")
+            return
+        if name == "theta_bw_br_deg" and value is None:
+            return
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if name in _FIELD_DOMAINS:
+            inside, domain = _FIELD_DOMAINS[name]
+            if not inside(value):
+                raise ValueError(f"{name} must {domain}, got {value!r}")
 
     @property
     def q_ub(self) -> float:

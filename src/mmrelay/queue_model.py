@@ -10,15 +10,30 @@ probability q_r and its beam interferes at the mmAP).
 All quantities for arbitrary N are produced by exact enumeration over the
 multinomial UE transmission configurations; success events at a receiver
 are treated as independent given the configuration (the decoupling
-convention, matched by the simulator's ``decoupled`` mode). Two-UE closed
-forms are carried both verbatim (``literal=True``) and in engine-matching
-form, with every verbatim term that disagrees catalogued in
-``TWO_UE_LITERAL_DISCREPANCIES``.
+convention, matched by the simulator's ``decoupled`` mode). Two walks
+cover the (n_fr, n_fd, n_b) configuration simplex, each once:
+
+* ``_queue_walk`` over the N UEs collects the terms of both arrival pmfs,
+  of B_r and of the nonempty net-change pmf. ``_solve`` decides Loynes
+  stability from them in one place (stable iff q_r > q_r_min) and
+  evaluates P(Q = 0) only on the stable side.
+* ``_tagged_walk`` over the other N - 1 UEs collects the terms of a
+  tagged user's direct deliveries and relay acceptances, relay silent
+  and transmitting.
+
+The public quantities here and in ``throughput`` are views over them.
+Each pmf cell or rate is one exactly rounded ``math.fsum`` over terms kept
+in a flat float64 buffer, so no result depends on the walk order.
+
+Two-UE closed forms are carried both verbatim (``literal=True``) and in
+engine-matching form, with every verbatim term that disagrees catalogued
+in ``TWO_UE_LITERAL_DISCREPANCIES``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,59 +163,92 @@ def _config_arrival_pmf(table: SuccessTable, n_fr: int, n_fd: int, n_b: int,
     return _convolve(pmf_f, pmf_b)
 
 
-def arrival_distribution(cfg: ScenarioConfig, table: SuccessTable,
-                         relay_tx: bool) -> np.ndarray:
-    """Distribution of the number of packets entering the queue in a slot."""
-    n = cfg.n_ues
-    p_fr, p_fd, p_b = _ue_activity_probs(cfg)
-    cells: list[list[float]] = [[] for _ in range(n + 1)]
-    for w, n_fr, n_fd, n_b in _iter_configs(n, p_fr, p_fd, p_b):
-        pmf = _config_arrival_pmf(table, n_fr, n_fd, n_b, relay_tx)
-        for k, v in enumerate(pmf):
-            cells[k].append(w * v)
+def _buffers(count: int) -> list[array]:
+    return [array("d") for _ in range(count)]
+
+
+def _fsum_cells(cells: list[array]) -> np.ndarray:
     return np.array([math.fsum(t) for t in cells])
 
 
-def service_success_probability(cfg: ScenarioConfig, table: SuccessTable) -> float:
-    """B_r: relay->mmAP success probability averaged over UE configurations."""
-    p_fr, p_fd, p_b = _ue_activity_probs(cfg)
-    return math.fsum(w * table.p("rd", "fd", n_fd, n_b)
-                     for w, n_fr, n_fd, n_b in _iter_configs(cfg.n_ues, p_fr, p_fd, p_b))
+def _queue_walk(cfg: ScenarioConfig, table: SuccessTable):
+    """(net-change pmfs, arrival pmf with the relay transmitting, B_r).
 
-
-def net_change_distribution(cfg: ScenarioConfig,
-                            table: SuccessTable) -> NetChangeDistribution:
-    """Queue net-change pmfs for the empty and nonempty states.
-
-    In the nonempty state the relay transmits with probability q_r; the
-    departure indicator and the arrival count are conditionally
+    The empty-state net-change pmf is the arrival pmf with the relay
+    silent. In the nonempty state the relay transmits with probability
+    q_r; the departure indicator and the arrival count are conditionally
     independent given the UE configuration, and the mixture is taken per
     configuration (arrivals and the mmAP-side failure of BR packets both
     depend on whether the relay's beam is up).
     """
     n = cfg.n_ues
     q_r = cfg.q_r
-    p_fr, p_fd, p_b = _ue_activity_probs(cfg)
-    empty_cells: list[list[float]] = [[] for _ in range(n + 1)]
-    nonempty_cells: list[list[float]] = [[] for _ in range(n + 2)]
-    for w, n_fr, n_fd, n_b in _iter_configs(n, p_fr, p_fd, p_b):
+    arr0, arr1, nonempty = _buffers(n + 1), _buffers(n + 1), _buffers(n + 2)
+    b_r = array("d")
+    for w, n_fr, n_fd, n_b in _iter_configs(n, *_ue_activity_probs(cfg)):
         pmf0 = _config_arrival_pmf(table, n_fr, n_fd, n_b, relay_tx=False)
+        pmf1 = _config_arrival_pmf(table, n_fr, n_fd, n_b, relay_tx=True)
+        p_dep = table.p("rd", "fd", n_fd, n_b)
+        b_r.append(w * p_dep)
         for k, v in enumerate(pmf0):
-            empty_cells[k].append(w * v)
+            arr0[k].append(w * v)
             if q_r < 1.0:
-                nonempty_cells[k + 1].append(w * (1.0 - q_r) * v)
-        if q_r > 0.0:
-            pmf1 = _config_arrival_pmf(table, n_fr, n_fd, n_b, relay_tx=True)
-            p_dep = table.p("rd", "fd", n_fd, n_b)
-            # net = arrivals - 1{departure}
-            nonempty_cells[0].append(w * q_r * pmf1[0] * p_dep)
-            for k, v in enumerate(pmf1):
-                nonempty_cells[k + 1].append(w * q_r * v * (1.0 - p_dep))
-                if k >= 1:
-                    nonempty_cells[k].append(w * q_r * v * p_dep)
-    p_empty = np.array([math.fsum(t) for t in empty_cells])
-    p_nonempty = np.array([math.fsum(t) for t in nonempty_cells])
-    return NetChangeDistribution(p_empty, p_nonempty)
+                nonempty[k + 1].append(w * (1.0 - q_r) * v)
+        for k, v in enumerate(pmf1):
+            arr1[k].append(w * v)
+            if q_r > 0.0:
+                # net = arrivals - 1{departure}
+                nonempty[k].append(w * q_r * v * p_dep)
+                nonempty[k + 1].append(w * q_r * v * (1.0 - p_dep))
+    net = NetChangeDistribution(_fsum_cells(arr0), _fsum_cells(nonempty))
+    return net, _fsum_cells(arr1), math.fsum(b_r)
+
+
+def _solve(cfg: ScenarioConfig, table: SuccessTable | None,
+           form: str = "transition") -> QueueSolution:
+    """The Loynes verdict and, on the stable side only, P(Q = 0) in ``form``."""
+    net, arr1, b_r = _queue_walk(cfg, SuccessTable(cfg) if table is None else table)
+    q_r = cfg.q_r
+    lambda0 = net.mean_empty()
+    a_r = math.fsum(k * v for k, v in enumerate(arr1))
+    mu_r = q_r * b_r
+    lambda1 = (1.0 - q_r) * lambda0 + q_r * a_r
+    if lambda0 == 0.0:
+        # Queue can never leave the empty state: trivially stable.
+        return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r,
+                             q_r_min=0.0, p_empty_prob=1.0, stable=True)
+    denom = lambda0 + b_r - a_r
+    q_r_min = math.inf if denom <= 0.0 else lambda0 / denom
+    if not q_r > q_r_min:  # strict: a tie sits on the Loynes boundary
+        return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r, q_r_min,
+                             p_empty_prob=0.0, stable=False)
+    if form == "drift":
+        num = mu_r - lambda1
+    else:
+        pn = net.p_nonempty
+        num = math.fsum([pn[0]] + [-k * pn[k + 1] for k in range(1, cfg.n_ues + 1)])
+    # A few ulps above q_r_min the numerator rounds to <= 0; its exact
+    # limit at the boundary is 0, the unstable-side value.
+    p0 = num / (num + lambda0) if num > 0.0 else 0.0
+    return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r, q_r_min, p0, True)
+
+
+def arrival_distribution(cfg: ScenarioConfig, table: SuccessTable,
+                         relay_tx: bool) -> np.ndarray:
+    """Distribution of the number of packets entering the queue in a slot."""
+    net, arr1, _ = _queue_walk(cfg, table)
+    return arr1 if relay_tx else net.p_empty
+
+
+def service_success_probability(cfg: ScenarioConfig, table: SuccessTable) -> float:
+    """B_r: relay->mmAP success probability averaged over UE configurations."""
+    return _queue_walk(cfg, table)[2]
+
+
+def net_change_distribution(cfg: ScenarioConfig,
+                            table: SuccessTable) -> NetChangeDistribution:
+    """Queue net-change pmfs for the empty and nonempty states."""
+    return _queue_walk(cfg, table)[0]
 
 
 def stability_threshold(cfg: ScenarioConfig, table: SuccessTable) -> float:
@@ -210,40 +258,12 @@ def stability_threshold(cfg: ScenarioConfig, table: SuccessTable) -> float:
     q_r <= 1 can stabilize it (service never outpaces arrivals). A value
     above 1 likewise means the queue is unstable for every admissible q_r.
     """
-    arr0 = arrival_distribution(cfg, table, relay_tx=False)
-    lam0 = math.fsum(k * arr0[k] for k in range(cfg.n_ues + 1))
-    if lam0 == 0.0:
-        return 0.0
-    arr1 = arrival_distribution(cfg, table, relay_tx=True)
-    a_r = math.fsum(k * arr1[k] for k in range(cfg.n_ues + 1))
-    b_r = service_success_probability(cfg, table)
-    denom = lam0 + b_r - a_r
-    if denom <= 0.0:
-        return math.inf
-    return lam0 / denom
+    return solve_queue(cfg, table).q_r_min
 
 
 def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> QueueSolution:
     """Full queue characterization at the configured q_r."""
-    if table is None:
-        table = SuccessTable(cfg)
-    arr0 = arrival_distribution(cfg, table, relay_tx=False)
-    arr1 = arrival_distribution(cfg, table, relay_tx=True)
-    ks = range(cfg.n_ues + 1)
-    lambda0 = math.fsum(k * arr0[k] for k in ks)
-    a_r = math.fsum(k * arr1[k] for k in ks)
-    b_r = service_success_probability(cfg, table)
-    mu_r = cfg.q_r * b_r
-    lambda1 = (1.0 - cfg.q_r) * lambda0 + cfg.q_r * a_r
-    if lambda0 == 0.0:
-        # Queue can never leave the empty state: trivially stable.
-        return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r,
-                             q_r_min=0.0, p_empty_prob=1.0, stable=True)
-    denom = lambda0 + b_r - a_r
-    q_r_min = math.inf if denom <= 0.0 else lambda0 / denom
-    stable = cfg.q_r > q_r_min  # strict: a tie sits on the Loynes boundary
-    p0 = empty_probability(cfg, table) if stable else 0.0
-    return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r, q_r_min, p0, stable)
+    return _solve(cfg, table)
 
 
 def empty_probability(cfg: ScenarioConfig, table: SuccessTable | None = None,
@@ -253,31 +273,41 @@ def empty_probability(cfg: ScenarioConfig, table: SuccessTable | None = None,
     ``form='transition'`` evaluates the steady-state expression built from
     the nonempty net-change probabilities; ``form='drift'`` evaluates the
     flow-balance identity (mu_r - lambda1) / (mu_r - lambda1 + lambda0).
-    Both agree to numerical precision whenever the queue is stable.
+    Both agree to numerical precision whenever the queue is stable. Raises
+    ``UnstableQueueError`` exactly when ``solve_queue`` reports the queue
+    unstable.
     """
-    if table is None:
-        table = SuccessTable(cfg)
     if form not in ("transition", "drift"):
         raise ValueError(f"unknown form {form!r}")
-    net = net_change_distribution(cfg, table)
-    lambda0 = net.mean_empty()
-    if lambda0 == 0.0:
-        return 1.0
-    # Stability check via Loynes before dividing.
-    arr1 = arrival_distribution(cfg, table, relay_tx=True)
-    a_r = math.fsum(k * arr1[k] for k in range(cfg.n_ues + 1))
-    b_r = service_success_probability(cfg, table)
-    lambda1 = (1.0 - cfg.q_r) * lambda0 + cfg.q_r * a_r
-    mu_r = cfg.q_r * b_r
-    if lambda1 >= mu_r:
+    sol = _solve(cfg, table, form)
+    if not sol.stable:
         raise UnstableQueueError(
             "empty probability undefined; use unstable-regime throughput")
-    if form == "drift":
-        num = mu_r - lambda1
-    else:
-        pn = net.p_nonempty
-        num = math.fsum([pn[0]] + [-k * pn[k + 1] for k in range(1, cfg.n_ues + 1)])
-    return num / (num + lambda0)
+    return sol.p_empty_prob
+
+
+def _tagged_walk(cfg: ScenarioConfig, table: SuccessTable):
+    """A tagged user's (t_ud0, t_ud1, t_fr, t_ur0, t_ur1) from one walk.
+
+    The walk goes over the other N - 1 UEs. Suffix 0/1 is the relay silent
+    or transmitting. t_ud: delivered at the mmAP, FD to the mmAP plus BR
+    copies; t_fr: FD packets decoded at the relay; t_ur: BR copies decoded
+    at the relay and lost at the mmAP.
+    """
+    p_fr, p_fd, p_b = _ue_activity_probs(cfg)
+    fd0, fd1, br0, br1, fr, st0, st1 = _buffers(7)
+    for w, n_fr, n_fd, n_b in _iter_configs(cfg.n_ues - 1, p_fr, p_fd, p_b):
+        fr.append(w * table.p("ur", "fd", n_fr, n_b))
+        at_relay = table.p("ur", "br", n_fr, n_b)
+        for relay, fd_t, br_t, st_t in ((False, fd0, br0, st0),
+                                        (True, fd1, br1, st1)):
+            fd_t.append(w * table.p("ud", "fd", n_fd, n_b, relay))
+            at_mmap = table.p("ud", "br", n_fd, n_b, relay)
+            br_t.append(w * at_mmap)
+            st_t.append(w * at_relay * (1.0 - at_mmap))
+    fsum = math.fsum
+    return (p_fd * fsum(fd0) + p_b * fsum(br0), p_fd * fsum(fd1) + p_b * fsum(br1),
+            p_fr * fsum(fr), p_b * fsum(st0), p_b * fsum(st1))
 
 
 # ---------------------------------------------------------------------------

@@ -182,62 +182,59 @@ def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, c: int):
     return n_fr, n_fd, n_b, coin
 
 
+def _fresh_reception(gen: np.random.Generator, p_los: float, desired,
+                     kf_n, kb_n, fd: tuple[float, float],
+                     br: tuple[float, float]):
+    """(signal, interference) of receptions with fresh LOS draws.
+
+    ``desired``, ``fd`` and ``br`` are (LOS, NLOS) power pairs; a scalar
+    ``desired`` is an always-LOS link and draws nothing. Draw order: desired
+    state, then the ``kf_n`` FD interferers, then the ``kb_n`` BR ones.
+    """
+    if isinstance(desired, tuple):
+        desired = np.where(gen.random(kf_n.size) < p_los, *desired)
+    kfl = gen.binomial(kf_n, p_los)
+    kbl = gen.binomial(kb_n, p_los)
+    interf = (kfl * fd[0] + (kf_n - kfl) * fd[1]
+              + kbl * br[0] + (kb_n - kbl) * br[1])
+    return desired, interf
+
+
 def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
                      n_fr, n_fd, n_b, c: int):
     """Per-slot reduced outcomes with fresh LOS draws per reception."""
     slots_fr = np.repeat(np.arange(c), n_fr)
     slots_b = np.repeat(np.arange(c), n_b)
     slots_fd = np.repeat(np.arange(c), n_fd)
+    fr, br_r = (pw.fr_l, pw.fr_n), (pw.br_r_l, pw.br_r_n)
+    fd, br_d = (pw.fd_l, pw.fd_n), (pw.br_d_l, pw.br_d_n)
 
     # FD packets at the relay: interfered by the other FD-to-relay
     # transmissions and every broadcast.
-    kf_n = n_fr[slots_fr] - 1
-    kb_n = n_b[slots_fr]
-    des = np.where(gen.random(slots_fr.size) < pw.plos_ur, pw.fr_l, pw.fr_n)
-    kfl = gen.binomial(kf_n, pw.plos_ur)
-    kbl = gen.binomial(kb_n, pw.plos_ur)
-    interf = (kfl * pw.fr_l + (kf_n - kfl) * pw.fr_n
-              + kbl * pw.br_r_l + (kb_n - kbl) * pw.br_r_n)
-    ok_fr = pw.ok(des, interf)
+    ok_fr = pw.ok(*_fresh_reception(gen, pw.plos_ur, fr, n_fr[slots_fr] - 1,
+                                    n_b[slots_fr], fr, br_r))
     arr_fr = np.bincount(slots_fr[ok_fr], minlength=c)
 
     # BR packets at the relay.
-    kf_n = n_fr[slots_b]
     kb_n = n_b[slots_b] - 1
-    des = np.where(gen.random(slots_b.size) < pw.plos_ur, pw.br_r_l, pw.br_r_n)
-    kfl = gen.binomial(kf_n, pw.plos_ur)
-    kbl = gen.binomial(kb_n, pw.plos_ur)
-    interf = (kfl * pw.fr_l + (kf_n - kfl) * pw.fr_n
-              + kbl * pw.br_r_l + (kb_n - kbl) * pw.br_r_n)
-    ok_br_r = pw.ok(des, interf)
+    ok_br_r = pw.ok(*_fresh_reception(gen, pw.plos_ur, br_r, n_fr[slots_b],
+                                      kb_n, fr, br_r))
 
     # The same BR packets at the mmAP, with and without the relay's beam.
-    kf_n = n_fd[slots_b]
-    des = np.where(gen.random(slots_b.size) < pw.plos_ud, pw.br_d_l, pw.br_d_n)
-    kfl = gen.binomial(kf_n, pw.plos_ud)
-    kbl = gen.binomial(kb_n, pw.plos_ud)
-    interf = (kfl * pw.fd_l + (kf_n - kfl) * pw.fd_n
-              + kbl * pw.br_d_l + (kb_n - kbl) * pw.br_d_n)
+    des, interf = _fresh_reception(gen, pw.plos_ud, br_d, n_fd[slots_b], kb_n,
+                                   fd, br_d)
     ok_br_d_s = pw.ok(des, interf)
     ok_br_d_t = pw.ok(des, interf + pw.rd_l)
 
     # FD packets at the mmAP.
-    kf_n = n_fd[slots_fd] - 1
-    kb_n = n_b[slots_fd]
-    des = np.where(gen.random(slots_fd.size) < pw.plos_ud, pw.fd_l, pw.fd_n)
-    kfl = gen.binomial(kf_n, pw.plos_ud)
-    kbl = gen.binomial(kb_n, pw.plos_ud)
-    interf = (kfl * pw.fd_l + (kf_n - kfl) * pw.fd_n
-              + kbl * pw.br_d_l + (kb_n - kbl) * pw.br_d_n)
+    des, interf = _fresh_reception(gen, pw.plos_ud, fd, n_fd[slots_fd] - 1,
+                                   n_b[slots_fd], fd, br_d)
     ok_fd_s = pw.ok(des, interf)
     ok_fd_t = pw.ok(des, interf + pw.rd_l)
 
     # Relay's head-of-queue packet at the mmAP (always in LOS).
-    kfl = gen.binomial(n_fd, pw.plos_ud)
-    kbl = gen.binomial(n_b, pw.plos_ud)
-    interf = (kfl * pw.fd_l + (n_fd - kfl) * pw.fd_n
-              + kbl * pw.br_d_l + (n_b - kbl) * pw.br_d_n)
-    rd_ok = pw.ok(pw.rd_l, interf)
+    rd_ok = pw.ok(*_fresh_reception(gen, pw.plos_ud, pw.rd_l, n_fd, n_b,
+                                    fd, br_d))
 
     store_s = ok_br_r & ~ok_br_d_s
     store_t = ok_br_r & ~ok_br_d_t

@@ -42,29 +42,6 @@ from .throughput import aggregate_throughput
 _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
 _INT_FIELDS = {"n_ues"}
 
-# Single-field domains for sweep-axis validation. Cross-field constraints
-# (e.g. the BR beam covering both receivers) are checked per grid point at
-# run time and recorded in the `error` column instead of aborting the grid.
-_FIELD_DOMAINS = {
-    "n_ues": lambda v: isinstance(v, int) and v >= 1,
-    "q_u": lambda v: 0.0 <= v <= 1.0,
-    "q_uf": lambda v: 0.0 <= v <= 1.0,
-    "q_ur": lambda v: 0.0 <= v <= 1.0,
-    "q_r": lambda v: 0.0 <= v <= 1.0,
-    "alpha": lambda v: 0.0 <= v <= 1.0,
-    "f_c_ghz": lambda v: v > 0.0,
-    "h_ap_m": lambda v: v > 0.0,
-    "h_ue_m": lambda v: v > 0.0,
-    "d_ur_m": lambda v: v > 0.0,
-    "d_ud_m": lambda v: v > 0.0,
-    "theta_rd_deg": lambda v: 0.0 < v < 180.0,
-    "theta_bw_fd_deg": lambda v: 0.0 < v <= 360.0,
-    "theta_bw_br_deg": lambda v: 0.0 < v <= 360.0,
-    "gamma_db": lambda v: True,
-    "p_t_dbm": lambda v: True,
-    "p_n_dbm": lambda v: True,
-}
-
 STANDARD_METRICS = ("regime", "q_r_min", "lambda0", "lambda1", "mu_r",
                     "p_empty", "t_ud", "t_ur", "t_total")
 SIM_METRICS = ("t_sim", "t_sim_se", "t_sim_z")
@@ -222,12 +199,14 @@ def load_config(path: str) -> SweepSpec:
         where = f"line {lineno}: " if lineno is not None else ""
         raise ConfigError(f"{where}{msg}") from None
     # Swept values must lie in their own field's domain; constraints that
-    # couple several fields are deferred to per-point evaluation.
+    # couple several fields are checked per grid point and recorded in the
+    # `error` column instead of aborting the grid.
     for name, values in axes:
         for v in values:
-            if not _FIELD_DOMAINS[name](v):
-                raise ConfigError(f"sweep value {v!r} for {name!r} is outside "
-                                  "the field's domain")
+            try:
+                ScenarioConfig.check_field(name, v)
+            except ValueError as exc:
+                raise ConfigError(f"sweep value outside the domain: {exc}") from None
     return SweepSpec(base=base, axes=tuple(axes), outputs=outputs, **sim)
 
 

@@ -11,11 +11,10 @@ the mmAP and the relay interferes in every slot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .geometry import ScenarioConfig
-from .queue_model import QueueSolution, _iter_configs, _ue_activity_probs, solve_queue
+from .queue_model import QueueSolution, UnstableQueueError, _tagged_walk, solve_queue
 from .success import SuccessTable
 
 STABLE = "stable"
@@ -46,33 +45,8 @@ class ThroughputReport:
 def per_user_direct(cfg: ScenarioConfig, table: SuccessTable,
                     relay_interfering: bool) -> float:
     """Packets per slot a tagged user lands at the mmAP directly."""
-    n = cfg.n_ues
-    p_fr, p_fd, p_b = _ue_activity_probs(cfg)
-    fd_terms = []
-    br_terms = []
-    for w, n_fr, n_fd, n_b in _iter_configs(n - 1, p_fr, p_fd, p_b):
-        fd_terms.append(w * table.p("ud", "fd", n_fd, n_b, relay_interfering))
-        br_terms.append(w * table.p("ud", "br", n_fd, n_b, relay_interfering))
-    return (cfg.q_u * cfg.q_uf * cfg.q_ud * math.fsum(fd_terms)
-            + cfg.q_u * cfg.q_ub * math.fsum(br_terms))
-
-
-def _relayed_components(cfg: ScenarioConfig,
-                        table: SuccessTable) -> tuple[float, float, float]:
-    """(FD->relay acceptance, BR acceptance relay silent, BR acceptance relay tx)."""
-    n = cfg.n_ues
-    p_fr, p_fd, p_b = _ue_activity_probs(cfg)
-    fd_terms = []
-    br0_terms = []
-    br1_terms = []
-    for w, n_fr, n_fd, n_b in _iter_configs(n - 1, p_fr, p_fd, p_b):
-        fd_terms.append(w * table.p("ur", "fd", n_fr, n_b))
-        at_relay = table.p("ur", "br", n_fr, n_b)
-        br0_terms.append(w * at_relay * (1.0 - table.p("ud", "br", n_fd, n_b, False)))
-        br1_terms.append(w * at_relay * (1.0 - table.p("ud", "br", n_fd, n_b, True)))
-    fd = cfg.q_u * cfg.q_uf * cfg.q_ur * math.fsum(fd_terms)
-    return fd, cfg.q_u * cfg.q_ub * math.fsum(br0_terms), \
-        cfg.q_u * cfg.q_ub * math.fsum(br1_terms)
+    t_ud0, t_ud1, _, _, _ = _tagged_walk(cfg, table)
+    return t_ud1 if relay_interfering else t_ud0
 
 
 def per_user_relayed(cfg: ScenarioConfig, table: SuccessTable | None = None,
@@ -87,12 +61,11 @@ def per_user_relayed(cfg: ScenarioConfig, table: SuccessTable | None = None,
     if queue is None:
         queue = solve_queue(cfg, table)
     if not queue.stable:
-        from .queue_model import UnstableQueueError
         raise UnstableQueueError(
             "relayed throughput is not credited while the queue is unstable")
-    fd, br0, br1 = _relayed_components(cfg, table)
+    _, _, t_fr, t_ur0, t_ur1 = _tagged_walk(cfg, table)
     w1 = cfg.q_r * (1.0 - queue.p_empty_prob)
-    return fd + (1.0 - w1) * br0 + w1 * br1
+    return t_fr + (1.0 - w1) * t_ur0 + w1 * t_ur1
 
 
 def aggregate_throughput(cfg: ScenarioConfig,
@@ -101,14 +74,12 @@ def aggregate_throughput(cfg: ScenarioConfig,
     if table is None:
         table = SuccessTable(cfg)
     queue = solve_queue(cfg, table)
-    t_ud0 = per_user_direct(cfg, table, relay_interfering=False)
-    t_ud1 = per_user_direct(cfg, table, relay_interfering=True)
-    fd, t_ur0, t_ur1 = _relayed_components(cfg, table)
+    t_ud0, t_ud1, t_fr, t_ur0, t_ur1 = _tagged_walk(cfg, table)
     n = cfg.n_ues
     if queue.stable:
         w1 = cfg.q_r * (1.0 - queue.p_empty_prob)
         t_ud = (1.0 - w1) * t_ud0 + w1 * t_ud1
-        t_ur = fd + (1.0 - w1) * t_ur0 + w1 * t_ur1
+        t_ur = t_fr + (1.0 - w1) * t_ur0 + w1 * t_ur1
         total = n * (t_ud + t_ur)
         regime = STABLE
     else:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from mmrelay import (
     received_power_w,
     relay_mmap_distance,
 )
+from mmrelay.sweeps import ConfigError, SweepSpec, load_config, run_sweep
 
 distances = st.floats(min_value=1.0, max_value=500.0,
                       allow_nan=False, allow_infinity=False)
@@ -194,6 +196,21 @@ class TestScenarioConfig:
             ScenarioConfig(theta_rd_deg=0.0)
         with pytest.raises(ValueError, match="theta_rd"):
             ScenarioConfig(theta_rd_deg=180.0)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+    def test_field_rejects_non_finite_and_bool(self, name, tmp_path):
+        for bad in (math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match=name):
+                ScenarioConfig(**{name: bad})
+        for bad in ("nan", "inf", "-inf"):
+            path = tmp_path / "sweep.cfg"
+            path.write_text(f"[sweep]\n{name} = {bad}\n")
+            with pytest.raises(ConfigError, match=name):
+                load_config(str(path))
+        # One bad point in a programmatic grid is recorded, not raised.
+        spec = SweepSpec(ScenarioConfig(), axes=((name, (-math.inf,)),))
+        assert name in run_sweep(spec)[0]["error"]
 
 
 class TestLinkBudget:

@@ -8,6 +8,7 @@ from mmrelay import (
     ScenarioConfig,
     SuccessTable,
     UnstableQueueError,
+    aggregate_throughput,
     arrival_distribution,
     empty_probability,
     enumerate_configurations,
@@ -18,6 +19,7 @@ from mmrelay import (
     two_ue_closed_forms,
 )
 
+import mmrelay.queue_model as queue_model
 from conftest import random_two_ue_cfg
 from oracles import arrival_pmf_bruteforce
 
@@ -243,3 +245,39 @@ class TestQueueSolutionSweep:
                 assert 0.0 <= sol.p_empty_prob <= 1.0
                 if sol.lambda0 > 0.0:
                     assert sol.lambda1 < sol.mu_r
+
+
+class TestLoynesBoundary:
+    # One ulp or so above q_r_min: solve_queue calls these stable, and the
+    # P(Q = 0) numerator rounds to <= 0 there.
+    @pytest.mark.parametrize("n_ues, q_u, q_r", [
+        (2, 0.3, 0.20498204675807422),
+        (2, 0.4, 0.29346224383766895),
+        (2, 0.6, 0.47385939640903474),
+        (3, 0.3, 0.3191726219086349),
+        (3, 0.5, 0.519473633701712),
+        (4, 0.4, 0.5146775910185417),
+        (5, 0.6, 0.5850050520688928),
+        (8, 0.4, 0.563340169837875),
+    ])
+    def test_just_above_threshold_is_stable(self, n_ues, q_u, q_r):
+        cfg = ScenarioConfig(n_ues=n_ues, q_u=q_u, q_r=q_r)
+        rep = aggregate_throughput(cfg)
+        assert rep.regime == "stable"
+        assert 0.0 <= rep.queue.p_empty_prob <= 1.0
+        for form in ("transition", "drift"):
+            assert 0.0 <= empty_probability(cfg, form=form) <= 1.0
+
+    @pytest.mark.parametrize("q_r, regime", [(1.0, "stable"), (0.3, "unstable")])
+    def test_aggregate_walks_simplex_twice(self, monkeypatch, q_r, regime):
+        calls = []
+        walk = queue_model._iter_configs
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(queue_model, "_iter_configs", counted)
+        cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
+        assert aggregate_throughput(cfg).regime == regime
+        assert len(calls) == 2

@@ -66,7 +66,7 @@ class TestPerUserRelayed:
         assert per_user_relayed(cfg) == 0.0
 
     def test_components_match_bruteforce(self):
-        from mmrelay.throughput import _relayed_components
+        from mmrelay.queue_model import _tagged_walk
         rng = random.Random(59)
         for _ in range(3):
             cfg = ScenarioConfig(
@@ -75,7 +75,7 @@ class TestPerUserRelayed:
                 gamma_db=rng.uniform(0, 20), alpha=rng.uniform(0, 0.8),
                 theta_bw_br_deg=360.0)
             t = SuccessTable(cfg)
-            fd, br0, br1 = _relayed_components(cfg, t)
+            _, _, fd, br0, br1 = _tagged_walk(cfg, t)
             _, rel0 = per_user_throughput_bruteforce(cfg, t, False)
             _, rel1 = per_user_throughput_bruteforce(cfg, t, True)
             assert fd + br0 == pytest.approx(rel0, abs=1e-12)
