@@ -7,7 +7,8 @@ Subcommands::
     mmrelay sweep    <cfg> -o out.csv [--jobs]       grid evaluation to CSV
     mmrelay compare  <cfg> [--slots --seed --mode]   analytic-vs-sim z table
 
-Exit codes: 0 ok, 1 usage error, 2 model/configuration error,
+Exit codes: 0 ok, 1 usage error (including a file that cannot be read or
+written), 2 model/configuration error (any exception the model raises),
 3 comparison failure (some |z| > 3).
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 
 from . import simulator
 from .sweeps import ConfigError, load_config, sweep_to_csv
@@ -170,11 +172,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"mmrelay: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, ValueError) as exc:
         print(f"mmrelay: {exc}", file=sys.stderr)
+        return EXIT_MODEL
+    except Exception as exc:  # an unexpected model fault, with its traceback
+        traceback.print_exc()
+        print(f"mmrelay: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MODEL
 
 

@@ -11,7 +11,8 @@ All quantities for arbitrary N are produced by exact enumeration over the
 multinomial UE transmission configurations; success events at a receiver
 are treated as independent given the configuration (the decoupling
 convention, matched by the simulator's ``decoupled`` mode). Two walks
-cover the (n_fr, n_fd, n_b) configuration simplex, each once:
+cover the (n_fr, n_fd, n_b) configuration simplex, each once, indexing
+the success arrays of ``SuccessTable.grid`` directly:
 
 * ``_queue_walk`` over the N UEs collects the terms of both arrival pmfs,
   of B_r and of the nonempty net-change pmf. ``_solve`` decides Loynes
@@ -101,21 +102,25 @@ def _ue_activity_probs(cfg: ScenarioConfig) -> tuple[float, float, float]:
 def _iter_configs(n: int, p_fr: float, p_fd: float, p_b: float):
     """Yield (weight, n_fr, n_fd, n_b) over all multinomial outcomes of n UEs."""
     p_idle = 1.0 - (p_fr + p_fd + p_b)
-    for n_fr in range(n + 1):
-        c1 = math.comb(n, n_fr) * p_fr**n_fr
-        if c1 == 0.0:
-            continue
-        for n_fd in range(n - n_fr + 1):
-            c2 = c1 * math.comb(n - n_fr, n_fd) * p_fd**n_fd
-            if c2 == 0.0:
+    try:
+        for n_fr in range(n + 1):
+            c1 = math.comb(n, n_fr) * p_fr**n_fr
+            if c1 == 0.0:
                 continue
-            for n_b in range(n - n_fr - n_fd + 1):
-                n_idle = n - n_fr - n_fd - n_b
-                w = c2 * math.comb(n - n_fr - n_fd, n_b) * p_b**n_b * \
-                    max(p_idle, 0.0) ** n_idle
-                if w == 0.0:
+            for n_fd in range(n - n_fr + 1):
+                c2 = c1 * math.comb(n - n_fr, n_fd) * p_fd**n_fd
+                if c2 == 0.0:
                     continue
-                yield w, n_fr, n_fd, n_b
+                for n_b in range(n - n_fr - n_fd + 1):
+                    n_idle = n - n_fr - n_fd - n_b
+                    w = c2 * math.comb(n - n_fr - n_fd, n_b) * p_b**n_b * \
+                        max(p_idle, 0.0) ** n_idle
+                    if w == 0.0:
+                        continue
+                    yield w, n_fr, n_fd, n_b
+    except OverflowError:
+        raise ValueError(
+            f"multinomial weights of {n} UEs overflow a float") from None
 
 
 def enumerate_configurations(cfg: ScenarioConfig,
@@ -140,26 +145,17 @@ def _convolve(a: list[float], b: list[float]) -> list[float]:
     return out
 
 
-def _config_arrival_pmf(table: SuccessTable, n_fr: int, n_fd: int, n_b: int,
-                        relay_tx: bool) -> list[float]:
+def _config_arrival_pmf(p_f: float, n_fr: int, p_store: float,
+                        n_b: int) -> list[float]:
     """Pmf of packets accepted by the relay queue within one configuration.
 
-    FD->relay packets are stored when decoded; BR packets are stored when
-    decoded at the relay and lost at the mmAP. Within a configuration the
-    per-packet events are independent, so the count is a convolution of
-    two binomials.
+    FD->relay packets are stored when decoded (probability ``p_f`` each);
+    BR packets are stored when decoded at the relay and lost at the mmAP
+    (``p_store``). Within a configuration the per-packet events are
+    independent, so the count is a convolution of two binomials.
     """
-    if n_fr > 0:
-        p_f = table.p("ur", "fd", n_fr - 1, n_b)
-        pmf_f = _binom_pmf(n_fr, p_f)
-    else:
-        pmf_f = [1.0]
-    if n_b > 0:
-        p_store = (table.p("ur", "br", n_fr, n_b - 1)
-                   * (1.0 - table.p("ud", "br", n_fd, n_b - 1, relay_tx)))
-        pmf_b = _binom_pmf(n_b, p_store)
-    else:
-        pmf_b = [1.0]
+    pmf_f = _binom_pmf(n_fr, p_f) if n_fr > 0 else [1.0]
+    pmf_b = _binom_pmf(n_b, p_store) if n_b > 0 else [1.0]
     return _convolve(pmf_f, pmf_b)
 
 
@@ -183,12 +179,24 @@ def _queue_walk(cfg: ScenarioConfig, table: SuccessTable):
     """
     n = cfg.n_ues
     q_r = cfg.q_r
+    ur_fd = table.grid("ur", "fd", False, n)
+    ur_br = table.grid("ur", "br", False, n)
+    ud_br0 = table.grid("ud", "br", False, n)
+    ud_br1 = table.grid("ud", "br", True, n)
+    rd_fd = table.grid("rd", "fd", False, n)
     arr0, arr1, nonempty = _buffers(n + 1), _buffers(n + 1), _buffers(n + 2)
     b_r = array("d")
     for w, n_fr, n_fd, n_b in _iter_configs(n, *_ue_activity_probs(cfg)):
-        pmf0 = _config_arrival_pmf(table, n_fr, n_fd, n_b, relay_tx=False)
-        pmf1 = _config_arrival_pmf(table, n_fr, n_fd, n_b, relay_tx=True)
-        p_dep = table.p("rd", "fd", n_fd, n_b)
+        p_f = ur_fd[n_fr - 1][n_b] if n_fr > 0 else 0.0
+        if n_b > 0:
+            at_relay = ur_br[n_fr][n_b - 1]
+            store0 = at_relay * (1.0 - ud_br0[n_fd][n_b - 1])
+            store1 = at_relay * (1.0 - ud_br1[n_fd][n_b - 1])
+        else:
+            store0 = store1 = 0.0
+        pmf0 = _config_arrival_pmf(p_f, n_fr, store0, n_b)
+        pmf1 = _config_arrival_pmf(p_f, n_fr, store1, n_b)
+        p_dep = rd_fd[n_fd][n_b]
         b_r.append(w * p_dep)
         for k, v in enumerate(pmf0):
             arr0[k].append(w * v)
@@ -294,15 +302,21 @@ def _tagged_walk(cfg: ScenarioConfig, table: SuccessTable):
     copies; t_fr: FD packets decoded at the relay; t_ur: BR copies decoded
     at the relay and lost at the mmAP.
     """
+    n = cfg.n_ues
     p_fr, p_fd, p_b = _ue_activity_probs(cfg)
+    ur_fd = table.grid("ur", "fd", False, n)
+    ur_br = table.grid("ur", "br", False, n)
     fd0, fd1, br0, br1, fr, st0, st1 = _buffers(7)
-    for w, n_fr, n_fd, n_b in _iter_configs(cfg.n_ues - 1, p_fr, p_fd, p_b):
-        fr.append(w * table.p("ur", "fd", n_fr, n_b))
-        at_relay = table.p("ur", "br", n_fr, n_b)
-        for relay, fd_t, br_t, st_t in ((False, fd0, br0, st0),
-                                        (True, fd1, br1, st1)):
-            fd_t.append(w * table.p("ud", "fd", n_fd, n_b, relay))
-            at_mmap = table.p("ud", "br", n_fd, n_b, relay)
+    sides = ((table.grid("ud", "fd", False, n), table.grid("ud", "br", False, n),
+              fd0, br0, st0),
+             (table.grid("ud", "fd", True, n), table.grid("ud", "br", True, n),
+              fd1, br1, st1))
+    for w, n_fr, n_fd, n_b in _iter_configs(n - 1, p_fr, p_fd, p_b):
+        fr.append(w * ur_fd[n_fr][n_b])
+        at_relay = ur_br[n_fr][n_b]
+        for ud_fd, ud_br, fd_t, br_t, st_t in sides:
+            fd_t.append(w * ud_fd[n_fd][n_b])
+            at_mmap = ud_br[n_fd][n_b]
             br_t.append(w * at_mmap)
             st_t.append(w * at_relay * (1.0 - at_mmap))
     fsum = math.fsum

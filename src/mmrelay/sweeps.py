@@ -261,6 +261,8 @@ def _run_point(args) -> dict:
                 row["t_sim_z"] = 0.0 if abs(diff) <= 1e-9 else math.inf
     except ValueError as exc:
         row["error"] = str(exc)
+    except Exception as exc:  # any model fault stays in its own row
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 

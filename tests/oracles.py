@@ -5,6 +5,8 @@ oracle enumerates every joint LOS/NLOS assignment one interferer at a
 time (no binomial partition counting), and the arrival oracle enumerates
 per-user decision tuples and acceptance subsets (no pmf convolution).
 Both share only the link-budget power primitives with the code under test.
+The success-table oracle is a scalar loop over the binomial LOS
+partitions; the array table must reproduce its floats exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +45,38 @@ def success_probability_bruteforce(cfg: ScenarioConfig, link: str, scheme: str,
             if signal / (b.noise_w + b.alpha * interference) >= gamma:
                 total += w
     return total
+
+
+def success_table_oracle(table, link: str, scheme: str, n_f: int, n_b: int,
+                         relay_active: bool = False) -> float:
+    """One success-table cell by a scalar loop over the LOS partitions.
+
+    Calls the public ``sinr_linear`` once per partition and sums the
+    weights (w_state * w_f[k]) * w_b[h] of the partitions that clear gamma
+    with one ``math.fsum``, the float expressions the table must reproduce
+    bit for bit.
+    """
+    b = table.budget
+    gamma = b.gamma_linear
+    p_des = b.p_los(link)
+    p_int = b.p_los(b.interferer_link(link))
+
+    def pmf(n):
+        return [math.comb(n, k) * p_int**k * (1.0 - p_int) ** (n - k)
+                for k in range(n + 1)]
+
+    w_f, w_b = pmf(n_f), pmf(n_b)
+    terms = []
+    for state, w_state in ((LinkState.LOS, p_des), (LinkState.NLOS, 1.0 - p_des)):
+        if w_state == 0.0:
+            continue
+        for k in range(n_f + 1):
+            for h in range(n_b + 1):
+                sinr = table.sinr_linear(link, state, scheme,
+                                         k, n_f - k, h, n_b - h, relay_active)
+                if sinr >= gamma:
+                    terms.append(w_state * w_f[k] * w_b[h])
+    return math.fsum(terms)
 
 
 def _decision_probs(cfg: ScenarioConfig) -> dict[str, float]:

@@ -118,6 +118,23 @@ class TestRunSweep:
         assert "theta_bw_br" in rows[1]["error"]
         assert "t_total" in rows[0] and "t_total" not in rows[1]
 
+    def test_unexpected_model_exception_stays_in_its_row(self, tmp_path,
+                                                         monkeypatch):
+        import mmrelay.sweeps as sweeps
+        evaluate = sweeps.evaluate_point
+
+        def faulty(cfg):
+            if cfg.n_ues == 2:
+                raise ZeroDivisionError("float division by zero")
+            return evaluate(cfg)
+
+        monkeypatch.setattr(sweeps, "evaluate_point", faulty)
+        spec = load_config(_write(tmp_path, "[sweep]\nn_ues = 1:3\n"))
+        rows = run_sweep(spec)
+        assert [r["error"] for r in rows] == [
+            "", "ZeroDivisionError: float division by zero", ""]
+        assert "t_total" in rows[2]
+
 
 class TestCliProcess:
     def test_analyze_two_ue_matches_closed_forms(self, tmp_path):
@@ -141,6 +158,18 @@ class TestCliProcess:
         code, _, err = _cli("analyze", _write(tmp_path, "[scenario]\nq_u = 1.5\n"))
         assert code == 2
         assert "q_u" in err
+
+    def test_any_model_exception_exit_code(self, tmp_path, monkeypatch,
+                                           capsys):
+        import mmrelay.cli as cli
+
+        def faulty(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "aggregate_throughput", faulty)
+        path = _write(tmp_path, "[scenario]\nn_ues = 2\n")
+        assert cli.main(["analyze", path]) == 2
+        assert "ZeroDivisionError" in capsys.readouterr().err
 
     def test_missing_file(self):
         code, _, _ = _cli("analyze", "/nonexistent/path.cfg")

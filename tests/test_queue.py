@@ -281,3 +281,28 @@ class TestLoynesBoundary:
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
         assert aggregate_throughput(cfg).regime == regime
         assert len(calls) == 2
+
+
+class TestSuccessArrayUse:
+    @pytest.mark.parametrize("q_r, regime", [(1.0, "stable"), (0.3, "unstable")])
+    def test_cold_analysis_builds_seven_arrays(self, monkeypatch, q_r, regime):
+        built = []
+        build = SuccessTable._build
+
+        def counted(self, link, scheme, relay, m):
+            built.append((link, scheme, relay))
+            return build(self, link, scheme, relay, m)
+
+        monkeypatch.setattr(SuccessTable, "_build", counted)
+        cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
+        assert aggregate_throughput(cfg).regime == regime
+        assert sorted(built) == sorted([
+            ("ur", "fd", False), ("ur", "br", False),
+            ("ud", "fd", False), ("ud", "fd", True),
+            ("ud", "br", False), ("ud", "br", True), ("rd", "fd", False)])
+
+    def test_weight_overflow_names_the_count(self):
+        # Zero activity probabilities skip almost every configuration, so
+        # the walk reaches C(1030, 515) after a few hundred cheap steps.
+        with pytest.raises(ValueError, match="1030"):
+            list(queue_model._iter_configs(1030, 0.0, 0.0, 0.0))

@@ -1,11 +1,20 @@
+import math
 import random
+import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from mmrelay import InterfererProfile, ScenarioConfig, SuccessTable
+from mmrelay.success import _binom_pmf
 
-from oracles import success_probability_bruteforce
+from oracles import success_probability_bruteforce, success_table_oracle
+
+# Every (link, scheme, relay flag) the analysis reads.
+KEYS = [("ur", "fd", False), ("ur", "br", False), ("ud", "fd", False),
+        ("ud", "fd", True), ("ud", "br", False), ("ud", "br", True),
+        ("rd", "fd", False)]
 
 
 class TestSinrLinear:
@@ -152,3 +161,98 @@ class TestCache:
             th.join()
         for r in results[1:]:
             assert r == results[0]
+
+    def test_racing_builds_of_every_size_agree(self):
+        # No lock: threads racing on a missing or undersized key each build
+        # it, and whichever array lands last must hold the same values.
+        n = 8
+        cfg = ScenarioConfig(n_ues=n)
+        fresh = SuccessTable(cfg)
+        want = {key: fresh.grid(*key, n + 3) for key in KEYS}
+        table = SuccessTable(cfg)
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(60):
+                    link, scheme, relay = key = rng.choice(KEYS)
+                    n_f = rng.randrange(n + 4)
+                    n_b = rng.randrange(n + 4 - n_f)
+                    got = table.p(link, scheme, n_f, n_b, relay)
+                    if got != want[key][n_f][n_b]:
+                        errors.append((key, n_f, n_b, got))
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+
+class TestArrayTable:
+    @pytest.mark.parametrize("point", [
+        {},                                  # gamma = 10 dB knife edge
+        {"gamma_db": 9.99},
+        {"gamma_db": -100.0},
+        {"d_ur_m": 10.0, "d_ud_m": 15.0},    # p_los = 1 on every link
+        {"alpha": 0.0},
+    ])
+    def test_cells_equal_scalar_oracle_exactly(self, point):
+        n = 12
+        t = SuccessTable(ScenarioConfig(n_ues=n, **point))
+        for link, scheme, relay in KEYS:
+            for n_f in range(n + 1):
+                for n_b in range(n + 1 - n_f):
+                    want = success_table_oracle(t, link, scheme, n_f, n_b, relay)
+                    assert t.p(link, scheme, n_f, n_b, relay) == want, \
+                        (link, scheme, relay, n_f, n_b)
+
+    def test_request_beyond_n_grows_the_array(self):
+        t = SuccessTable(ScenarioConfig(n_ues=3))
+        assert len(t.grid("ud", "br", True)) == 4
+        assert t.p("ud", "br", 5, 2, True) == \
+            success_table_oracle(t, "ud", "br", 5, 2, True)
+        assert len(t.grid("ud", "br", True)) == 8
+
+    def test_invalid_requests_rejected(self, default_cfg):
+        t = SuccessTable(default_cfg)
+        with pytest.raises(ValueError):
+            t.p("ud", "fd", -1, 0)
+        with pytest.raises(ValueError):
+            t.p("ur", "fd", 0, 0, relay=True)
+        with pytest.raises(ValueError):
+            t.p("rd", "fd", 0, 0, relay=True)
+
+    def test_build_peak_memory(self):
+        # One n_f slab at a time; an (N+1)^4 layout reads several MB here.
+        t = SuccessTable(ScenarioConfig(n_ues=20))
+        tracemalloc.start()
+        try:
+            for key in KEYS:
+                t.grid(*key)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+
+class TestBinomOverflow:
+    def test_overflow_names_the_count(self):
+        with pytest.raises(ValueError, match="1030"):
+            _binom_pmf(1030, 0.5)
+
+    def test_largest_supported_count_unchanged(self):
+        got = _binom_pmf(1029, 0.5)
+        assert got == [math.comb(1029, k) * 0.5**k * 0.5 ** (1029 - k)
+                       for k in range(1030)]
