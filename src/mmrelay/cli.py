@@ -41,10 +41,24 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--slots", type=int, default=None,
+    p.add_argument("--slots", type=_int_at_least(1), default=None,
                    help="number of simulated slots (overrides the file)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="RNG seed (overrides the file)")
     p.add_argument("--mode", choices=simulator.MODES, default=None,
                    help="LOS sampling mode (overrides the file)")
@@ -66,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a sweep grid and write CSV")
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="parallel worker processes")
 
     p = sub.add_parser("compare", help="analytic vs simulation z-score table")
@@ -129,7 +143,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_config(args.config)
-    rows = sweep_to_csv(spec, args.output, jobs=max(args.jobs, 1))
+    rows = sweep_to_csv(spec, args.output, jobs=args.jobs)
     n_err = sum(1 for r in rows if r.get("error"))
     print(f"wrote {len(rows)} rows to {args.output}"
           + (f" ({n_err} with errors)" if n_err else ""))

@@ -256,18 +256,35 @@ class LinkBudget:
                        los_probability(cfg.d_ud_m)),
             "rd": Link(Role.RELAY, Role.MMAP, d_rd, cfg.h_ap_m, cfg.h_ap_m, 1.0),
         }
-        self.gain_fd = beam_gain(cfg.theta_bw_fd_deg)
-        self.gain_br = beam_gain(cfg.theta_bw_br)
-        self.gain_rx = self.gain_fd
-        self.noise_w = 10.0 ** ((cfg.p_n_dbm - 30.0) / 10.0)
-        self.gamma_linear = 10.0 ** (cfg.gamma_db / 10.0)
         self.alpha = cfg.alpha
         self._power: dict[tuple[str, str, LinkState], float] = {}
-        for name, link in self.links.items():
-            for scheme, g_tx in (("fd", self.gain_fd), ("br", self.gain_br)):
-                for state in LinkState:
-                    self._power[name, scheme, state] = received_power_w(
-                        link, state, g_tx, self.gain_rx, cfg.p_t_dbm, cfg.f_c_ghz)
+        try:
+            self.gain_fd = beam_gain(cfg.theta_bw_fd_deg)
+            self.gain_br = beam_gain(cfg.theta_bw_br)
+            self.gain_rx = self.gain_fd
+            self.noise_w = 10.0 ** ((cfg.p_n_dbm - 30.0) / 10.0)
+            self.gamma_linear = 10.0 ** (cfg.gamma_db / 10.0)
+            for name, link in self.links.items():
+                for scheme, g_tx in (("fd", self.gain_fd), ("br", self.gain_br)):
+                    for state in LinkState:
+                        self._power[name, scheme, state] = received_power_w(
+                            link, state, g_tx, self.gain_rx, cfg.p_t_dbm,
+                            cfg.f_c_ghz)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"link budget out of float range ({exc}); check "
+                             "the dB fields, beamwidths, heights, distances "
+                             "and f_c_ghz") from None
+        # An infinite or NaN power or a zero noise floor would make SINR
+        # NaN (inf/inf, 0/0), which no threshold test can catch later.
+        for key, value in (("noise_w", self.noise_w),
+                           ("gamma_linear", self.gamma_linear),
+                           *self._power.items()):
+            if not math.isfinite(value):
+                raise ValueError(f"link budget out of float range: {key} is "
+                                 f"{value!r}")
+        if self.noise_w == 0.0:
+            raise ValueError(f"noise floor underflows to 0 W at "
+                             f"p_n_dbm={cfg.p_n_dbm!r}")
 
     def power(self, link: str, scheme: str, state: LinkState) -> float:
         """Received watts for a transmission of `scheme` on `link` in `state`."""

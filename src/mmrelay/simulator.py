@@ -23,6 +23,12 @@ Random-number streams are split per purpose (transmission choices,
 per-link LOS draws, per-reception draws) so switching modes never
 perturbs the transmission pattern. Identical (cfg, n_slots, seed, mode)
 arguments yield bit-identical statistics.
+
+Slots are processed in chunks: the draws and receptions of a chunk are
+vectorized, and so is the relay-queue scan over it (``_scan_chunk``),
+which finds the empty-queue slots with one sort and pointer doubling
+instead of stepping slot by slot; its statistics are integer sums, equal
+to a slot-by-slot update bit for bit.
 """
 
 from __future__ import annotations
@@ -44,62 +50,86 @@ _CHUNK = 1 << 16
 _WARMUP_CAP = 100_000
 _TARGET_BATCHES = 50
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
+def _first_at(keys, w, n, level, start):
+    """First s >= ``start`` with P_s - min P == ``level``, else n.
+
+    ``keys`` are the sorted ``(P_s - min P) * w + s`` for s = 0..n, with
+    w > n + 1; ``level`` and ``start`` broadcast together.
+    """
+    base = level * w
+    key = base + start
+    found = keys[np.minimum(np.searchsorted(keys, key), n)]
+    return np.where((found >= key) & (found < base + w), found - base, n)
 
 
-def _scan_chunk_py(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
-                   warm, blen, nb, early_end, late_start, bat, qacc):
-    """Sequential queue update over one precomputed chunk.
+def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
+                warm, blen, nb, early_end, late_start, bat, qacc):
+    """Exact queue update over one precomputed chunk; returns the final q.
 
     bat rows accumulate per-batch [direct, relay_dep, enqueued, nonempty,
     empty]; qacc accumulates [sum_q_measured, max_q, sum_q_early,
     sum_q_late, enqueued_total, departed_total] (the last two over the
     whole run, warm-up included).
+
+    The regime changes only at empty slots. While the queue is nonempty a
+    slot's net change x is at least -1, so from an empty slot tau with
+    Y = arr_s[tau] > 0 arrivals the queue next empties at the first
+    s >= tau + 2 where the prefix sum P of x returns to P[tau + 1] - Y.
+    One sort of the keys (P_s, s) answers that for every tau at once, and
+    pointer doubling over these next-empty pointers marks the empty slots
+    reachable from the chunk start. Every accumulated value is an integer
+    sum, so the floats equal those of a slot-by-slot update while the
+    sums stay below 2**53.
     """
     n = arr_s.shape[0]
-    for i in range(n):
-        t = t0 + i
-        nonempty = q > 0
-        if nonempty and coin[i]:
-            dep = 1 if rd_ok[i] else 0
-            a = arr_t[i]
-            d = dir_t[i]
-        else:
-            dep = 0
-            a = arr_s[i]
-            d = dir_s[i]
-        q += a - dep
-        qacc[4] += a
-        qacc[5] += dep
-        if t < early_end:
-            qacc[2] += q
-        if t >= late_start:
-            qacc[3] += q
-        if t >= warm:
-            b = (t - warm) // blen
-            if b < nb:
-                bat[b, 0] += d
-                bat[b, 1] += dep
-                bat[b, 2] += a
-                if nonempty:
-                    bat[b, 3] += 1.0
-                else:
-                    bat[b, 4] += 1.0
-                qacc[0] += q
-                if q > qacc[1]:
-                    qacc[1] = q
-    return q
+    x = np.where(coin, arr_t - rd_ok, arr_s)
+    p = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(x, out=p[1:])
+    p_min = p.min()
+    w = n + 2
+    keys = np.sort((p - p_min) * w + np.arange(n + 1))
 
+    # Next empty slot after each slot taken as empty; n stands for "none
+    # in this chunk" and points to itself.
+    tau = np.arange(n)
+    nxt = np.empty(n + 1, dtype=np.int64)
+    nxt[:n] = np.where(arr_s == 0, tau + 1,
+                       _first_at(keys, w, n, p[1:] - arr_s - p_min, tau + 2))
+    nxt[n] = n
+    first = 0 if q == 0 else int(_first_at(keys, w, n, -q - p_min, 1))
 
-if _HAVE_NUMBA:
-    _scan_chunk = njit(cache=True)(_scan_chunk_py)
-else:  # pragma: no cover
-    _scan_chunk = _scan_chunk_py
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[first] = True
+    jump = nxt
+    while True:
+        hit = jump[reach]
+        if reach[hit].all():
+            break
+        reach[hit] = True
+        jump = jump[jump]
+    empty = reach[:n]
+
+    serve = coin & ~empty
+    dep = serve & rd_ok
+    a = np.where(serve, arr_t, arr_s)
+    d = np.where(serve, dir_t, dir_s)
+    qpath = q + np.cumsum(a - dep)
+    qacc[4] += a.sum()
+    qacc[5] += dep.sum()
+    qacc[2] += qpath[:max(early_end - t0, 0)].sum()
+    qacc[3] += qpath[max(late_start - t0, 0):].sum()
+
+    lo = min(max(warm - t0, 0), n)
+    hi = min(max(warm + nb * blen - t0, 0), n)
+    if lo < hi:
+        b = (np.arange(lo, hi) + (t0 - warm)) // blen
+        for col, v in enumerate((d, dep, a, ~empty, empty)):
+            bat[:, col] += np.bincount(b, weights=v[lo:hi], minlength=nb)
+        measured = qpath[lo:hi]
+        qacc[0] += measured.sum()
+        qacc[1] = max(qacc[1], measured.max())
+    return int(qpath[-1])
 
 
 @dataclass(frozen=True)
@@ -322,13 +352,7 @@ def run(cfg: ScenarioConfig, n_slots: int, seed: int,
         else:
             arr_s, arr_t, dir_s, dir_t, rd_ok = _chunk_physical(
                 gen_physical, pw, n_fr, n_fd, n_b, c)
-        q = _scan_chunk(q, t0,
-                        np.ascontiguousarray(arr_s, dtype=np.int64),
-                        np.ascontiguousarray(arr_t, dtype=np.int64),
-                        np.ascontiguousarray(dir_s, dtype=np.int64),
-                        np.ascontiguousarray(dir_t, dtype=np.int64),
-                        np.ascontiguousarray(rd_ok),
-                        np.ascontiguousarray(coin),
+        q = _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
                         warm, blen, nb, early_end, late_start, bat, qacc)
         t0 += c
 

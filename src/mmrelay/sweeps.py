@@ -181,6 +181,10 @@ def load_config(path: str) -> SweepSpec:
                     except ValueError:
                         raise ConfigError(f"line {lineno}: {key} must be an "
                                           f"integer, got {value!r}") from None
+                    low = 1 if key == "n_slots" else 0
+                    if sim[key] < low:
+                        raise ConfigError(f"line {lineno}: {key} must be "
+                                          f">= {low}, got {sim[key]}")
                 elif key == "mode":
                     if value not in ("decoupled", "physical"):
                         raise ConfigError(f"line {lineno}: mode must be "

@@ -6,7 +6,9 @@ time (no binomial partition counting), and the arrival oracle enumerates
 per-user decision tuples and acceptance subsets (no pmf convolution).
 Both share only the link-budget power primitives with the code under test.
 The success-table oracle is a scalar loop over the binomial LOS
-partitions; the array table must reproduce its floats exactly.
+partitions; the array table must reproduce its floats exactly. The
+queue-scan oracle is the simulator's slot-by-slot queue update, which the
+vectorized scan must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -151,3 +153,47 @@ def per_user_throughput_bruteforce(cfg: ScenarioConfig, table,
         direct += w * probs["br"] * p_d
         relayed += w * probs["br"] * p_r * (1.0 - p_d)
     return direct, relayed
+
+
+def scan_chunk_oracle(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
+                      warm, blen, nb, early_end, late_start, bat, qacc):
+    """Sequential queue update over one precomputed chunk.
+
+    bat rows accumulate per-batch [direct, relay_dep, enqueued, nonempty,
+    empty]; qacc accumulates [sum_q_measured, max_q, sum_q_early,
+    sum_q_late, enqueued_total, departed_total] (the last two over the
+    whole run, warm-up included).
+    """
+    n = arr_s.shape[0]
+    for i in range(n):
+        t = t0 + i
+        nonempty = q > 0
+        if nonempty and coin[i]:
+            dep = 1 if rd_ok[i] else 0
+            a = arr_t[i]
+            d = dir_t[i]
+        else:
+            dep = 0
+            a = arr_s[i]
+            d = dir_s[i]
+        q += a - dep
+        qacc[4] += a
+        qacc[5] += dep
+        if t < early_end:
+            qacc[2] += q
+        if t >= late_start:
+            qacc[3] += q
+        if t >= warm:
+            b = (t - warm) // blen
+            if b < nb:
+                bat[b, 0] += d
+                bat[b, 1] += dep
+                bat[b, 2] += a
+                if nonempty:
+                    bat[b, 3] += 1.0
+                else:
+                    bat[b, 4] += 1.0
+                qacc[0] += q
+                if q > qacc[1]:
+                    qacc[1] = q
+    return q

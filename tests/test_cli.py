@@ -66,6 +66,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="q_u"):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_slots = 0", "n_slots must be >= 1, got 0"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+    ])
+    def test_simulation_counts_out_of_range(self, tmp_path, line, message):
+        text = f"[simulation]\nsimulate = true\n{line}\n"
+        with pytest.raises(ConfigError, match=f"line 3: {message}"):
+            load_config(_write(tmp_path, text))
+
     def test_forty_five_point_plan(self, tmp_path):
         text = "[sweep]\nn_ues = 1:15\nq_u = 0.1, 0.5, 0.9\n"
         spec = load_config(_write(tmp_path, text))
@@ -153,6 +162,19 @@ class TestCliProcess:
         assert code == 1
         code, _, _ = _cli("frobnicate", "x")
         assert code == 1
+
+    @pytest.mark.parametrize("args, flag", [
+        (("simulate", "--slots", "0"), "--slots"),
+        (("simulate", "--seed", "-1"), "--seed"),
+        (("compare", "--slots", "-5"), "--slots"),
+        (("compare", "--seed", "x"), "--seed"),
+        (("sweep", "-o", "out.csv", "--jobs", "0"), "--jobs"),
+    ])
+    def test_simulation_flags_out_of_range(self, tmp_path, capsys, args, flag):
+        import mmrelay.cli as cli
+        path = _write(tmp_path, "[scenario]\nn_ues = 2\n")
+        assert cli.main([args[0], path, *args[1:]]) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_model_error_exit_code(self, tmp_path):
         code, _, err = _cli("analyze", _write(tmp_path, "[scenario]\nq_u = 1.5\n"))

@@ -227,6 +227,20 @@ class TestLinkBudget:
         b = LinkBudget(default_cfg)
         assert b.gain_rx == b.gain_fd
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_t_dbm", 3113.0),         # 10**(p/10) overflows
+        ("p_n_dbm", 3113.0),
+        ("gamma_db", 3083.0),
+        ("p_n_dbm", -4000.0),        # noise floor underflows to 0 W
+        ("f_c_ghz", 1e-240),         # 10**(-PL/10) overflows
+        ("theta_bw_fd_deg", 5e-324), # beam gain divides by 0
+        ("theta_bw_fd_deg", 1e-160), # beam gain squared overflows
+    ])
+    def test_out_of_float_range_rejected(self, field, value):
+        cfg = ScenarioConfig(**{field: value})
+        with pytest.raises(ValueError, match="float range|underflows"):
+            LinkBudget(cfg)
+
     def test_power_ordering(self, default_cfg):
         b = LinkBudget(default_cfg)
         for link in ("ur", "ud", "rd"):

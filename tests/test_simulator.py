@@ -1,9 +1,15 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmrelay import ScenarioConfig, SuccessTable, aggregate_throughput, compare, run
+from mmrelay import simulator
 from mmrelay.queue_model import solve_queue
+from oracles import scan_chunk_oracle
 
 
 class TestDeterminism:
@@ -125,3 +131,77 @@ class TestCompare:
             run(two_ue_cfg, 100, seed=0, mode="telepathic")
         with pytest.raises(ValueError):
             run(two_ue_cfg, 0, seed=0)
+
+
+@st.composite
+def _chunks(draw):
+    """A random chunk and accumulator layout for ``_scan_chunk``.
+
+    Arrivals are non-negative, so a busy slot steps the queue by at least
+    -1; the warm-up end, the quarter edges and the batch edges land inside
+    the chunk, before it or after it, and slots past nb * blen occur.
+    """
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate_s = draw(st.floats(0.0, 1.5))
+    rate_t = draw(st.floats(0.0, 1.5))
+    arr_s = rng.poisson(rate_s, n)
+    arr_t = rng.poisson(rate_t, n)
+    dir_s = rng.integers(0, 4, n)
+    dir_t = rng.integers(0, 4, n)
+    rd_ok = rng.random(n) < draw(st.floats(0.0, 1.0))
+    coin = rng.random(n) < draw(st.floats(0.0, 1.0))
+    q = draw(st.one_of(st.just(0), st.integers(1, 3), st.integers(4, 50)))
+    t0 = draw(st.integers(0, 10**6))
+    warm = t0 + draw(st.integers(-n, n))
+    blen = draw(st.integers(1, n))
+    nb = draw(st.integers(1, 60))
+    early_end = t0 + draw(st.integers(-n, 2 * n))
+    late_start = t0 + draw(st.integers(-n, 2 * n))
+    return (q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
+            warm, blen, nb, early_end, late_start)
+
+
+class TestScanChunk:
+    @settings(max_examples=300, deadline=None)
+    @given(_chunks(), st.integers(0, 5))
+    def test_equals_slot_by_slot_oracle(self, chunk, prior):
+        # accumulators already holding integer counts from earlier chunks
+        nb = chunk[10]
+        results = []
+        for scan in (scan_chunk_oracle, simulator._scan_chunk):
+            bat = np.full((nb, 5), float(prior))
+            qacc = np.full(6, float(prior))
+            q = scan(*chunk, bat, qacc)
+            results.append((q, bat, qacc))
+        (q_o, bat_o, qacc_o), (q_v, bat_v, qacc_v) = results
+        assert q_v == q_o
+        assert np.array_equal(bat_v, bat_o)
+        assert np.array_equal(qacc_v, qacc_o)
+
+
+def _bits(stats) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(stats).items()}
+
+
+class TestScanEndToEnd:
+    """``run`` with the vectorized scan equals ``run`` with the oracle."""
+
+    @pytest.mark.parametrize("cfg, n_slots, mode", [
+        # unstable: the queue is carried into later chunks; short last chunk
+        (ScenarioConfig(n_ues=5, q_u=0.6, q_r=0.1), 2 * simulator._CHUNK + 3,
+         "decoupled"),
+        (ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9), 100_000, "decoupled"),
+        (ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9), 100_000, "physical"),
+        (ScenarioConfig(n_ues=3, q_u=0.5), 1, "decoupled"),
+        (ScenarioConfig(n_ues=5, q_u=0.0, q_r=1.0), 20_000, "decoupled"),
+    ], ids=["unstable-3-chunks", "light-decoupled", "light-physical",
+            "one-slot", "silent"])
+    def test_stats_bit_identical(self, cfg, n_slots, mode, monkeypatch):
+        fast = run(cfg, n_slots, seed=8, mode=mode)
+        monkeypatch.setattr(simulator, "_scan_chunk", scan_chunk_oracle)
+        slow = run(cfg, n_slots, seed=8, mode=mode)
+        assert _bits(fast) == _bits(slow)
+        if n_slots > 2 * simulator._CHUNK:
+            assert fast.queue_final > 1000

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmrelay import (
     ScenarioConfig,
@@ -165,3 +168,54 @@ class TestAggregateThroughput:
                                        + cfg.q_r * rep.t_ud1)
                           + rep.queue.mu_r)
         assert rep.t_aggregate == pytest.approx(unstable_total, abs=1e-6)
+
+
+# Any real-looking value, valid or not: non-finite floats, huge and
+# negative numbers, and bools (an int subclass).
+_ANY_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.integers(-10**12, 10**12), st.booleans())
+
+
+def _mostly(valid):
+    return st.one_of(valid, valid, _ANY_NUMBER)
+
+
+_UNIT = _mostly(st.floats(0.0, 1.0))
+# Every ScenarioConfig field, with small N so that each point is quick.
+_FIELD_VALUES = {
+    "n_ues": st.one_of(st.integers(1, 4), st.integers(-2, 0), st.booleans(),
+                       st.floats(-1.0, 4.0)),
+    "q_u": _UNIT, "q_uf": _UNIT, "q_ur": _UNIT, "q_r": _UNIT, "alpha": _UNIT,
+    "gamma_db": _mostly(st.floats(-400.0, 400.0)),
+    "p_t_dbm": _mostly(st.floats(-400.0, 400.0)),
+    "p_n_dbm": _mostly(st.floats(-400.0, 400.0)),
+    "f_c_ghz": _mostly(st.floats(0.0, 1e3)),
+    "h_ap_m": _mostly(st.floats(0.0, 100.0)),
+    "h_ue_m": _mostly(st.floats(0.0, 100.0)),
+    "d_ur_m": _mostly(st.floats(0.0, 1e4)),
+    "d_ud_m": _mostly(st.floats(0.0, 1e4)),
+    "theta_rd_deg": _mostly(st.floats(0.0, 180.0)),
+    "theta_bw_fd_deg": _mostly(st.floats(0.0, 360.0)),
+    "theta_bw_br_deg": st.one_of(st.none(), _mostly(st.floats(0.0, 360.0))),
+}
+
+
+class TestEveryFieldProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_FIELD_VALUES))
+    def test_rejected_or_finite_and_bounded(self, fields):
+        # ConfigError, the file-level rejection, is a ValueError too.
+        try:
+            cfg = ScenarioConfig(**fields)
+            rep = aggregate_throughput(cfg)
+        except ValueError:
+            return
+        q = rep.queue
+        for value in (rep.t_aggregate, rep.t_ud, rep.t_ur, rep.t_ud0,
+                      rep.t_ud1, rep.t_ur0, rep.t_ur1, q.lambda0, q.lambda1,
+                      q.a_r, q.b_r, q.mu_r, q.p_empty_prob):
+            assert math.isfinite(value), rep
+        # q_r_min is documented as possibly infinite, never NaN or negative
+        assert q.q_r_min >= 0.0, rep
+        assert 0.0 <= rep.t_aggregate <= cfg.n_ues, rep
+        assert 0.0 <= q.p_empty_prob <= 1.0, rep
