@@ -8,13 +8,7 @@ lambda0 / (lambda0 + B_r - A_r).
 
 import numpy as np
 
-from mmrelay import (
-    ScenarioConfig,
-    SuccessTable,
-    net_change_distribution,
-    solve_queue,
-    two_ue_closed_forms,
-)
+from mmrelay import ScenarioConfig, queue_statistics, solve_queue
 
 print("rates vs UE transmit probability (N = 5, q_uf = q_ur = 0.5, q_r = 1)")
 print(f"{'q_u':>5} {'lambda0':>9} {'a_r':>9} {'b_r':>9} {'q_r_min':>9} "
@@ -29,7 +23,7 @@ print("\nnote a_r > lambda0: while the relay transmits it jams the mmAP,")
 print("so more BR packets fail there and get diverted into the queue.")
 
 cfg = ScenarioConfig(n_ues=5, q_u=0.5, q_uf=0.5, q_ur=0.5, q_r=0.8)
-net = net_change_distribution(cfg, SuccessTable(cfg))
+net = queue_statistics(cfg)
 print("\nnet queue change per slot at q_u = 0.5, q_r = 0.8")
 print("  empty queue   :", np.array2string(net.p_empty, precision=4))
 print("  nonempty queue:", np.array2string(net.p_nonempty, precision=4),
@@ -41,10 +35,3 @@ for q_r in (0.55, 0.6, 0.7, 0.8, 0.9, 1.0):
     tag = f"P(Q=0) = {s.p_empty_prob:.4f}" if s.stable else "unstable"
     print(f"  q_r = {q_r:.2f}: {tag}   (threshold {s.q_r_min:.4f})")
 
-print("\ntwo-user closed forms agree with the enumeration engine:")
-cfg2 = ScenarioConfig(n_ues=2, q_u=0.6, q_r=0.7)
-forms = two_ue_closed_forms(cfg2)
-engine = solve_queue(cfg2)
-print(f"  lambda0 closed form {forms['lambda0']:.12f} "
-      f"vs engine {engine.lambda0:.12f}")
-print(f"  b_r     closed form {forms['b_r']:.12f} vs engine {engine.b_r:.12f}")

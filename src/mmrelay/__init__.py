@@ -23,30 +23,15 @@ from .geometry import (
     relay_mmap_distance,
 )
 from .queue_model import (
-    NetChangeDistribution,
     QueueSolution,
-    SlotConfiguration,
-    UnstableQueueError,
-    arrival_distribution,
-    empty_probability,
-    enumerate_configurations,
-    net_change_distribution,
-    service_success_probability,
+    QueueStatistics,
+    queue_statistics,
     solve_queue,
-    stability_threshold,
-    two_ue_closed_forms,
-    two_ue_terms,
-    TWO_UE_LITERAL_DISCREPANCIES,
 )
 from .simulator import ComparisonResult, MetricComparison, SimStats, compare, run
-from .success import InterfererProfile, SuccessTable
+from .success import SuccessTable
 from .sweeps import ConfigError, SweepSpec, load_config, run_sweep
-from .throughput import (
-    ThroughputReport,
-    aggregate_throughput,
-    per_user_direct,
-    per_user_relayed,
-)
+from .throughput import ThroughputReport, aggregate_throughput
 
 __all__ = [
     "Link",
@@ -59,26 +44,15 @@ __all__ = [
     "path_loss_db",
     "received_power_w",
     "relay_mmap_distance",
-    "NetChangeDistribution",
     "QueueSolution",
-    "SlotConfiguration",
-    "UnstableQueueError",
-    "arrival_distribution",
-    "empty_probability",
-    "enumerate_configurations",
-    "net_change_distribution",
-    "service_success_probability",
+    "QueueStatistics",
+    "queue_statistics",
     "solve_queue",
-    "stability_threshold",
-    "two_ue_closed_forms",
-    "two_ue_terms",
-    "TWO_UE_LITERAL_DISCREPANCIES",
     "ComparisonResult",
     "MetricComparison",
     "SimStats",
     "compare",
     "run",
-    "InterfererProfile",
     "SuccessTable",
     "ConfigError",
     "SweepSpec",
@@ -86,8 +60,6 @@ __all__ = [
     "run_sweep",
     "ThroughputReport",
     "aggregate_throughput",
-    "per_user_direct",
-    "per_user_relayed",
 ]
 
 __version__ = "0.1.0"

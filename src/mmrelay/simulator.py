@@ -230,6 +230,23 @@ def _fresh_reception(gen: np.random.Generator, p_los: float, desired,
     return desired, interf
 
 
+def _tally(c: int, slots_fr, slots_fd, slots_b, ok_fr, ok_br_r, sides):
+    """(arr_s, arr_t, dir_s, dir_t) per slot from reception outcomes.
+
+    ``sides`` holds the (FD, BR) decoded-at-the-mmAP masks with the relay
+    silent, then transmitting. The queue stores decoded FD->relay packets
+    and BR packets decoded at the relay and lost at the mmAP; direct
+    deliveries are the FD and BR packets decoded at the mmAP.
+    """
+    arr_fr = np.bincount(slots_fr[ok_fr], minlength=c)
+    arr, direct = [], []
+    for ok_fd, ok_br_d in sides:
+        arr.append(arr_fr + np.bincount(slots_b[ok_br_r & ~ok_br_d], minlength=c))
+        direct.append(np.bincount(slots_fd[ok_fd], minlength=c)
+                      + np.bincount(slots_b[ok_br_d], minlength=c))
+    return arr[0], arr[1], direct[0], direct[1]
+
+
 def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
                      n_fr, n_fd, n_b, c: int):
     """Per-slot reduced outcomes with fresh LOS draws per reception."""
@@ -243,7 +260,6 @@ def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
     # transmissions and every broadcast.
     ok_fr = pw.ok(*_fresh_reception(gen, pw.plos_ur, fr, n_fr[slots_fr] - 1,
                                     n_b[slots_fr], fr, br_r))
-    arr_fr = np.bincount(slots_fr[ok_fr], minlength=c)
 
     # BR packets at the relay.
     kb_n = n_b[slots_b] - 1
@@ -266,15 +282,9 @@ def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
     rd_ok = pw.ok(*_fresh_reception(gen, pw.plos_ud, pw.rd_l, n_fd, n_b,
                                     fd, br_d))
 
-    store_s = ok_br_r & ~ok_br_d_s
-    store_t = ok_br_r & ~ok_br_d_t
-    arr_s = arr_fr + np.bincount(slots_b[store_s], minlength=c)
-    arr_t = arr_fr + np.bincount(slots_b[store_t], minlength=c)
-    dir_s = (np.bincount(slots_fd[ok_fd_s], minlength=c)
-             + np.bincount(slots_b[ok_br_d_s], minlength=c))
-    dir_t = (np.bincount(slots_fd[ok_fd_t], minlength=c)
-             + np.bincount(slots_b[ok_br_d_t], minlength=c))
-    return arr_s, arr_t, dir_s, dir_t, rd_ok
+    sides = ((ok_fd_s, ok_br_d_s), (ok_fd_t, ok_br_d_t))
+    return (*_tally(c, slots_fr, slots_fd, slots_b, ok_fr, ok_br_r, sides),
+            rd_ok)
 
 
 def _chunk_physical(gen: np.random.Generator, pw: _Powers,
@@ -306,16 +316,9 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers,
     ok_fd_t = pw.ok(p_fd_d, i_fd_d + pw.rd_l)
     rd_ok = pw.ok(pw.rd_l, total_d)
 
-    store_s = ok_br_r & ~ok_br_d_s
-    store_t = ok_br_r & ~ok_br_d_t
-    arr_fr = np.bincount(slots_fr[ok_fr], minlength=c)
-    arr_s = arr_fr + np.bincount(slots_b[store_s], minlength=c)
-    arr_t = arr_fr + np.bincount(slots_b[store_t], minlength=c)
-    dir_s = (np.bincount(slots_fd[ok_fd_s], minlength=c)
-             + np.bincount(slots_b[ok_br_d_s], minlength=c))
-    dir_t = (np.bincount(slots_fd[ok_fd_t], minlength=c)
-             + np.bincount(slots_b[ok_br_d_t], minlength=c))
-    return arr_s, arr_t, dir_s, dir_t, rd_ok
+    sides = ((ok_fd_s, ok_br_d_s), (ok_fd_t, ok_br_d_t))
+    return (*_tally(c, slots_fr, slots_fd, slots_b, ok_fr, ok_br_r, sides),
+            rd_ok)
 
 
 def run(cfg: ScenarioConfig, n_slots: int, seed: int,

@@ -26,29 +26,10 @@ interference term by ``alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import LinkBudget, LinkState, Role, ScenarioConfig
-
-
-@dataclass(frozen=True)
-class InterfererProfile:
-    """Counts conditioning one success probability.
-
-    n_f: interfering FD transmissions aimed at this receiver;
-    n_b: interfering BR transmissions;
-    relay_active: relay transmitting (meaningful only at the mmAP).
-    """
-
-    n_f: int
-    n_b: int
-    relay_active: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n_f < 0 or self.n_b < 0:
-            raise ValueError("interferer counts must be non-negative")
 
 
 def _binom_pmf(n: int, p: float) -> list[float]:
@@ -63,17 +44,18 @@ def _binom_pmf(n: int, p: float) -> list[float]:
 class SuccessTable:
     """Success probabilities of one configuration, one array per key.
 
-    ``grid(link, scheme, relay, n)`` returns the rows S[n_f][n_b], defined
-    for n_f + n_b <= m with m = max(N, n), building them on first use; a
-    later request beyond m rebuilds that key at the larger size. Values
-    are pure functions of the configuration, so concurrent readers that
-    race on a missing key build identical arrays and need no lock.
+    ``grid(link, scheme, relay, n)`` returns the 2-D float64 array
+    S[n_f, n_b], defined for n_f + n_b <= m with m = max(N, n) and zero
+    elsewhere, building it on first use; a later request beyond m rebuilds
+    that key at the larger size. Values are pure functions of the
+    configuration, so concurrent readers that race on a missing key build
+    identical arrays and need no lock.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.budget = LinkBudget(cfg)
-        self._grids: dict[tuple[str, str, bool], list[list[float]]] = {}
+        self._grids: dict[tuple[str, str, bool], np.ndarray] = {}
 
     def sinr_linear(self, link: str, desired_state: LinkState, scheme: str,
                     k_f_los: int, k_f_nlos: int, k_b_los: int, k_b_nlos: int,
@@ -98,8 +80,8 @@ class SuccessTable:
             raise ValueError("the relay does not interfere with its own packet")
 
     def _build(self, link: str, scheme: str, relay: bool,
-               m: int) -> list[list[float]]:
-        """Rows S[n_f][n_b] for n_f + n_b <= m, one n_f slab at a time.
+               m: int) -> np.ndarray:
+        """S[n_f, n_b] for n_f + n_b <= m, one n_f slab at a time.
 
         Each cell sums (w_state * w_f[k]) * w_b[h] over the partitions
         whose SINR clears gamma, the SINR formed as in ``sinr_linear``.
@@ -127,7 +109,7 @@ class SuccessTable:
         gamma = b.gamma_linear
         h = np.arange(m + 1)
         fsum = math.fsum
-        rows = []
+        out = np.zeros((m + 1, m + 1))
         for n_f in range(m + 1):
             top = m - n_f + 1                      # n_b = 0 .. m - n_f
             k = np.arange(n_f + 1)[:, None, None]
@@ -144,29 +126,23 @@ class SuccessTable:
                 np.where(signal / denom >= gamma,
                          (w_state * w_f) * w_b[:top, :top], 0.0)
                 for signal, w_state in states])
-            rows.append([fsum(terms[:, :, j, :j + 1].ravel().tolist())
-                         for j in range(top)])
-        return rows
+            out[n_f, :top] = [fsum(terms[:, :, j, :j + 1].ravel().tolist())
+                              for j in range(top)]
+        return out
 
     def grid(self, link: str, scheme: str, relay: bool = False,
-             n: int = 0) -> list[list[float]]:
-        """Rows S[n_f][n_b] of one key, valid for n_f + n_b <= max(N, n)."""
+             n: int = 0) -> np.ndarray:
+        """S[n_f, n_b] of one key, valid for n_f + n_b <= max(N, n)."""
         key = (link, scheme, bool(relay))
-        rows = self._grids.get(key)
-        if rows is None or len(rows) <= n:
-            rows = self._build(link, scheme, key[2], max(self.cfg.n_ues, n))
-            self._grids[key] = rows
-        return rows
-
-    def success_probability(self, link: str, scheme: str,
-                            profile: InterfererProfile) -> float:
-        """Blockage-averaged probability that the reception clears gamma."""
-        return self.p(link, scheme, profile.n_f, profile.n_b,
-                      profile.relay_active)
+        grid = self._grids.get(key)
+        if grid is None or len(grid) <= n:
+            grid = self._build(link, scheme, key[2], max(self.cfg.n_ues, n))
+            self._grids[key] = grid
+        return grid
 
     def p(self, link: str, scheme: str, n_f: int, n_b: int,
           relay: bool = False) -> float:
         """Success probability for raw interferer counts."""
         if n_f < 0 or n_b < 0:
             raise ValueError("interferer counts must be non-negative")
-        return self.grid(link, scheme, relay, n_f + n_b)[n_f][n_b]
+        return float(self.grid(link, scheme, relay, n_f + n_b)[n_f, n_b])

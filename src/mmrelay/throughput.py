@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import ScenarioConfig
-from .queue_model import QueueSolution, UnstableQueueError, _tagged_walk, solve_queue
+from .queue_model import QueueSolution, _tagged_walk, solve_queue
 from .success import SuccessTable
 
 STABLE = "stable"
@@ -25,10 +25,12 @@ UNSTABLE = "unstable"
 class ThroughputReport:
     """Analytical throughput decomposition for one scenario point.
 
-    ``t_ur0``/``t_ur1`` are the BR-acceptance components without/with the
-    relay transmitting; the queue-state-independent FD-to-relay acceptance
-    appears only inside ``t_ur``. In the unstable regime ``t_ur`` is the
-    delivered relayed share mu_r / N rather than the acceptance rate.
+    ``t_ud0``/``t_ud1`` are a user's direct deliveries per slot and
+    ``t_ur0``/``t_ur1`` its BR-acceptance components, each without/with
+    the relay transmitting; the queue-state-independent FD-to-relay
+    acceptance appears only inside ``t_ur``. In the unstable regime
+    ``t_ur`` is the delivered relayed share mu_r / N rather than the
+    acceptance rate.
     """
 
     t_ud0: float
@@ -40,32 +42,6 @@ class ThroughputReport:
     t_aggregate: float
     regime: str
     queue: QueueSolution
-
-
-def per_user_direct(cfg: ScenarioConfig, table: SuccessTable,
-                    relay_interfering: bool) -> float:
-    """Packets per slot a tagged user lands at the mmAP directly."""
-    t_ud0, t_ud1, _, _, _ = _tagged_walk(cfg, table)
-    return t_ud1 if relay_interfering else t_ud0
-
-
-def per_user_relayed(cfg: ScenarioConfig, table: SuccessTable | None = None,
-                     queue: QueueSolution | None = None) -> float:
-    """Packets per slot a tagged user gets accepted into the relay queue.
-
-    Only meaningful in the stable regime, where acceptance equals eventual
-    delivery.
-    """
-    if table is None:
-        table = SuccessTable(cfg)
-    if queue is None:
-        queue = solve_queue(cfg, table)
-    if not queue.stable:
-        raise UnstableQueueError(
-            "relayed throughput is not credited while the queue is unstable")
-    _, _, t_fr, t_ur0, t_ur1 = _tagged_walk(cfg, table)
-    w1 = cfg.q_r * (1.0 - queue.p_empty_prob)
-    return t_fr + (1.0 - w1) * t_ur0 + w1 * t_ur1
 
 
 def aggregate_throughput(cfg: ScenarioConfig,

@@ -8,7 +8,10 @@ Both share only the link-budget power primitives with the code under test.
 The success-table oracle is a scalar loop over the binomial LOS
 partitions; the array table must reproduce its floats exactly. The
 queue-scan oracle is the simulator's slot-by-slot queue update, which the
-vectorized scan must reproduce exactly.
+vectorized scan must reproduce exactly. The two-UE closed forms are
+carried both verbatim (``literal=True``) and in engine-matching form, with
+every verbatim term that disagrees catalogued in
+``TWO_UE_LITERAL_DISCREPANCIES``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 import math
 
 from mmrelay.geometry import LinkBudget, LinkState, ScenarioConfig
+from mmrelay.success import SuccessTable
 
 
 def success_probability_bruteforce(cfg: ScenarioConfig, link: str, scheme: str,
@@ -95,8 +99,8 @@ def arrival_pmf_bruteforce(cfg: ScenarioConfig, table, relay_tx: bool) -> list[f
 
     Uses the same per-reception success probabilities as the engine but
     assembles the count distribution by explicit subset enumeration, so a
-    bug in the binomial/convolution path cannot hide. Exponential in N;
-    keep N <= 4.
+    bug in the binomial/convolution path cannot hide. Exponential in N:
+    about 0.1 s at N = 6.
     """
     n = cfg.n_ues
     probs = _decision_probs(cfg)
@@ -197,3 +201,246 @@ def scan_chunk_oracle(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
                 if q > qacc[1]:
                     qacc[1] = q
     return q
+
+
+# ---------------------------------------------------------------------------
+# Two-UE closed forms, used purely as cross-validation vectors.
+# ---------------------------------------------------------------------------
+
+#: Verbatim two-UE terms that disagree with the enumeration engine, keyed by
+#: (quantity, term), with the reading the engine supports. The engine is
+#: authoritative; the verbatim side is kept evaluable so the disagreement
+#: stays visible in the test suite.
+TWO_UE_LITERAL_DISCREPANCIES: dict[tuple[str, str], str] = {
+    ("lambda0", "fr_fr"):
+        "weight carries a duplicated q_ur^2 (reads q_u^2 q_uf^2 q_ur^4); "
+        "the configuration weight is q_u^2 q_uf^2 q_ur^2",
+    ("lambda0", "fr_br"):
+        "double-arrival term is 2*(BR store prob)^2; both-packets-stored "
+        "probability is 2 * P[fd accept] * P[br store]",
+    ("lambda0", "br_br"):
+        "single-arrival mmAP-failure profile {2}^b; a tagged BR packet at "
+        "the mmAP sees one BR interferer, {1}^b",
+    ("a_r", "br_idle"):
+        "mmAP failure omits the transmitting relay; should carry the {r} flag",
+    ("a_r", "fr_fr"):
+        "same duplicated q_ur^2 weight as in lambda0",
+    ("a_r", "fr_br"):
+        "same 2*(store prob)^2 double-arrival term as in lambda0 "
+        "(relay-flagged store probability)",
+    ("b_r", "no_ue_interferers"):
+        "both-FD-to-relay weight has an extra FD factor (q_uf^2 q_2f q_ur^2); "
+        "the weight is q_u^2 q_uf^2 q_ur^2",
+    ("b_r", "fd_and_br"):
+        "weight 2 q_u q_uf q_ub q_ud misses a q_u factor; "
+        "two active UEs give 2 q_u^2 q_uf q_ub q_ud",
+    ("p2_0", "br_br"):
+        "mmAP failure carries a spurious relay flag; the queue is empty so "
+        "the relay is silent: {r}^f,{1}^b should be {1}^b",
+    ("p_m1_1", "two_fd"):
+        "term sits outside the q_r bracket; a departure requires the relay "
+        "to transmit, so it must be scaled by q_r",
+    ("p1_1", "fr_fr"):
+        "single-arrival-no-departure part misses the factor 2 "
+        "(either UE can be the lone arrival)",
+    ("p1_1", "fr_br"):
+        "double-arrival part uses BR-at-relay profile {2}^f; only one FD "
+        "interferer exists at the relay, {1}^f",
+    ("p2_1", "silent"):
+        "inherits the p2_0 br_br correction through the (1 - q_r) p2_0 term",
+    ("p2_1", "fr_br"):
+        "mmAP failure omits the transmitting relay; should carry the {r} flag",
+}
+
+
+def two_ue_terms(cfg: ScenarioConfig, table: SuccessTable | None = None,
+                 literal: bool = False) -> dict[str, dict[str, float]]:
+    """Per-term two-UE closed forms.
+
+    With ``literal=True`` the published expressions are evaluated verbatim
+    (modulo the symmetric-UE symbol renames q_1 -> q_u, q_1f/q_2f -> q_uf
+    and completion of missing scheme superscripts); otherwise the
+    engine-matching reading is used. Term keys name the UE configuration
+    (e.g. ``fr_br`` = one FD-to-relay UE plus one broadcasting UE) or the
+    relay-side interferer group for b_r and p_m1_1.
+    """
+    if cfg.n_ues != 2:
+        raise ValueError(f"two-UE closed forms require n_ues=2, got {cfg.n_ues}")
+    if table is None:
+        table = SuccessTable(cfg)
+    qu, quf, qub = cfg.q_u, cfg.q_uf, cfg.q_ub
+    qur, qud, qr = cfg.q_ur, cfg.q_ud, cfg.q_r
+    qun = 1.0 - qu
+
+    p = table.p
+    pf_ur_0 = p("ur", "fd", 0, 0)
+    pf_ur_1f = p("ur", "fd", 1, 0)
+    pf_ur_1b = p("ur", "fd", 0, 1)
+    pb_ur_0 = p("ur", "br", 0, 0)
+    pb_ur_1f = p("ur", "br", 1, 0)
+    pb_ur_2f = p("ur", "br", 2, 0)   # appears only in a verbatim typo
+    pb_ur_1b = p("ur", "br", 0, 1)
+    pb_ud_0 = p("ud", "br", 0, 0)
+    pb_ud_1f = p("ud", "br", 1, 0)
+    pb_ud_1b = p("ud", "br", 0, 1)
+    pb_ud_2b = p("ud", "br", 0, 2)   # appears only in a verbatim typo
+    pb_ud_0r = p("ud", "br", 0, 0, relay=True)
+    pb_ud_1fr = p("ud", "br", 1, 0, relay=True)
+    pb_ud_1br = p("ud", "br", 0, 1, relay=True)
+    prd_0 = p("rd", "fd", 0, 0)
+    prd_1f = p("rd", "fd", 1, 0)
+    prd_1b = p("rd", "fd", 0, 1)
+    prd_2f = p("rd", "fd", 2, 0)
+    prd_2b = p("rd", "fd", 0, 2)
+    prd_1f1b = p("rd", "fd", 1, 1)
+
+    # Configuration weights for two UEs.
+    w_idle2 = qun * qun
+    w_fr_idle = 2.0 * qu * qun * quf * qur
+    w_fd_idle = 2.0 * qu * qun * quf * qud
+    w_br_idle = 2.0 * qu * qun * qub
+    w_fr_fr = (qu * quf * qur) ** 2
+    w_fd_fd = (qu * quf * qud) ** 2
+    w_br_br = (qu * qub) ** 2
+    w_fr_fd = 2.0 * qu**2 * quf**2 * qur * qud
+    w_fr_br = 2.0 * qu**2 * quf * qub * qur
+    w_fd_br = 2.0 * qu**2 * quf * qub * qud
+
+    # BR queue-acceptance probabilities per configuration (decoded at the
+    # relay AND lost at the mmAP), without/with the relay transmitting.
+    br_lone = pb_ur_0 * (1.0 - pb_ud_0)
+    br_lone_r = pb_ur_0 * (1.0 - pb_ud_0r)
+    br_beside_fr = pb_ur_1f * (1.0 - pb_ud_0)
+    br_beside_fr_r = pb_ur_1f * (1.0 - pb_ud_0r)
+    br_beside_fd = pb_ur_0 * (1.0 - pb_ud_1f)
+    br_beside_fd_r = pb_ur_0 * (1.0 - pb_ud_1fr)
+    br_pair = pb_ur_1b * (1.0 - pb_ud_1b)
+    br_pair_r = pb_ur_1b * (1.0 - pb_ud_1br)
+
+    lambda0 = {
+        "fr_idle": w_fr_idle * pf_ur_0,
+        "br_idle": w_br_idle * br_lone,
+        "fr_fr": (qu**2 * quf**2 * qur**4
+                  * (2.0 * pf_ur_1f * (1.0 - pf_ur_1f) + 2.0 * pf_ur_1f**2)
+                  if literal else w_fr_fr * 2.0 * pf_ur_1f),
+        "fr_fd": w_fr_fd * pf_ur_0,
+        "fr_br": (w_fr_br * (pf_ur_1b * (1.0 - br_beside_fr)
+                             + (1.0 - pf_ur_1b) * br_beside_fr
+                             + 2.0 * br_beside_fr**2)
+                  if literal else w_fr_br * (pf_ur_1b + br_beside_fr)),
+        "fd_br": w_fd_br * br_beside_fd,
+        "br_br": (w_br_br * (2.0 * pb_ur_1b * (1.0 - pb_ud_2b) * (1.0 - br_pair)
+                             + 2.0 * br_pair**2)
+                  if literal else w_br_br * 2.0 * br_pair),
+    }
+
+    a_r = {
+        "fr_idle": w_fr_idle * pf_ur_0,
+        "br_idle": (w_br_idle * br_lone if literal else w_br_idle * br_lone_r),
+        "fr_fr": (qu**2 * quf**2 * qur**4
+                  * (2.0 * pf_ur_1f * (1.0 - pf_ur_1f) + 2.0 * pf_ur_1f**2)
+                  if literal else w_fr_fr * 2.0 * pf_ur_1f),
+        "fr_fd": w_fr_fd * pf_ur_0,
+        "fr_br": (w_fr_br * (pf_ur_1b * (1.0 - br_beside_fr_r)
+                             + (1.0 - pf_ur_1b) * br_beside_fr_r
+                             + 2.0 * br_beside_fr_r**2)
+                  if literal else w_fr_br * (pf_ur_1b + br_beside_fr_r)),
+        "fd_br": w_fd_br * br_beside_fd_r,
+        "br_br": w_br_br * 2.0 * br_pair_r,
+    }
+
+    b_r = {
+        "no_ue_interferers": prd_0 * (
+            w_idle2 + w_fr_idle
+            + (qu**2 * quf**3 * qur**2 if literal else w_fr_fr)),
+        "one_fd": prd_1f * (w_fd_idle + w_fr_fd),
+        "one_br": prd_1b * (w_br_idle + w_fr_br),
+        "two_fd": prd_2f * w_fd_fd,
+        "fd_and_br": prd_1f1b * (2.0 * qu * quf * qub * qud if literal
+                                 else w_fd_br),
+        "two_br": prd_2b * w_br_br,
+    }
+
+    p1_0 = {
+        "fr_idle": w_fr_idle * pf_ur_0,
+        "br_idle": w_br_idle * br_lone,
+        "fr_fr": w_fr_fr * 2.0 * pf_ur_1f * (1.0 - pf_ur_1f),
+        "fr_fd": w_fr_fd * pf_ur_0,
+        "fr_br": w_fr_br * (pf_ur_1b * (1.0 - br_beside_fr)
+                            + (1.0 - pf_ur_1b) * br_beside_fr),
+        "fd_br": w_fd_br * br_beside_fd,
+        "br_br": w_br_br * 2.0 * br_pair * (1.0 - br_pair),
+    }
+
+    p2_0 = {
+        "fr_fr": w_fr_fr * pf_ur_1f**2,
+        "br_br": w_br_br * (br_pair_r**2 if literal else br_pair**2),
+        "fr_br": w_fr_br * pf_ur_1b * br_beside_fr,
+    }
+
+    p_m1_1 = {
+        "no_ue_interferers": qr * prd_0 * (
+            w_idle2 + w_fr_idle * (1.0 - pf_ur_0)
+            + w_fr_fr * (1.0 - pf_ur_1f) ** 2),
+        "one_fd": qr * prd_1f * (w_fd_idle + w_fr_fd * (1.0 - pf_ur_0)),
+        "one_br": qr * prd_1b * (
+            w_br_idle * (1.0 - br_lone_r)
+            + w_fr_br * (1.0 - br_beside_fr_r) * (1.0 - pf_ur_1b)),
+        "fd_and_br": qr * prd_1f1b * w_fd_br * (1.0 - br_beside_fd_r),
+        "two_br": qr * prd_2b * w_br_br * (1.0 - br_pair_r) ** 2,
+        "two_fd": (prd_2f * w_fd_fd if literal else qr * prd_2f * w_fd_fd),
+    }
+
+    # One verbatim p1_1 factor conditions a relay-side reception on the relay
+    # itself interfering ({r}^f at the UE->relay link); the relay cannot
+    # interfere with its own receptions, so the only evaluable reading is the
+    # profile without it, which coincides with the engine.
+    p1_1 = {
+        "silent": (1.0 - qr) * math.fsum(p1_0.values()),
+        "fr_idle": qr * w_fr_idle * pf_ur_0 * (1.0 - prd_0),
+        "br_idle": qr * w_br_idle * br_lone_r * (1.0 - prd_1b),
+        "fr_fd": qr * w_fr_fd * pf_ur_0 * (1.0 - prd_1f),
+        "fd_br": qr * w_fd_br * br_beside_fd_r * (1.0 - prd_1f1b),
+        "fr_fr": qr * w_fr_fr * (
+            (pf_ur_1f * (1.0 - pf_ur_1f) * (1.0 - prd_0) + pf_ur_1f**2 * prd_0)
+            if literal else
+            (2.0 * pf_ur_1f * (1.0 - pf_ur_1f) * (1.0 - prd_0)
+             + pf_ur_1f**2 * prd_0)),
+        "br_br": qr * w_br_br * (
+            2.0 * br_pair_r * (1.0 - br_pair_r) * (1.0 - prd_2b)
+            + br_pair_r**2 * prd_2b),
+        "fr_br": qr * w_fr_br * (
+            (br_beside_fr_r * (1.0 - pf_ur_1b) * (1.0 - prd_1b)
+             + (1.0 - br_beside_fr_r) * pf_ur_1b * (1.0 - prd_1b)
+             + pb_ur_2f * (1.0 - pb_ud_0r) * pf_ur_1b * prd_1b)
+            if literal else
+            (br_beside_fr_r * (1.0 - pf_ur_1b) * (1.0 - prd_1b)
+             + (1.0 - br_beside_fr_r) * pf_ur_1b * (1.0 - prd_1b)
+             + br_beside_fr_r * pf_ur_1b * prd_1b)),
+    }
+
+    p2_1 = {
+        "silent": (1.0 - qr) * math.fsum(p2_0.values()),
+        "fr_fr": qr * w_fr_fr * pf_ur_1f**2 * (1.0 - prd_0),
+        "br_br": qr * w_br_br * br_pair_r**2 * (1.0 - prd_2b),
+        "fr_br": qr * w_fr_br * pf_ur_1b * (1.0 - prd_1b) * (
+            pb_ur_1f * (1.0 - pb_ud_0) if literal else br_beside_fr_r),
+    }
+
+    return {
+        "lambda0": lambda0,
+        "a_r": a_r,
+        "b_r": b_r,
+        "p1_0": p1_0,
+        "p2_0": p2_0,
+        "p_m1_1": p_m1_1,
+        "p1_1": p1_1,
+        "p2_1": p2_1,
+    }
+
+
+def two_ue_closed_forms(cfg: ScenarioConfig,
+                        table: SuccessTable | None = None) -> dict[str, float]:
+    """Engine-matching two-UE closed forms, exposed solely for validation."""
+    terms = two_ue_terms(cfg, table, literal=False)
+    return {name: math.fsum(parts.values()) for name, parts in terms.items()}

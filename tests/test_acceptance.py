@@ -18,24 +18,23 @@ import pytest
 from mmrelay import (
     ScenarioConfig,
     SuccessTable,
-    TWO_UE_LITERAL_DISCREPANCIES,
     aggregate_throughput,
-    arrival_distribution,
     beam_gain,
     compare,
-    empty_probability,
     load_config,
-    net_change_distribution,
+    queue_statistics,
     run,
     run_sweep,
-    service_success_probability,
     solve_queue,
-    two_ue_closed_forms,
-    two_ue_terms,
 )
 
 from conftest import RECIPES, random_two_ue_cfg
-from oracles import success_probability_bruteforce
+from oracles import (
+    TWO_UE_LITERAL_DISCREPANCIES,
+    success_probability_bruteforce,
+    two_ue_closed_forms,
+    two_ue_terms,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -87,13 +86,11 @@ def test_criterion_1_appendix_equivalence():
 # ---------------------------------------------------------------------------
 
 def _engine_two_ue(cfg, table):
-    arr0 = arrival_distribution(cfg, table, relay_tx=False)
-    arr1 = arrival_distribution(cfg, table, relay_tx=True)
-    net = net_change_distribution(cfg, table)
+    net = queue_statistics(cfg, table)
     return {
-        "lambda0": math.fsum(k * arr0[k] for k in range(3)),
-        "a_r": math.fsum(k * arr1[k] for k in range(3)),
-        "b_r": service_success_probability(cfg, table),
+        "lambda0": math.fsum(k * net.p_empty[k] for k in range(3)),
+        "a_r": math.fsum(k * net.p_arrival_tx[k] for k in range(3)),
+        "b_r": net.b_r,
         "p1_0": net.p_empty[1],
         "p2_0": net.p_empty[2],
         "p_m1_1": net.p_nonempty[0],
@@ -352,7 +349,7 @@ def test_criterion_6_identities():
     while stable_checked < 15:
         cfg = random_two_ue_cfg(rng)
         table = SuccessTable(cfg)
-        net = net_change_distribution(cfg, table)
+        net = queue_statistics(cfg, table)
         worst_sum = max(worst_sum,
                         abs(math.fsum(net.p_empty) - 1.0),
                         abs(math.fsum(net.p_nonempty) - 1.0))
@@ -360,9 +357,9 @@ def test_criterion_6_identities():
         if not sol.stable or sol.lambda0 == 0.0:
             continue
         stable_checked += 1
-        a = empty_probability(cfg, table, form="transition")
-        b = empty_probability(cfg, table, form="drift")
-        worst_forms = max(worst_forms, abs(a - b))
+        drift = sol.mu_r - sol.lambda1
+        worst_forms = max(worst_forms, abs(sol.p_empty_prob
+                                           - drift / (drift + sol.lambda0)))
         rep = aggregate_throughput(cfg, table)
         lam = sol.p_empty_prob * sol.lambda0 + (1 - sol.p_empty_prob) * sol.lambda1
         worst_flow = max(worst_flow, abs(cfg.n_ues * rep.t_ur - lam))

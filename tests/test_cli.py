@@ -147,7 +147,8 @@ class TestRunSweep:
 
 class TestCliProcess:
     def test_analyze_two_ue_matches_closed_forms(self, tmp_path):
-        from mmrelay import ScenarioConfig, SuccessTable, two_ue_closed_forms
+        from mmrelay import ScenarioConfig, SuccessTable
+        from oracles import two_ue_closed_forms
         cfg = ScenarioConfig(n_ues=2)
         forms = two_ue_closed_forms(cfg, SuccessTable(cfg))
         q_r_min = forms["lambda0"] / (forms["lambda0"] + forms["b_r"]

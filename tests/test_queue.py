@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,56 +8,59 @@ import pytest
 from mmrelay import (
     ScenarioConfig,
     SuccessTable,
-    UnstableQueueError,
     aggregate_throughput,
-    arrival_distribution,
-    empty_probability,
-    enumerate_configurations,
-    net_change_distribution,
-    service_success_probability,
+    queue_statistics,
     solve_queue,
-    stability_threshold,
-    two_ue_closed_forms,
 )
 
 import mmrelay.queue_model as queue_model
 from conftest import random_two_ue_cfg
-from oracles import arrival_pmf_bruteforce
+from oracles import arrival_pmf_bruteforce, two_ue_closed_forms
+
+
+def _configs(cfg):
+    """(weight, n_fr, n_fd, n_b) of every nonzero configuration of cfg's UEs."""
+    return list(queue_model._iter_configs(
+        cfg.n_ues, *queue_model._ue_activity_probs(cfg)))
+
+
+def _arrivals(cfg, table, relay_tx):
+    stats = queue_statistics(cfg, table)
+    return stats.p_arrival_tx if relay_tx else stats.p_empty
 
 
 class TestEnumerateConfigurations:
     def test_single_deterministic_ue(self):
         cfg = ScenarioConfig(n_ues=1, q_u=1.0, q_uf=1.0, q_ur=1.0)
-        configs = enumerate_configurations(cfg, relay_tx=False)
+        configs = _configs(cfg)
         assert len(configs) == 1
-        assert configs[0].n_fr == 1 and configs[0].weight == 1.0
+        w, n_fr, _, _ = configs[0]
+        assert n_fr == 1 and w == 1.0
 
     def test_two_ue_fd_only_has_six_configs(self):
         cfg = ScenarioConfig(n_ues=2, q_u=0.5, q_uf=1.0, q_ur=0.5)
-        configs = enumerate_configurations(cfg, relay_tx=False)
+        configs = _configs(cfg)
         assert len(configs) == 6
-        assert all(c.n_b == 0 for c in configs)
-        assert math.fsum(c.weight for c in configs) == pytest.approx(1.0, abs=1e-15)
+        assert all(n_b == 0 for _, _, _, n_b in configs)
+        assert math.fsum(w for w, *_ in configs) == pytest.approx(1.0, abs=1e-15)
 
     def test_weights_normalize(self):
         rng = random.Random(5)
         for _ in range(5):
             cfg = ScenarioConfig(n_ues=rng.randint(1, 12), q_u=rng.random(),
                                  q_uf=rng.random(), q_ur=rng.random())
-            configs = enumerate_configurations(cfg, relay_tx=True)
-            assert math.fsum(c.weight for c in configs) == pytest.approx(1.0,
-                                                                         abs=1e-12)
-            assert all(c.n_fr + c.n_fd + c.n_b + c.n_idle == cfg.n_ues
-                       for c in configs)
-            assert all(c.relay_tx for c in configs)
+            configs = _configs(cfg)
+            assert math.fsum(w for w, *_ in configs) == pytest.approx(1.0,
+                                                                     abs=1e-12)
+            assert all(min(counts) >= 0 and sum(counts) <= cfg.n_ues
+                       for _, *counts in configs)
 
     def test_weight_matches_multinomial(self):
         cfg = ScenarioConfig(n_ues=3, q_u=0.6, q_uf=0.5, q_ur=0.4)
         p_fr = 0.6 * 0.5 * 0.4
         p_fd = 0.6 * 0.5 * 0.6
         p_b = 0.6 * 0.5
-        by_counts = {(c.n_fr, c.n_fd, c.n_b): c.weight
-                     for c in enumerate_configurations(cfg, relay_tx=False)}
+        by_counts = {(n_fr, n_fd, n_b): w for w, n_fr, n_fd, n_b in _configs(cfg)}
         w = by_counts[(1, 1, 1)]
         assert w == pytest.approx(6 * p_fr * p_fd * p_b, rel=1e-12)
 
@@ -65,27 +69,40 @@ class TestArrivalDistribution:
     def test_silent_network(self):
         cfg = ScenarioConfig(n_ues=4, q_u=0.0)
         t = SuccessTable(cfg)
-        pmf = arrival_distribution(cfg, t, relay_tx=False)
+        pmf = _arrivals(cfg, t, relay_tx=False)
         assert pmf[0] == 1.0 and np.all(pmf[1:] == 0.0)
 
     @pytest.mark.parametrize("relay_tx", [False, True])
     def test_matches_bruteforce_for_small_n(self, relay_tx):
         rng = random.Random(13)
-        for _ in range(4):
-            cfg = ScenarioConfig(
-                n_ues=rng.randint(2, 4), q_u=rng.uniform(0.2, 1.0),
-                q_uf=rng.random(), q_ur=rng.random(),
-                gamma_db=rng.uniform(0, 20), alpha=rng.uniform(0, 0.8),
-                theta_bw_br_deg=360.0, theta_rd_deg=rng.uniform(10, 170))
+        cases = [ScenarioConfig(
+            n_ues=rng.randint(2, 4), q_u=rng.uniform(0.2, 1.0),
+            q_uf=rng.random(), q_ur=rng.random(),
+            gamma_db=rng.uniform(0, 20), alpha=rng.uniform(0, 0.8),
+            theta_bw_br_deg=360.0, theta_rd_deg=rng.uniform(10, 170))
+            for _ in range(4)]
+        # A stored-count cell sums three or more FD x BR products only when
+        # n_fr, n_b >= 2, and the random draws above never weigh such a
+        # term. These fixed points do: a long mmAP link makes the relay
+        # store BR packets.
+        cases += [ScenarioConfig(n_ues=5, q_u=0.8, q_uf=0.5, q_ur=0.6,
+                                 gamma_db=0.0, alpha=0.2, d_ur_m=60.0,
+                                 d_ud_m=240.0, theta_bw_br_deg=360.0,
+                                 theta_rd_deg=40.0),
+                  ScenarioConfig(n_ues=6, q_u=0.9, q_uf=0.5, q_ur=0.5,
+                                 gamma_db=5.0, alpha=0.05, d_ur_m=60.0,
+                                 d_ud_m=240.0, theta_bw_br_deg=360.0,
+                                 theta_rd_deg=120.0)]
+        for cfg in cases:
             t = SuccessTable(cfg)
-            pmf = arrival_distribution(cfg, t, relay_tx)
+            pmf = _arrivals(cfg, t, relay_tx)
             oracle = arrival_pmf_bruteforce(cfg, t, relay_tx)
             assert pmf == pytest.approx(oracle, abs=1e-12)
 
     def test_normalized_and_bounded(self, default_cfg):
         t = SuccessTable(default_cfg)
         for relay_tx in (False, True):
-            pmf = arrival_distribution(default_cfg, t, relay_tx)
+            pmf = _arrivals(default_cfg, t, relay_tx)
             assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
             assert np.all(pmf >= 0.0) and np.all(pmf <= 1.0)
 
@@ -94,14 +111,13 @@ class TestServiceSuccess:
     def test_silent_network_gives_clean_channel(self, default_cfg):
         cfg = default_cfg.replace(q_u=0.0)
         t = SuccessTable(cfg)
-        assert service_success_probability(cfg, t) == t.p("rd", "fd", 0, 0)
+        assert queue_statistics(cfg, t).b_r == t.p("rd", "fd", 0, 0)
 
     def test_alpha_zero_independent_of_traffic(self):
         quiet = ScenarioConfig(n_ues=8, q_u=0.1, alpha=0.0)
         busy = ScenarioConfig(n_ues=8, q_u=0.9, alpha=0.0)
-        assert service_success_probability(quiet, SuccessTable(quiet)) == \
-            pytest.approx(service_success_probability(busy, SuccessTable(busy)),
-                          abs=1e-12)
+        assert queue_statistics(quiet).b_r == \
+            pytest.approx(queue_statistics(busy).b_r, abs=1e-12)
 
 
 class TestNetChangeDistribution:
@@ -111,7 +127,7 @@ class TestNetChangeDistribution:
             cfg = ScenarioConfig(n_ues=rng.randint(1, 8), q_u=rng.random(),
                                  q_uf=rng.random(), q_ur=rng.random(),
                                  q_r=rng.random())
-            net = net_change_distribution(cfg, SuccessTable(cfg))
+            net = queue_statistics(cfg)
             assert math.fsum(net.p_empty) == pytest.approx(1.0, abs=1e-12)
             assert math.fsum(net.p_nonempty) == pytest.approx(1.0, abs=1e-12)
             assert np.all(net.p_empty >= 0) and np.all(net.p_nonempty >= 0)
@@ -121,14 +137,14 @@ class TestNetChangeDistribution:
         # no UE traffic, always-transmitting relay: the queue can only drain
         cfg = ScenarioConfig(n_ues=3, q_u=0.0, q_r=1.0)
         t = SuccessTable(cfg)
-        net = net_change_distribution(cfg, t)
+        net = queue_statistics(cfg, t)
         p_dep = t.p("rd", "fd", 0, 0)
         assert net.p_nonempty[0] == pytest.approx(p_dep, abs=1e-15)
         assert net.p_nonempty[1] == pytest.approx(1.0 - p_dep, abs=1e-15)
 
     def test_mean_identities(self, default_cfg):
         t = SuccessTable(default_cfg)
-        net = net_change_distribution(default_cfg, t)
+        net = queue_statistics(default_cfg, t)
         sol = solve_queue(default_cfg, t)
         assert net.mean_empty() == pytest.approx(sol.lambda0, abs=1e-12)
         assert net.mean_nonempty() == pytest.approx(sol.lambda1 - sol.mu_r,
@@ -138,18 +154,18 @@ class TestNetChangeDistribution:
 class TestStability:
     def test_no_arrivals_threshold_zero(self):
         cfg = ScenarioConfig(n_ues=4, q_u=0.0)
-        assert stability_threshold(cfg, SuccessTable(cfg)) == 0.0
+        assert solve_queue(cfg).q_r_min == 0.0
 
     def test_monotone_in_traffic_when_alpha_zero(self):
         last = 0.0
         for q_u in (0.1, 0.3, 0.5, 0.7, 0.9):
             cfg = ScenarioConfig(n_ues=6, q_u=q_u, alpha=0.0)
-            thr = stability_threshold(cfg, SuccessTable(cfg))
+            thr = solve_queue(cfg).q_r_min
             assert thr >= last - 1e-15
             last = thr
 
     def test_boundary_tie_reported_unstable(self, two_ue_cfg, two_ue_table):
-        thr = stability_threshold(two_ue_cfg, two_ue_table)
+        thr = solve_queue(two_ue_cfg, two_ue_table).q_r_min
         at_tie = two_ue_cfg.replace(q_r=thr)
         assert not solve_queue(at_tie, SuccessTable(at_tie)).stable
         above = two_ue_cfg.replace(q_r=min(thr * 1.01, 1.0))
@@ -168,14 +184,14 @@ class TestStability:
 class TestEmptyProbability:
     def test_no_arrivals(self):
         cfg = ScenarioConfig(n_ues=3, q_u=0.0, q_r=0.5)
-        assert empty_probability(cfg, SuccessTable(cfg)) == 1.0
+        assert solve_queue(cfg).p_empty_prob == 1.0
 
-    def test_unstable_raises(self):
+    def test_unstable_reports_zero(self):
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_uf=0.5, q_ur=0.5, q_r=0.3)
-        t = SuccessTable(cfg)
-        assert not solve_queue(cfg, t).stable
-        with pytest.raises(UnstableQueueError, match="unstable-regime"):
-            empty_probability(cfg, t)
+        rep = aggregate_throughput(cfg)
+        assert not rep.queue.stable
+        assert rep.queue.p_empty_prob == 0.0
+        assert rep.t_ur == rep.queue.mu_r / cfg.n_ues
 
     def test_forms_agree(self):
         rng = random.Random(29)
@@ -183,11 +199,12 @@ class TestEmptyProbability:
         while checked < 12:
             cfg = random_two_ue_cfg(rng)
             t = SuccessTable(cfg)
-            if not solve_queue(cfg, t).stable:
+            sol = solve_queue(cfg, t)
+            if not sol.stable:
                 continue
-            a = empty_probability(cfg, t, form="transition")
-            b = empty_probability(cfg, t, form="drift")
-            assert abs(a - b) <= 1e-12
+            drift = sol.mu_r - sol.lambda1
+            b = drift / (drift + sol.lambda0)
+            assert abs(sol.p_empty_prob - b) <= 1e-12
             checked += 1
 
     def test_two_ue_closed_form_pipeline(self):
@@ -198,12 +215,13 @@ class TestEmptyProbability:
         forms = two_ue_closed_forms(cfg, t)
         num = forms["p_m1_1"] - forms["p1_1"] - 2 * forms["p2_1"]
         expected = num / (num + forms["lambda0"])
-        assert empty_probability(cfg, t) == pytest.approx(expected, abs=1e-12)
+        assert solve_queue(cfg, t).p_empty_prob == \
+            pytest.approx(expected, abs=1e-12)
 
     def test_service_dominant_limit(self):
         # vanishing arrivals with a always-on relay: queue is almost surely empty
         cfg = ScenarioConfig(n_ues=2, q_u=1e-4, q_r=1.0)
-        assert empty_probability(cfg, SuccessTable(cfg)) > 0.999
+        assert solve_queue(cfg).p_empty_prob > 0.999
 
 
 class TestTwoUeClosedForms:
@@ -265,8 +283,6 @@ class TestLoynesBoundary:
         rep = aggregate_throughput(cfg)
         assert rep.regime == "stable"
         assert 0.0 <= rep.queue.p_empty_prob <= 1.0
-        for form in ("transition", "drift"):
-            assert 0.0 <= empty_probability(cfg, form=form) <= 1.0
 
     @pytest.mark.parametrize("q_r, regime", [(1.0, "stable"), (0.3, "unstable")])
     def test_aggregate_walks_simplex_twice(self, monkeypatch, q_r, regime):
@@ -306,3 +322,17 @@ class TestSuccessArrayUse:
         # the walk reaches C(1030, 515) after a few hundred cheap steps.
         with pytest.raises(ValueError, match="1030"):
             list(queue_model._iter_configs(1030, 0.0, 0.0, 0.0))
+
+
+class TestWalkMemory:
+    def test_cold_n30_analysis_peak(self):
+        # The stored-count pmfs take about 2.9 MB here; the binomial rows
+        # and their products are built one n_fr slab at a time.
+        cfg = ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5)
+        tracemalloc.start()
+        try:
+            aggregate_throughput(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 1024 * 1024

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from mmrelay import InterfererProfile, ScenarioConfig, SuccessTable
+from mmrelay import ScenarioConfig, SuccessTable
 from mmrelay.success import _binom_pmf
 
 from oracles import success_probability_bruteforce, success_table_oracle
@@ -123,14 +123,6 @@ class TestSuccessProbability:
             for n_f, n_b in ((0, 0), (1, 1), (3, 2)):
                 assert t.p("ud", scheme, n_f, n_b, relay=True) <= \
                     t.p("ud", scheme, n_f, n_b, relay=False) + 1e-15
-
-
-class TestInterfererProfile:
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            InterfererProfile(-1, 0)
-        with pytest.raises(ValueError):
-            InterfererProfile(0, -2)
 
 
 class TestCache:

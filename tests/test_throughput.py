@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmrelay import (
-    ScenarioConfig,
-    SuccessTable,
-    UnstableQueueError,
-    aggregate_throughput,
-    per_user_direct,
-    per_user_relayed,
-    solve_queue,
-)
+from mmrelay import ScenarioConfig, SuccessTable, aggregate_throughput, solve_queue
 
 from conftest import random_two_ue_cfg
 from oracles import per_user_throughput_bruteforce
@@ -23,13 +15,13 @@ class TestPerUserDirect:
     def test_silent_user_contributes_nothing(self):
         cfg = ScenarioConfig(n_ues=5, q_u=0.0)
         t = SuccessTable(cfg)
-        assert per_user_direct(cfg, t, False) == 0.0
+        assert aggregate_throughput(cfg, t).t_ud0 == 0.0
 
     def test_single_fd_user_collapses(self):
         cfg = ScenarioConfig(n_ues=1, q_u=0.7, q_uf=1.0, q_ur=0.0)
         t = SuccessTable(cfg)
         expected = 0.7 * t.p("ud", "fd", 0, 0)
-        assert per_user_direct(cfg, t, False) == pytest.approx(expected, abs=1e-15)
+        assert aggregate_throughput(cfg, t).t_ud0 == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("relay", [False, True])
     def test_matches_bruteforce_small_n(self, relay):
@@ -42,8 +34,9 @@ class TestPerUserDirect:
                 theta_bw_br_deg=360.0)
             t = SuccessTable(cfg)
             direct, _ = per_user_throughput_bruteforce(cfg, t, relay)
-            assert per_user_direct(cfg, t, relay) == pytest.approx(direct,
-                                                                   abs=1e-12)
+            rep = aggregate_throughput(cfg, t)
+            assert (rep.t_ud1 if relay else rep.t_ud0) == \
+                pytest.approx(direct, abs=1e-12)
 
 
 class TestPerUserDirectVsSimulation:
@@ -66,7 +59,7 @@ class TestPerUserDirectVsSimulation:
 class TestPerUserRelayed:
     def test_no_relay_traffic(self):
         cfg = ScenarioConfig(n_ues=3, q_uf=1.0, q_ur=0.0)
-        assert per_user_relayed(cfg) == 0.0
+        assert aggregate_throughput(cfg).t_ur == 0.0
 
     def test_components_match_bruteforce(self):
         from mmrelay.queue_model import _tagged_walk
@@ -86,8 +79,10 @@ class TestPerUserRelayed:
 
     def test_unstable_not_credited(self):
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_uf=0.5, q_ur=0.5, q_r=0.3)
-        with pytest.raises(UnstableQueueError):
-            per_user_relayed(cfg)
+        rep = aggregate_throughput(cfg)
+        assert not rep.queue.stable
+        assert rep.queue.p_empty_prob == 0.0
+        assert rep.t_ur == rep.queue.mu_r / cfg.n_ues
 
     def test_flow_conservation(self):
         # accepted traffic equals the queue's average arrival rate
@@ -101,7 +96,7 @@ class TestPerUserRelayed:
                 continue
             lam = (sol.p_empty_prob * sol.lambda0
                    + (1 - sol.p_empty_prob) * sol.lambda1)
-            assert cfg.n_ues * per_user_relayed(cfg, t, sol) == \
+            assert cfg.n_ues * aggregate_throughput(cfg, t).t_ur == \
                 pytest.approx(lam, abs=1e-9)
             checked += 1
 
