@@ -21,7 +21,6 @@ import traceback
 
 from . import simulator
 from .sweeps import ConfigError, load_config, sweep_to_csv
-from .success import SuccessTable
 from .throughput import aggregate_throughput
 
 EXIT_OK = 0
@@ -98,7 +97,7 @@ def _sim_args(spec, args) -> tuple[int, int, str]:
 
 def cmd_analyze(args) -> int:
     spec = load_config(args.config)
-    report = aggregate_throughput(spec.base, SuccessTable(spec.base))
+    report = aggregate_throughput(spec.base)
     q = report.queue
     print(f"regime      : {report.regime}")
     print(f"q_r_min     : {_fmt(q.q_r_min)}")
@@ -153,7 +152,7 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     spec = load_config(args.config)
     slots, seed, mode = _sim_args(spec, args)
-    report = aggregate_throughput(spec.base, SuccessTable(spec.base))
+    report = aggregate_throughput(spec.base)
     stats = simulator.run(spec.base, slots, seed, mode)
     result = simulator.compare(report, stats)
     print(f"{'metric':<10} {'analytic':>14} {'empirical':>14} "

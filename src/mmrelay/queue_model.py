@@ -11,21 +11,20 @@ All quantities for arbitrary N are exact sums over the multinomial UE
 transmission configurations (n_fr, n_fd, n_b); success events at a
 receiver are treated as independent given the configuration (the
 decoupling convention, matched by the simulator's ``decoupled`` mode).
-``_iter_configs`` is the only source of configurations and weights. Two
-walks turn its output into weight and count arrays once and gather every
-success probability from the 2-D arrays of ``SuccessTable.grid`` by fancy
-indexing:
-
-* ``queue_statistics`` walks the N UEs. With numpy and one n_fr slab at
-  a time, it forms each configuration's binomial pmfs of stored FD->relay
-  and BR packets and their convolution, relay silent and transmitting.
-  Its one result is ``QueueStatistics``: both net-change pmfs, the
-  arrival pmf while the relay transmits, and B_r. ``solve_queue`` decides
-  Loynes stability from it in one place (stable iff q_r > q_r_min) and
-  evaluates P(Q = 0) only on the stable side.
-* ``_tagged_walk`` over the other N - 1 UEs gives a tagged user's direct
-  deliveries and relay acceptances, relay silent and transmitting, which
-  ``throughput`` mixes by queue regime.
+``queue_statistics`` walks the N UEs' configurations once per analysis
+(``_iter_configs`` is their only source), gathers every success
+probability from the 2-D arrays of ``SuccessTable.grid`` by fancy
+indexing, and with numpy, one n_fr slab at a time, forms each
+configuration's binomial pmfs of stored FD->relay and BR packets and
+their convolution, relay silent and transmitting. Its one result,
+``QueueStatistics``, also holds a tagged user's rates as moments of the
+same walk: for a scheme x with per-UE probability p_x and any f of the
+other UEs' counts, E_N[n_x * f(n_x - 1, ...)] = N * p_x * E_{N-1}[f],
+since n_x * W_N(n_x, ...) = N * p_x * W_{N-1}(n_x - 1, ...) for the
+multinomial weight W (one tagged UE in scheme x, N - 1 others).
+``solve_queue`` decides Loynes stability in one place (stable iff
+q_r > q_r_min) and evaluates P(Q = 0) only on the stable side;
+``throughput`` mixes the tagged rates by queue regime.
 
 Each output pmf cell or rate is one exactly rounded ``math.fsum`` over its
 weighted per-configuration terms, so no result depends on the walk order.
@@ -53,12 +52,23 @@ class QueueStatistics:
     departure-only event k = -1; ``p_arrival_tx[k]`` is the arrival pmf
     while the relay transmits; ``b_r`` is the relay->mmAP success
     probability averaged over UE configurations.
+
+    The ``t_*`` fields are a tagged user's rates per slot, suffix 0/1 with
+    the relay silent or transmitting: ``t_ud`` its deliveries at the mmAP
+    (FD to the mmAP plus BR copies), ``t_fr`` its FD packets decoded at the
+    relay, ``t_ur`` its BR copies decoded at the relay and lost at the
+    mmAP. So lambda0 = N * (t_fr + t_ur0) and a_r = N * (t_fr + t_ur1).
     """
 
     p_empty: np.ndarray
     p_nonempty: np.ndarray
     p_arrival_tx: np.ndarray
     b_r: float
+    t_ud0: float
+    t_ud1: float
+    t_fr: float
+    t_ur0: float
+    t_ur1: float
 
     def mean_empty(self) -> float:
         return math.fsum(k * v for k, v in enumerate(self.p_empty))
@@ -112,14 +122,6 @@ def _iter_configs(n: int, p_fr: float, p_fd: float, p_b: float):
             f"multinomial weights of {n} UEs overflow a float") from None
 
 
-def _config_arrays(n: int, p_fr: float, p_fd: float, p_b: float):
-    """Weights and count arrays of the nonzero configurations, n_fr ascending."""
-    flat = np.fromiter(chain.from_iterable(_iter_configs(n, p_fr, p_fd, p_b)),
-                       float).reshape(-1, 4)
-    counts = flat[:, 1:].astype(np.intp)
-    return flat[:, 0].copy(), counts[:, 0], counts[:, 1], counts[:, 2]
-
-
 def _binom_rows(comb: np.ndarray, n, p: np.ndarray, width: int) -> np.ndarray:
     """Row c: comb(n_c, k) * p_c**k * (1 - p_c)**(n_c - k), zero past k = n_c."""
     k = np.arange(width)
@@ -135,7 +137,8 @@ def _fsum(terms: np.ndarray) -> float:
 
 def queue_statistics(cfg: ScenarioConfig,
                      table: SuccessTable | None = None) -> QueueStatistics:
-    """Both net-change pmfs, the arrival pmf while transmitting, and B_r.
+    """Both net-change pmfs, the arrival pmf while transmitting, B_r and
+    a tagged user's rates.
 
     Within a configuration the FD->relay packets are stored when decoded
     and BR packets when decoded at the relay and lost at the mmAP; the
@@ -146,16 +149,24 @@ def queue_statistics(cfg: ScenarioConfig,
     arrival count are conditionally independent given the configuration,
     and the mixture is taken per configuration (arrivals and the mmAP-side
     failure of BR packets both depend on whether the relay's beam is up).
+    The tagged user's rates are the moments in the module docstring.
     """
     if table is None:
         table = SuccessTable(cfg)
     n = cfg.n_ues
     q_r = cfg.q_r
-    w, n_fr, n_fd, n_b = _config_arrays(n, *_ue_activity_probs(cfg))
-    b = np.maximum(n_b - 1, 0)          # n_b == 0 stores nothing: pmf [1]
+    flat = np.fromiter(chain.from_iterable(
+        _iter_configs(n, *_ue_activity_probs(cfg))), float).reshape(-1, 4)
+    w = flat[:, 0].copy()
+    n_fr, n_fd, n_b = flat[:, 1:].astype(np.intp).T
+    # Counts with one UE of the scheme removed; where that count is 0 the
+    # gathered value is unused: it enters a binomial of 0 trials or is
+    # multiplied by n_x = 0.
+    b = np.maximum(n_b - 1, 0)
     at_relay = table.grid("ur", "br", False, n)[n_fr, b]
-    stores = [at_relay * (1.0 - table.grid("ud", "br", relay, n)[n_fd, b])
-              for relay in (False, True)]
+    at_mmap = [table.grid("ud", "br", relay, n)[n_fd, b]
+               for relay in (False, True)]
+    stores = [at_relay * (1.0 - m) for m in at_mmap]
     p_f = table.grid("ur", "fd", False, n)[np.maximum(n_fr - 1, 0), n_b]
     p_dep = table.grid("rd", "fd", False, n)[n_fd, n_b]
     comb = np.array([[math.comb(i, j) for j in range(n + 1)]
@@ -183,7 +194,14 @@ def queue_statistics(cfg: ScenarioConfig,
         _fsum(np.concatenate([w_s * v0[k], (w_t * v1[k + 1]) * p_dep,
                               (w_t * v1[k]) * (1.0 - p_dep)]))
         for k in range(n + 2)])
-    return QueueStatistics(arrivals[0], nonempty, arrivals[1], _fsum(w * p_dep))
+    fd = np.maximum(n_fd - 1, 0)
+    t_ud = [(_fsum(w * n_fd * table.grid("ud", "fd", relay, n)[fd, n_b])
+             + _fsum(w * n_b * m)) / n
+            for relay, m in zip((False, True), at_mmap)]
+    t_ur = [_fsum(w * n_b * store) / n for store in stores]
+    return QueueStatistics(arrivals[0], nonempty, arrivals[1], _fsum(w * p_dep),
+                           t_ud[0], t_ud[1], _fsum(w * n_fr * p_f) / n,
+                           t_ur[0], t_ur[1])
 
 
 def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> QueueSolution:
@@ -194,7 +212,11 @@ def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> Queue
     P(Q = 0) is evaluated on the stable side only, from the nonempty
     net-change probabilities; it is 0.0 when unstable.
     """
-    stats = queue_statistics(cfg, table)
+    return _solve(cfg, queue_statistics(cfg, table))
+
+
+def _solve(cfg: ScenarioConfig, stats: QueueStatistics) -> QueueSolution:
+    """``solve_queue``'s result from a finished queue walk."""
     q_r = cfg.q_r
     lambda0 = stats.mean_empty()
     a_r = math.fsum(k * v for k, v in enumerate(stats.p_arrival_tx))
@@ -217,24 +239,3 @@ def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> Queue
     p0 = num / (num + lambda0) if num > 0.0 else 0.0
     return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r, q_r_min, p0, True)
 
-
-def _tagged_walk(cfg: ScenarioConfig, table: SuccessTable):
-    """A tagged user's (t_ud0, t_ud1, t_fr, t_ur0, t_ur1) from one walk.
-
-    The walk goes over the other N - 1 UEs. Suffix 0/1 is the relay silent
-    or transmitting. t_ud: delivered at the mmAP, FD to the mmAP plus BR
-    copies; t_fr: FD packets decoded at the relay; t_ur: BR copies decoded
-    at the relay and lost at the mmAP.
-    """
-    n = cfg.n_ues
-    p_fr, p_fd, p_b = _ue_activity_probs(cfg)
-    w, n_fr, n_fd, n_b = _config_arrays(n - 1, p_fr, p_fd, p_b)
-    t_fr = p_fr * _fsum(w * table.grid("ur", "fd", False, n)[n_fr, n_b])
-    w_relay = w * table.grid("ur", "br", False, n)[n_fr, n_b]
-    t_ud, t_ur = [], []
-    for relay in (False, True):
-        at_mmap = table.grid("ud", "br", relay, n)[n_fd, n_b]
-        t_ud.append(p_fd * _fsum(w * table.grid("ud", "fd", relay, n)[n_fd, n_b])
-                    + p_b * _fsum(w * at_mmap))
-        t_ur.append(p_b * _fsum(w_relay * (1.0 - at_mmap)))
-    return t_ud[0], t_ud[1], t_fr, t_ur[0], t_ur[1]

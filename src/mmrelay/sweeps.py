@@ -36,7 +36,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import ScenarioConfig
-from .success import SuccessTable
 from .throughput import aggregate_throughput
 
 _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
@@ -118,10 +117,17 @@ def _parse_bool(text: str, lineno: int) -> bool:
     raise ConfigError(f"line {lineno}: expected a boolean, got {text!r}")
 
 
+def _check_field(name: str, value, lineno: int) -> None:
+    try:
+        ScenarioConfig.check_field(name, value)
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from None
+
+
 def load_config(path: str) -> SweepSpec:
     """Parse a scenario/sweep file; every problem names its line number."""
     scenario: dict = {}
-    scenario_lines: dict[str, int] = {}
+    br_line = None
     axes: list[tuple[str, tuple]] = []
     outputs: tuple[str, ...] = STANDARD_METRICS
     sim: dict = {}
@@ -149,7 +155,9 @@ def load_config(path: str) -> SweepSpec:
                     raise ConfigError(f"line {lineno}: unknown key {key!r} "
                                       "in [scenario]")
                 scenario[key] = _parse_scalar(key, value, lineno)
-                scenario_lines[key] = lineno
+                _check_field(key, scenario[key], lineno)
+                if key == "theta_bw_br_deg":
+                    br_line = lineno
             elif section == "sweep":
                 if key == "outputs":
                     requested = tuple(p.strip() for p in value.split(","))
@@ -171,6 +179,10 @@ def load_config(path: str) -> SweepSpec:
                 vals = _parse_values(key, value, lineno)
                 if not vals:
                     raise ConfigError(f"line {lineno}: empty value list")
+                # Constraints that couple several fields are checked per
+                # grid point and recorded in the `error` column instead.
+                for v in vals:
+                    _check_field(key, v, lineno)
                 axes.append((key, vals))
             else:  # simulation
                 if key == "simulate":
@@ -195,22 +207,10 @@ def load_config(path: str) -> SweepSpec:
                                       "in [simulation]")
     try:
         base = ScenarioConfig(**scenario)
-    except (TypeError, ValueError) as exc:
-        # Attribute the domain error to the last scenario line that set it.
-        msg = str(exc)
-        lineno = next((scenario_lines[k] for k in scenario_lines
-                       if k in msg), None)
-        where = f"line {lineno}: " if lineno is not None else ""
-        raise ConfigError(f"{where}{msg}") from None
-    # Swept values must lie in their own field's domain; constraints that
-    # couple several fields are checked per grid point and recorded in the
-    # `error` column instead of aborting the grid.
-    for name, values in axes:
-        for v in values:
-            try:
-                ScenarioConfig.check_field(name, v)
-            except ValueError as exc:
-                raise ConfigError(f"sweep value outside the domain: {exc}") from None
+    except ValueError as exc:
+        # Every field was checked on its line; what is left is the BR
+        # beamwidth check, which fires only when theta_bw_br_deg is set.
+        raise ConfigError(f"line {br_line}: {exc}") from None
     return SweepSpec(base=base, axes=tuple(axes), outputs=outputs, **sim)
 
 
@@ -224,8 +224,7 @@ def _format(value) -> str:
 
 def evaluate_point(cfg: ScenarioConfig) -> dict:
     """All standard analytical metrics for one scenario point."""
-    table = SuccessTable(cfg)
-    report = aggregate_throughput(cfg, table)
+    report = aggregate_throughput(cfg)
     q = report.queue
     return {
         "regime": report.regime,

@@ -3,10 +3,11 @@
 A tagged user's direct throughput sums its FD-to-mmAP deliveries and the
 BR copies the mmAP decodes; its relayed throughput counts packets the
 relay accepts into its queue (FD aimed at the relay plus BR copies the
-relay decodes while the mmAP does not). With a stable queue every
-accepted packet eventually reaches the mmAP, so acceptance is credited
-directly; with an unstable queue only the relay's service rate reaches
-the mmAP and the relay interferes in every slot.
+relay decodes while the mmAP does not). Both come with the queue
+statistics from the one queue walk of ``queue_statistics``. With a
+stable queue every accepted packet eventually reaches the mmAP, so
+acceptance is credited directly; with an unstable queue only the relay's
+service rate reaches the mmAP and the relay interferes in every slot.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import ScenarioConfig
-from .queue_model import QueueSolution, _tagged_walk, solve_queue
+from .queue_model import QueueSolution, _solve, queue_statistics
 from .success import SuccessTable
 
 STABLE = "stable"
@@ -47,24 +48,21 @@ class ThroughputReport:
 def aggregate_throughput(cfg: ScenarioConfig,
                          table: SuccessTable | None = None) -> ThroughputReport:
     """Network throughput report at the configured operating point."""
-    if table is None:
-        table = SuccessTable(cfg)
-    queue = solve_queue(cfg, table)
-    t_ud0, t_ud1, t_fr, t_ur0, t_ur1 = _tagged_walk(cfg, table)
+    stats = queue_statistics(cfg, table)
+    queue = _solve(cfg, stats)
     n = cfg.n_ues
+    # The relay transmits with probability w1: q_r while its queue is
+    # nonempty, which is almost surely when unstable (p_empty_prob is 0.0).
+    w1 = cfg.q_r * (1.0 - queue.p_empty_prob)
+    t_ud = (1.0 - w1) * stats.t_ud0 + w1 * stats.t_ud1
     if queue.stable:
-        w1 = cfg.q_r * (1.0 - queue.p_empty_prob)
-        t_ud = (1.0 - w1) * t_ud0 + w1 * t_ud1
-        t_ur = t_fr + (1.0 - w1) * t_ur0 + w1 * t_ur1
+        t_ur = stats.t_fr + (1.0 - w1) * stats.t_ur0 + w1 * stats.t_ur1
         total = n * (t_ud + t_ur)
         regime = STABLE
     else:
-        # Queue almost surely nonempty: the relay interferes whenever it
-        # transmits (probability q_r) and delivers mu_r packets per slot.
-        w1 = cfg.q_r
-        t_ud = (1.0 - w1) * t_ud0 + w1 * t_ud1
+        # Only the relay's service rate mu_r reaches the mmAP.
         t_ur = queue.mu_r / n
         total = n * t_ud + queue.mu_r
         regime = UNSTABLE
-    return ThroughputReport(t_ud0, t_ud1, t_ur0, t_ur1, t_ud, t_ur,
-                            total, regime, queue)
+    return ThroughputReport(stats.t_ud0, stats.t_ud1, stats.t_ur0, stats.t_ur1,
+                            t_ud, t_ur, total, regime, queue)

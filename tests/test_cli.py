@@ -38,6 +38,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="line 3.*q_u"):
             load_config(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[scenario]\nq_u = 0.5\nq_uf = 2.0\n", "line 3: q_uf must"),
+        ("[scenario]\nq_uf = 0.5\ntheta_bw_br_deg = 10\ntheta_rd_deg = 40\n",
+         "line 3: theta_bw_br_deg must be >= theta_rd_deg"),
+    ])
+    def test_field_error_names_its_own_line(self, tmp_path, text, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(_write(tmp_path, text))
+
     def test_unknown_key(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nbogus = 1\n")
         with pytest.raises(ConfigError, match="line 2.*bogus"):

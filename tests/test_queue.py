@@ -285,7 +285,7 @@ class TestLoynesBoundary:
         assert 0.0 <= rep.queue.p_empty_prob <= 1.0
 
     @pytest.mark.parametrize("q_r, regime", [(1.0, "stable"), (0.3, "unstable")])
-    def test_aggregate_walks_simplex_twice(self, monkeypatch, q_r, regime):
+    def test_aggregate_walks_simplex_once(self, monkeypatch, q_r, regime):
         calls = []
         walk = queue_model._iter_configs
 
@@ -296,7 +296,7 @@ class TestLoynesBoundary:
         monkeypatch.setattr(queue_model, "_iter_configs", counted)
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
         assert aggregate_throughput(cfg).regime == regime
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestSuccessArrayUse:

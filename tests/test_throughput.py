@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmrelay import ScenarioConfig, SuccessTable, aggregate_throughput, solve_queue
+from mmrelay import (
+    ScenarioConfig,
+    SuccessTable,
+    aggregate_throughput,
+    queue_statistics,
+    solve_queue,
+)
 
 from conftest import random_two_ue_cfg
 from oracles import per_user_throughput_bruteforce
@@ -62,7 +68,6 @@ class TestPerUserRelayed:
         assert aggregate_throughput(cfg).t_ur == 0.0
 
     def test_components_match_bruteforce(self):
-        from mmrelay.queue_model import _tagged_walk
         rng = random.Random(59)
         for _ in range(3):
             cfg = ScenarioConfig(
@@ -71,7 +76,8 @@ class TestPerUserRelayed:
                 gamma_db=rng.uniform(0, 20), alpha=rng.uniform(0, 0.8),
                 theta_bw_br_deg=360.0)
             t = SuccessTable(cfg)
-            _, _, fd, br0, br1 = _tagged_walk(cfg, t)
+            stats = queue_statistics(cfg, t)
+            fd, br0, br1 = stats.t_fr, stats.t_ur0, stats.t_ur1
             _, rel0 = per_user_throughput_bruteforce(cfg, t, False)
             _, rel1 = per_user_throughput_bruteforce(cfg, t, True)
             assert fd + br0 == pytest.approx(rel0, abs=1e-12)
@@ -99,6 +105,30 @@ class TestPerUserRelayed:
             assert cfg.n_ues * aggregate_throughput(cfg, t).t_ur == \
                 pytest.approx(lam, abs=1e-9)
             checked += 1
+
+    def test_relay_flow_conservation_large_n(self):
+        # The relay's mean arrivals, relay silent and transmitting, are the
+        # N users' accepted rates: the tagged-user moments of the queue
+        # walk against the arrival pmfs' means.
+        rng = random.Random(61)
+        points = [dict(n_ues=rng.randint(1, 30), q_u=rng.random(),
+                       q_uf=rng.random(), q_ur=rng.random(),
+                       q_r=rng.random(), gamma_db=rng.uniform(-5.0, 25.0),
+                       alpha=rng.random(), theta_bw_br_deg=360.0)
+                  for _ in range(12)]
+        points += [dict(n_ues=n, q_u=0.0) for n in (1, 17)]
+        points += [dict(n_ues=n, q_u=0.7, q_uf=q_uf)
+                   for n in (1, 23) for q_uf in (0.0, 1.0)]
+        for point in points:
+            cfg = ScenarioConfig(**point)
+            t = SuccessTable(cfg)
+            stats = queue_statistics(cfg, t)
+            sol = solve_queue(cfg, t)
+            n = cfg.n_ues
+            assert n * (stats.t_fr + stats.t_ur0) == \
+                pytest.approx(sol.lambda0, rel=1e-12, abs=0.0)
+            assert n * (stats.t_fr + stats.t_ur1) == \
+                pytest.approx(sol.a_r, rel=1e-12, abs=0.0)
 
 
 class TestAggregateThroughput:
