@@ -131,8 +131,23 @@ class ScenarioConfig:
             return self.theta_rd_deg
         return self.theta_bw_br_deg
 
+    def radio_key(self) -> tuple:
+        """All fields but n_ues, q_u, q_uf, q_ur, q_r; theta_bw_br resolved.
+
+        ``LinkBudget`` and ``SuccessTable`` read exactly these, so two
+        configurations with equal keys have equal success arrays.
+        """
+        return tuple(self.theta_bw_br if name == "theta_bw_br_deg"
+                     else getattr(self, name) for name in _RADIO_FIELDS)
+
     def replace(self, **changes) -> "ScenarioConfig":
         return replace(self, **changes)
+
+
+# Every field but those of the UE population and its activity (see
+# ScenarioConfig.radio_key).
+_RADIO_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name not in
+                      ("n_ues", "q_u", "q_uf", "q_ur", "q_r"))
 
 
 @dataclass(frozen=True)

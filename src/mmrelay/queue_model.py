@@ -11,15 +11,29 @@ All quantities for arbitrary N are exact sums over the multinomial UE
 transmission configurations (n_fr, n_fd, n_b); success events at a
 receiver are treated as independent given the configuration (the
 decoupling convention, matched by the simulator's ``decoupled`` mode).
-``queue_statistics`` walks the N UEs' configurations once per analysis
-(``_iter_configs`` is their only source), gathers every success
-probability from the 2-D arrays of ``SuccessTable.grid`` by fancy
-indexing, and with numpy, one n_fr slab at a time, forms each
-configuration's binomial pmfs of stored FD->relay and BR packets and
-their convolution, relay silent and transmitting. Its one result,
-``QueueStatistics``, also holds a tagged user's rates as moments of the
-same walk: for a scheme x with per-UE probability p_x and any f of the
-other UEs' counts, E_N[n_x * f(n_x - 1, ...)] = N * p_x * E_{N-1}[f],
+``queue_statistics`` takes the N UEs' configurations once per analysis
+(``_iter_configs`` is their only source) and works in two steps:
+
+* a traffic-free block, built on first use and kept on the
+  ``SuccessTable`` per N and per zero pattern (which of p_fr, p_fd, p_b
+  and the idle probability are zero; that decides which configurations
+  can carry weight). It holds every success probability gathered from
+  the 2-D arrays of ``SuccessTable.grid`` by fancy indexing, the stored
+  and departure probabilities, and, built with numpy one n_fr slab at a
+  time, each configuration's binomial pmfs of stored FD->relay and BR
+  packets and their convolution, relay silent and transmitting. The
+  success probabilities read only the radio fields, so neither does the
+  block: every traffic point (N, q_u, q_uf, q_ur, q_r) of a sweep group
+  that shares a table and a zero pattern reuses it;
+* the traffic point's weighted sums: the multinomial weights, mapped
+  onto the block's rows, times the block's columns, each output one
+  ``math.fsum``.
+
+A cold analysis builds the block over the same configurations the
+weights reach, so it does no more work than a single walk. The one
+result, ``QueueStatistics``, also holds a tagged user's rates as moments
+of the same walk: for a scheme x with per-UE probability p_x and any f of
+the other UEs' counts, E_N[n_x * f(n_x - 1, ...)] = N * p_x * E_{N-1}[f],
 since n_x * W_N(n_x, ...) = N * p_x * W_{N-1}(n_x - 1, ...) for the
 multinomial weight W (one tagged UE in scheme x, N - 1 others).
 ``solve_queue`` decides Loynes stability in one place (stable iff
@@ -27,14 +41,14 @@ q_r > q_r_min) and evaluates P(Q = 0) only on the stable side;
 ``throughput`` mixes the tagged rates by queue regime.
 
 Each output pmf cell or rate is one exactly rounded ``math.fsum`` over its
-weighted per-configuration terms, so no result depends on the walk order.
+weighted per-configuration terms, so no result depends on the walk order
+or on whether the block was built for this point or an earlier one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -98,28 +112,49 @@ def _ue_activity_probs(cfg: ScenarioConfig) -> tuple[float, float, float]:
     return p_fr, p_fd, p_b
 
 
-def _iter_configs(n: int, p_fr: float, p_fd: float, p_b: float):
-    """Yield (weight, n_fr, n_fd, n_b) over all multinomial outcomes of n UEs."""
-    p_idle = 1.0 - (p_fr + p_fd + p_b)
-    try:
-        for n_fr in range(n + 1):
-            c1 = math.comb(n, n_fr) * p_fr**n_fr
-            if c1 == 0.0:
-                continue
-            for n_fd in range(n - n_fr + 1):
-                c2 = c1 * math.comb(n - n_fr, n_fd) * p_fd**n_fd
-                if c2 == 0.0:
-                    continue
-                for n_b in range(n - n_fr - n_fd + 1):
-                    n_idle = n - n_fr - n_fd - n_b
-                    w = c2 * math.comb(n - n_fr - n_fd, n_b) * p_b**n_b * \
-                        max(p_idle, 0.0) ** n_idle
-                    if w == 0.0:
-                        continue
-                    yield w, n_fr, n_fd, n_b
+def _active(p_fr: float, p_fd: float, p_b: float) -> tuple[bool, ...]:
+    """Which of p_fr, p_fd, p_b and the idle probability are nonzero."""
+    return (p_fr > 0.0, p_fd > 0.0, p_b > 0.0, 1.0 - (p_fr + p_fd + p_b) > 0.0)
+
+
+def _rows(n: int, active: tuple[bool, ...]) -> np.ndarray:
+    """(n_fr, n_fd, n_b) of every configuration of n UEs whose weight a
+    zero probability does not rule out, n_fr-major, as a (3, R) array."""
+    *schemes, idle = active
+    idx = np.indices([n + 1 if a else 1 for a in schemes]).reshape(3, -1)
+    total = idx.sum(axis=0)
+    return idx[:, total <= n if idle else total == n]
+
+
+def _comb_table(n: int) -> np.ndarray:
+    return np.array([[math.comb(i, j) for j in range(n + 1)]
+                     for i in range(n + 1)], dtype=float)
+
+
+def _iter_configs(n: int, p_fr: float, p_fd: float, p_b: float) -> np.ndarray:
+    """Rows (weight, n_fr, n_fd, n_b) of the multinomial outcomes of n UEs
+    with a nonzero weight, n_fr-major.
+
+    A weight is comb(n, n_fr) * p_fr**n_fr, times comb(n - n_fr, n_fd) *
+    p_fd**n_fd, and so on for n_b and the idle UEs, multiplied left to
+    right; the powers are Python ``**`` (numpy's ``power`` may differ in
+    the last bit), so a weight is the same float as the scalar product.
+    """
+    p_idle = max(1.0 - (p_fr + p_fd + p_b), 0.0)
+    try:  # C(n, n // 2) is the largest coefficient of the table
+        float(math.comb(n, n // 2))
     except OverflowError:
         raise ValueError(
             f"multinomial weights of {n} UEs overflow a float") from None
+    comb = _comb_table(n)
+    n_fr, n_fd, n_b = _rows(n, _active(p_fr, p_fd, p_b))
+    pw_fr, pw_fd, pw_b, pw_idle = (np.array([p**k for k in range(n + 1)])
+                                   for p in (p_fr, p_fd, p_b, p_idle))
+    c1 = comb[n, n_fr] * pw_fr[n_fr]
+    c2 = (c1 * comb[n - n_fr, n_fd]) * pw_fd[n_fd]
+    w = (((c2 * comb[n - n_fr - n_fd, n_b]) * pw_b[n_b])
+         * pw_idle[n - n_fr - n_fd - n_b])
+    return np.column_stack([w, n_fr, n_fd, n_b])[w != 0.0]
 
 
 def _binom_rows(comb: np.ndarray, n, p: np.ndarray, width: int) -> np.ndarray:
@@ -133,6 +168,71 @@ def _binom_rows(comb: np.ndarray, n, p: np.ndarray, width: int) -> np.ndarray:
 def _fsum(terms: np.ndarray) -> float:
     # The terms are >= 0 and zeros do not change an exact sum.
     return math.fsum(terms[terms != 0.0].tolist())
+
+
+@dataclass(frozen=True)
+class _ConfigBlock:
+    """The traffic-free part of the queue walk over one set of rows.
+
+    Per configuration c: the gathered success probabilities, ``stores[s]``
+    (a BR packet is stored: decoded at the relay, lost at the mmAP, relay
+    silent s = 0 or transmitting s = 1), ``p_dep`` (the relay's packet
+    reaches the mmAP) and ``v[s][k + 1, c]`` = P(k stored | c); a zero row
+    on each side of v serves the k - 1 and k + 1 shifts.
+    """
+
+    keys: np.ndarray      # (n_fr * (N + 1) + n_fd) * (N + 1) + n_b, ascending
+    n_fr: np.ndarray
+    n_fd: np.ndarray
+    n_b: np.ndarray
+    p_f: np.ndarray       # a tagged FD->relay packet is decoded
+    p_dep: np.ndarray
+    q_dep: np.ndarray     # 1 - p_dep
+    at_mmap: tuple        # a tagged BR packet is decoded at the mmAP, by s
+    stores: tuple
+    ud_fd: tuple          # a tagged FD->mmAP packet is decoded, by s
+    v: np.ndarray
+
+
+def _config_block(table: SuccessTable, n: int,
+                  active: tuple[bool, ...]) -> _ConfigBlock:
+    """The block of n UEs' configurations allowed by ``active``, built on
+    first use and kept on the table."""
+    block = table.blocks.get((n, active))
+    if block is not None:
+        return block
+    n_fr, n_fd, n_b = _rows(n, active)
+    # Counts with one UE of the scheme removed; where that count is 0 the
+    # gathered value is unused: it enters a binomial of 0 trials or is
+    # multiplied by n_x = 0.
+    b = np.maximum(n_b - 1, 0)
+    fd = np.maximum(n_fd - 1, 0)
+    at_relay = table.grid("ur", "br", False, n)[n_fr, b]
+    at_mmap = tuple(table.grid("ud", "br", relay, n)[n_fd, b]
+                    for relay in (False, True))
+    stores = tuple(at_relay * (1.0 - m) for m in at_mmap)
+    p_f = table.grid("ur", "fd", False, n)[np.maximum(n_fr - 1, 0), n_b]
+    p_dep = table.grid("rd", "fd", False, n)[n_fd, n_b]
+    ud_fd = tuple(table.grid("ud", "fd", relay, n)[fd, n_b]
+                  for relay in (False, True))
+    comb = _comb_table(n)
+    # The rows run n_fr-major, so each n_fr slab is a slice.
+    v = np.zeros((2, n + 3, n_fr.size))
+    edges = np.searchsorted(n_fr, np.arange(n + 2))
+    for f in range(n + 1):
+        s = slice(edges[f], edges[f + 1])
+        if s.start == s.stop:
+            continue
+        pmf_f = _binom_rows(comb, f, p_f[s], f + 1)
+        for v_s, store in zip(v, stores):
+            pmf_b = _binom_rows(comb, n_b[s], store[s], n - f + 1).T
+            for i in range(f + 1):
+                v_s[i + 1:i + n - f + 2, s] += pmf_f[:, i] * pmf_b
+    block = _ConfigBlock((n_fr * (n + 1) + n_fd) * (n + 1) + n_b,
+                         n_fr, n_fd, n_b, p_f, p_dep, 1.0 - p_dep,
+                         at_mmap, stores, ud_fd, v)
+    table.blocks[n, active] = block
+    return block
 
 
 def queue_statistics(cfg: ScenarioConfig,
@@ -150,58 +250,44 @@ def queue_statistics(cfg: ScenarioConfig,
     and the mixture is taken per configuration (arrivals and the mmAP-side
     failure of BR packets both depend on whether the relay's beam is up).
     The tagged user's rates are the moments in the module docstring.
+
+    ``table`` must belong to a configuration with the same ``radio_key``;
+    it keeps the configuration blocks for later calls.
     """
     if table is None:
         table = SuccessTable(cfg)
+    elif table.cfg.radio_key() != cfg.radio_key():
+        raise ValueError("the success table belongs to another radio "
+                         "configuration")
     n = cfg.n_ues
     q_r = cfg.q_r
-    flat = np.fromiter(chain.from_iterable(
-        _iter_configs(n, *_ue_activity_probs(cfg))), float).reshape(-1, 4)
-    w = flat[:, 0].copy()
-    n_fr, n_fd, n_b = flat[:, 1:].astype(np.intp).T
-    # Counts with one UE of the scheme removed; where that count is 0 the
-    # gathered value is unused: it enters a binomial of 0 trials or is
-    # multiplied by n_x = 0.
-    b = np.maximum(n_b - 1, 0)
-    at_relay = table.grid("ur", "br", False, n)[n_fr, b]
-    at_mmap = [table.grid("ud", "br", relay, n)[n_fd, b]
-               for relay in (False, True)]
-    stores = [at_relay * (1.0 - m) for m in at_mmap]
-    p_f = table.grid("ur", "fd", False, n)[np.maximum(n_fr - 1, 0), n_b]
-    p_dep = table.grid("rd", "fd", False, n)[n_fd, n_b]
-    comb = np.array([[math.comb(i, j) for j in range(n + 1)]
-                     for i in range(n + 1)], dtype=float)
-    # v[s][k + 1, c]: P(k stored | configuration c), relay silent (s = 0) or
-    # transmitting (s = 1); a zero row on each side serves the k - 1 and
-    # k + 1 shifts. _iter_configs runs n_fr-major, so each slab is a slice.
-    v = np.zeros((2, n + 3, w.size))
-    edges = np.searchsorted(n_fr, np.arange(n + 2))
-    for f in range(n + 1):
-        s = slice(edges[f], edges[f + 1])
-        if s.start == s.stop:
-            continue
-        pmf_f = _binom_rows(comb, f, p_f[s], f + 1)
-        for v_s, store in zip(v, stores):
-            pmf_b = _binom_rows(comb, n_b[s], store[s], n - f + 1).T
-            for i in range(f + 1):
-                v_s[i + 1:i + n - f + 2, s] += pmf_f[:, i] * pmf_b
+    probs = _ue_activity_probs(cfg)
+    flat = _iter_configs(n, *probs)
+    if not isinstance(flat, np.ndarray):
+        # perfbench's layer tracer re-yields the rows from a generator
+        flat = np.array(list(flat), dtype=float).reshape(-1, 4)
+    blk = _config_block(table, n, _active(*probs))
+    # Rows whose weight is 0 (only by underflow) keep w = 0 and drop out
+    # of every sum.
+    counts = flat[:, 1:].astype(np.intp).T
+    w = np.zeros(blk.keys.size)
+    w[np.searchsorted(blk.keys, (counts[0] * (n + 1) + counts[1]) * (n + 1)
+                      + counts[2])] = flat[:, 0]
+    v0, v1 = blk.v
     w_s, w_t = w * (1.0 - q_r), w * q_r
     arrivals = [np.array([_fsum(w * v_s[k + 1]) for k in range(n + 1)])
-                for v_s in v]
+                for v_s in blk.v]
     # net = arrivals - 1{departure}; p_nonempty[k + 1] is net change k.
-    v0, v1 = v
     nonempty = np.array([
-        _fsum(np.concatenate([w_s * v0[k], (w_t * v1[k + 1]) * p_dep,
-                              (w_t * v1[k]) * (1.0 - p_dep)]))
+        _fsum(np.concatenate([w_s * v0[k], (w_t * v1[k + 1]) * blk.p_dep,
+                              (w_t * v1[k]) * blk.q_dep]))
         for k in range(n + 2)])
-    fd = np.maximum(n_fd - 1, 0)
-    t_ud = [(_fsum(w * n_fd * table.grid("ud", "fd", relay, n)[fd, n_b])
-             + _fsum(w * n_b * m)) / n
-            for relay, m in zip((False, True), at_mmap)]
-    t_ur = [_fsum(w * n_b * store) / n for store in stores]
-    return QueueStatistics(arrivals[0], nonempty, arrivals[1], _fsum(w * p_dep),
-                           t_ud[0], t_ud[1], _fsum(w * n_fr * p_f) / n,
-                           t_ur[0], t_ur[1])
+    t_ud = [(_fsum(w * blk.n_fd * g) + _fsum(w * blk.n_b * m)) / n
+            for g, m in zip(blk.ud_fd, blk.at_mmap)]
+    t_ur = [_fsum(w * blk.n_b * store) / n for store in blk.stores]
+    return QueueStatistics(arrivals[0], nonempty, arrivals[1],
+                           _fsum(w * blk.p_dep), t_ud[0], t_ud[1],
+                           _fsum(w * blk.n_fr * blk.p_f) / n, t_ur[0], t_ur[1])
 
 
 def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> QueueSolution:

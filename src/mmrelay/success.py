@@ -56,6 +56,9 @@ class SuccessTable:
         self.cfg = cfg
         self.budget = LinkBudget(cfg)
         self._grids: dict[tuple[str, str, bool], np.ndarray] = {}
+        # queue_model's traffic-free configuration blocks, by (N, which
+        # activity probabilities are nonzero)
+        self.blocks: dict = {}
 
     def sinr_linear(self, link: str, desired_state: LinkState, scheme: str,
                     k_f_los: int, k_f_nlos: int, k_b_los: int, k_b_nlos: int,

@@ -20,9 +20,17 @@ comments and three optional sections::
 
 ``run_sweep`` evaluates the analytical model at every grid point (axis 1
 outer, axis 2 inner), optionally simulates each point, and never aborts
-the grid: per-point failures land in the ``error`` column. Floats are
-printed with 9 significant digits and identical spec + seed reruns are
-byte-identical.
+the grid: per-point failures land in the ``error`` column. Points are
+evaluated one radio configuration at a time (``ScenarioConfig.radio_key``:
+every field but n_ues, q_u, q_uf, q_ur and q_r). Each group shares one
+``SuccessTable``, sized at its largest N and dropped when the call ends,
+and with it the traffic-free configuration blocks of ``queue_model``, so
+a traffic point costs its weighted sums. The numbers are those of a
+fresh per-point analysis, bit for bit. A table that cannot be built
+fails its group's rows only. With ``jobs > 1`` each worker task is a
+contiguous run of one group's points; a group is split only when there
+are fewer groups than jobs. Floats are printed with 9 significant digits
+and identical spec + seed reruns are byte-identical, whatever ``jobs``.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import ScenarioConfig
+from .success import SuccessTable
 from .throughput import aggregate_throughput
 
 _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
@@ -222,9 +231,11 @@ def _format(value) -> str:
     return format(float(value), ".9g")
 
 
-def evaluate_point(cfg: ScenarioConfig) -> dict:
-    """All standard analytical metrics for one scenario point."""
-    report = aggregate_throughput(cfg)
+def evaluate_point(cfg: ScenarioConfig,
+                   table: SuccessTable | None = None) -> dict:
+    """All standard analytical metrics for one scenario point; ``table``
+    may be shared by points with the same ``radio_key``."""
+    report = aggregate_throughput(cfg, table)
     q = report.queue
     return {
         "regime": report.regime,
@@ -243,13 +254,14 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _run_point(args) -> dict:
-    spec, index, overrides = args
+def _run_point(spec: SweepSpec, index: int, overrides: dict,
+               cfg: ScenarioConfig | None, table: SuccessTable | None) -> dict:
     row = {name: overrides[name] for name, _ in spec.axes}
     row["error"] = ""
     try:
-        cfg = spec.base.replace(**overrides)
-        row.update(evaluate_point(cfg))
+        if cfg is None:  # an invalid point: this raises its error
+            cfg = spec.base.replace(**overrides)
+        row.update(evaluate_point(cfg, table))
         if spec.simulate:
             from .simulator import run as sim_run
             stats = sim_run(cfg, spec.n_slots, _point_seed(spec.seed, index),
@@ -269,6 +281,21 @@ def _run_point(args) -> dict:
     return row
 
 
+def _run_task(args) -> list[tuple[int, dict]]:
+    """Rows of a run of points that share one radio configuration, all
+    evaluated with one ``SuccessTable`` sized at their largest N."""
+    spec, points = args
+    table = None
+    if points[0][2] is not None:  # invalid points are grouped apart
+        try:
+            table = SuccessTable(max((cfg for _, _, cfg in points),
+                                     key=lambda cfg: cfg.n_ues))
+        except Exception:
+            pass  # then each point fails alike on its own cold table
+    return [(index, _run_point(spec, index, overrides, cfg, table))
+            for index, overrides, cfg in points]
+
+
 def sweep_columns(spec: SweepSpec) -> list[str]:
     cols = [name for name, _ in spec.axes]
     cols.extend(spec.outputs)
@@ -278,13 +305,44 @@ def sweep_columns(spec: SweepSpec) -> list[str]:
     return cols
 
 
+def _tasks(groups: list[list], jobs: int) -> list[list]:
+    """Contiguous runs of the groups' points; a group is split, into
+    near-equal runs, only when there are fewer groups than jobs."""
+    parts = -(-jobs // max(len(groups), 1))
+    tasks = []
+    for points in groups:
+        size = -(-len(points) // min(parts, len(points)))
+        tasks.extend(points[i:i + size] for i in range(0, len(points), size))
+    return tasks
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
-    """Evaluate the whole grid; rows come back in grid order."""
-    points = [(spec, i, overrides) for i, overrides in enumerate(spec.grid())]
-    if jobs > 1 and len(points) > 1:
+    """Evaluate the whole grid; rows come back in grid order.
+
+    Points are grouped by ``ScenarioConfig.radio_key``, in order of first
+    appearance, and each group is evaluated with one success table; a
+    point whose configuration is invalid gets its row's ``error`` only.
+    """
+    grid = spec.grid()
+    groups: dict[tuple | None, list] = {}
+    for index, overrides in enumerate(grid):
+        try:
+            cfg = spec.base.replace(**overrides)
+        except Exception:
+            cfg = None  # _run_point records the error in the row
+        key = None if cfg is None else cfg.radio_key()
+        groups.setdefault(key, []).append((index, overrides, cfg))
+    tasks = [(spec, points) for points in _tasks(list(groups.values()), jobs)]
+    if len(tasks) > 1 and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_point, points))
-    return [_run_point(p) for p in points]
+            done = list(pool.map(_run_task, tasks))
+    else:
+        done = [_run_task(task) for task in tasks]
+    rows: list[dict | None] = [None] * len(grid)
+    for task_rows in done:
+        for index, row in task_rows:
+            rows[index] = row
+    return rows
 
 
 def write_csv(spec: SweepSpec, rows: list[dict], stream: io.TextIOBase) -> None:

@@ -302,7 +302,7 @@ def test_criterion_5b_fig3_transition_points():
     _report("5b", not misses,
             f"transitions {dict((k, v[0]) for k, v in checks.items())}; "
             + (f"outside +/-2: {misses} (channel-model sensitive, "
-               f"see decisions ledger)" if misses else "all within +/-2"))
+               f"see docs/DECISIONS.md)" if misses else "all within +/-2"))
 
 
 def _argmax_by_theta(recipe):
@@ -322,8 +322,8 @@ def test_criterion_5c_fig6_fd_always_best():
     bad = {th: q for th, q in argmax.items() if q != 1.0}
     _report("5c", not bad,
             f"argmax q_uf at gamma=20dB: {argmax}"
-            + ("; non-FD optima are channel-model sensitive, see decisions "
-               "ledger" if bad else ""))
+            + ("; non-FD optima are channel-model sensitive, see "
+               "docs/DECISIONS.md" if bad else ""))
 
 
 def test_criterion_5d_fig4_small_angle_prefers_br():
@@ -335,7 +335,7 @@ def test_criterion_5d_fig4_small_angle_prefers_br():
             f"argmax q_uf: theta={smallest} -> {argmax[smallest]} (want < 1), "
             f"theta={largest} -> {argmax[largest]} (want = 1)"
             + ("" if ok_small and ok_large else
-               "; see decisions ledger on channel-model sensitivity"))
+               "; see docs/DECISIONS.md on channel-model sensitivity"))
 
 
 # ---------------------------------------------------------------------------

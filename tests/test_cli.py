@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from mmrelay import ConfigError, load_config, run_sweep
-from mmrelay.sweeps import sweep_columns, write_csv
+from mmrelay import ConfigError, SuccessTable, load_config, run_sweep
+from mmrelay.sweeps import _tasks, evaluate_point, sweep_columns, write_csv
+from conftest import RECIPES
 
 
 def _write(tmp_path, text, name="scenario.cfg"):
@@ -141,10 +142,10 @@ class TestRunSweep:
         import mmrelay.sweeps as sweeps
         evaluate = sweeps.evaluate_point
 
-        def faulty(cfg):
+        def faulty(cfg, table=None):
             if cfg.n_ues == 2:
                 raise ZeroDivisionError("float division by zero")
-            return evaluate(cfg)
+            return evaluate(cfg, table)
 
         monkeypatch.setattr(sweeps, "evaluate_point", faulty)
         spec = load_config(_write(tmp_path, "[sweep]\nn_ues = 1:3\n"))
@@ -152,6 +153,61 @@ class TestRunSweep:
         assert [r["error"] for r in rows] == [
             "", "ZeroDivisionError: float division by zero", ""]
         assert "t_total" in rows[2]
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize("recipe, builds", [("fig4.cfg", 42),
+                                                ("fig3.cfg", 7)])
+    def test_one_table_per_radio_configuration(self, monkeypatch, recipe,
+                                               builds):
+        # fig4 has six radio configurations (one per theta_rd), fig3 one;
+        # each table builds its seven arrays once, at the group's largest N.
+        built = []
+        build = SuccessTable._build
+
+        def counted(self, *args):
+            built.append(args)
+            return build(self, *args)
+
+        monkeypatch.setattr(SuccessTable, "_build", counted)
+        rows = run_sweep(load_config(str(RECIPES / recipe)))
+        assert all(r["error"] == "" for r in rows)
+        assert len(built) == builds
+
+    def test_rows_equal_fresh_per_point_evaluation(self):
+        for path in sorted(RECIPES.glob("*.cfg")):
+            spec = load_config(str(path))
+            fresh = [evaluate_point(spec.base.replace(**overrides))
+                     for overrides in spec.grid()]
+            for jobs in (1, 2):
+                rows = run_sweep(spec, jobs=jobs)
+                assert len(rows) == len(fresh)
+                for row, want in zip(rows, fresh):
+                    assert row["error"] == ""
+                    assert {k: _hex(row[k]) for k in want} == \
+                        {k: _hex(v) for k, v in want.items()}, (path.name, jobs)
+
+    def test_table_failure_stays_in_its_group(self, tmp_path):
+        text = "[sweep]\np_t_dbm = 24, 3113\nq_u = 0.1, 0.5\n"
+        spec = load_config(_write(tmp_path, text))
+        rows = run_sweep(spec)
+        with pytest.raises(ValueError) as exc:
+            evaluate_point(spec.base.replace(p_t_dbm=3113.0, q_u=0.5))
+        assert [r["error"] for r in rows] == ["", "", str(exc.value),
+                                              str(exc.value)]
+        assert "link budget out of float range" in rows[2]["error"]
+        assert all("t_total" in r for r in rows[:2])
+
+    def test_groups_split_only_below_the_job_count(self):
+        groups = [[1, 2, 3], [4, 5]]
+        assert _tasks(groups, 1) == groups
+        assert _tasks(groups, 2) == groups
+        assert _tasks(groups, 4) == [[1, 2], [3], [4], [5]]
+        assert _tasks([[1, 2, 3]], 2) == [[1, 2], [3]]
 
 
 class TestCliProcess:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from mmrelay import (
     LinkState,
     Role,
     ScenarioConfig,
+    SuccessTable,
     beam_gain,
     los_probability,
     path_loss_db,
@@ -247,3 +249,43 @@ class TestLinkBudget:
             for scheme in ("fd", "br"):
                 assert b.power(link, scheme, LinkState.LOS) >= \
                     b.power(link, scheme, LinkState.NLOS)
+
+
+# Valid values other than the defaults, for every ScenarioConfig field.
+# theta_bw_br_deg = 30 equals the default theta_rd_deg, which the default
+# None resolves to, so it must share the default's key and arrays.
+_PERTURBED = {
+    "n_ues": (4,), "q_u": (0.7,), "q_uf": (0.2,), "q_ur": (0.9,),
+    "q_r": (0.3,), "gamma_db": (12.0,), "alpha": (0.3,), "p_t_dbm": (20.0,),
+    "p_n_dbm": (-70.0,), "f_c_ghz": (28.0,), "h_ap_m": (12.0,),
+    "h_ue_m": (2.0,), "d_ur_m": (40.0,), "d_ud_m": (60.0,),
+    "theta_rd_deg": (45.0,), "theta_bw_fd_deg": (8.0,),
+    "theta_bw_br_deg": (30.0, 90.0),
+}
+_SEVEN_ARRAYS = (("ur", "fd", False), ("ur", "br", False),
+                 ("ud", "fd", False), ("ud", "fd", True),
+                 ("ud", "br", False), ("ud", "br", True), ("rd", "fd", False))
+
+
+class TestRadioKey:
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+    def test_key_covers_every_field_the_table_reads(self, name):
+        # A field left out of radio_key() must not change any success
+        # array, or sweep points would share a wrong table.
+        base = ScenarioConfig(n_ues=3, q_u=0.5)
+        for value in _PERTURBED[name]:
+            other = base.replace(**{name: value})
+            if other.radio_key() != base.radio_key():
+                continue
+            a, b = SuccessTable(base), SuccessTable(other)
+            for key in _SEVEN_ARRAYS:
+                assert np.array_equal(a.grid(*key, 5), b.grid(*key, 5)), \
+                    (name, value, key)
+
+    def test_traffic_fields_share_a_key(self):
+        base = ScenarioConfig()
+        other = base.replace(n_ues=3, q_u=0.9, q_uf=1.0, q_ur=0.0, q_r=0.5,
+                             theta_bw_br_deg=base.theta_rd_deg)
+        assert other.radio_key() == base.radio_key()
+        assert base.replace(alpha=0.2).radio_key() != base.radio_key()

@@ -317,6 +317,23 @@ class TestSuccessArrayUse:
             ("ud", "fd", False), ("ud", "fd", True),
             ("ud", "br", False), ("ud", "br", True), ("rd", "fd", False)])
 
+    def test_traffic_points_share_one_block(self):
+        # The block depends on N and on which activity probabilities are
+        # zero, not on their values or on q_r.
+        cfg = ScenarioConfig(n_ues=6, q_u=0.3)
+        table = SuccessTable(cfg)
+        for change in ({}, {"q_u": 0.8, "q_r": 0.4}, {"q_ur": 0.9}):
+            queue_statistics(cfg.replace(**change), table)
+        assert list(table.blocks) == [(6, (True, True, True, True))]
+        queue_statistics(cfg.replace(q_uf=1.0), table)
+        queue_statistics(cfg.replace(n_ues=4), table)
+        assert len(table.blocks) == 3
+
+    def test_table_of_another_radio_configuration_rejected(self):
+        cfg = ScenarioConfig(n_ues=3)
+        with pytest.raises(ValueError, match="radio configuration"):
+            queue_statistics(cfg, SuccessTable(cfg.replace(alpha=0.2)))
+
     def test_weight_overflow_names_the_count(self):
         # Zero activity probabilities skip almost every configuration, so
         # the walk reaches C(1030, 515) after a few hundred cheap steps.
