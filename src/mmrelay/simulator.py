@@ -29,11 +29,29 @@ vectorized, and so is the relay-queue scan over it (``_scan_chunk``),
 which finds the empty-queue slots with one sort and pointer doubling
 instead of stepping slot by slot; its statistics are integer sums, equal
 to a slot-by-slot update bit for bit.
+
+Every binomial count (transmitters, FD choices, relay aims and, in
+decoupled mode, LOS interferers) comes from ``_Binomial``, an exact
+tabulated stand-in for ``Generator.binomial``. For n * min(p, 1 - p) <= 30
+numpy draws a binomial by sequential inversion of one ``random()`` double
+(Kachitvichyanukul & Schmeiser 1988), mapping p > 0.5 to n - X(1 - p) and
+drawing again when X exceeds a cut-off. Each step of that inversion is
+monotone in the double, so X is a step function of it whose thresholds lie
+on the 2**53 grid of ``random()`` values. ``_Binomial`` finds them by
+bisection, replaying numpy's floating-point steps, and looks a draw up in
+a guide table (Chen & Asau 1974): one uniform, one bucket, one compare.
+The draw-order contract is thereby pinned to numpy's binomial algorithm;
+``tests/oracles.binomial_oracle`` ports it, and the tests check the
+sampler against it and against ``Generator.binomial`` draw for draw, so a
+numpy that changes the algorithm fails them. Beyond n * min(p, 1 - p) = 30
+numpy switches to BTPE, whose draw count varies, and there the sampler
+calls ``Generator.binomial`` itself.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +67,14 @@ _CHUNK = 1 << 16
 
 _WARMUP_CAP = 100_000
 _TARGET_BATCHES = 50
+
+# Guide-table buckets per n: 2**10 while n_max < 32, fewer above, so that
+# a table never has more than 2**15 cells. With 2**12 the tables took 4x
+# the memory and sampled no faster.
+_GUIDE_BITS = 10
+_GUIDE_CELL_BITS = 15
+# Binomial draws per sampler block: its arrays stay in cache.
+_SAMPLE_BLOCK = 1 << 15
 
 
 def _first_at(keys, w, n, level, start):
@@ -176,10 +202,141 @@ def _se(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-class _Powers:
-    """Scalar received powers feeding the per-slot SINR checks."""
+def _invert(px, u):
+    """numpy's binomial inversion count for each row of ``px`` and double u.
 
-    def __init__(self, cfg: ScenarioConfig):
+    A row holds one n's terms px_0, px_1, ... padded with inf past numpy's
+    cut-off, so a draw that runs past the cut-off returns cut-off + 1: the
+    restart. ``np.subtract.accumulate`` repeats numpy's sequential
+    ``U -= px`` bit for bit, and the count is the first j with U <= px_j.
+    """
+    rem = np.subtract.accumulate(np.column_stack((u, px[:, :-1])), axis=1)
+    return (rem > px).argmin(axis=1)
+
+
+class _Binomial:
+    """``gen.binomial(n, p)`` for int64 arrays with 0 <= n <= n_max, exactly.
+
+    Same values, same ``random()`` draws, same generator state after the
+    call. ``px[n]`` is numpy's inversion row for n and ``bound[n]`` its
+    cut-off. X(u) >= k exactly when u >= T[n, k], and u >= T[n, bound + 1]
+    is the restart region. Bucket b of row n covers u in [b, b + 1) / nb;
+    ``base`` is X at its start and ``thr`` the one threshold inside it (2.0
+    for none). A bucket with two or more thresholds, or reaching the
+    restart region, has base -2 and its draws are inverted directly.
+    """
+
+    def __init__(self, n_max: int, p: float):
+        self.p = p
+        self.flip = p > 0.5
+        pi = 1.0 - p if self.flip else p
+        # p = 0 draws nothing; past n * pi = 30 numpy uses BTPE
+        self.native = p == 0.0 or pi * n_max > 30.0
+        if self.native:
+            return
+        q = 1.0 - pi
+        bound, qn = [], []
+        for n in range(n_max + 1):
+            mean = n * pi
+            bound.append(int(min(n, mean + 10.0 * math.sqrt(mean * q + 1))))
+            qn.append(math.exp(n * math.log(q)))  # libm, as numpy's C
+        self.bound = np.array(bound)
+        w = int(self.bound.max()) + 2
+        nf = np.arange(n_max + 1, dtype=float)
+        px = np.empty((n_max + 1, w))
+        px[:, 0] = qn
+        for j in range(1, w):
+            px[:, j] = (nf - j + 1) * pi * px[:, j - 1] / (j * q)
+        px[np.arange(w) > self.bound[:, None]] = np.inf
+        self.px = px
+
+        # T[n, k] for k = 1..bound[n] + 1: the least m with
+        # X(m / 2**53) >= k (2**53 for none), by binary lifting over m;
+        # the repeated last step lifts t from 2**53 - 1 to 2**53.
+        cnt = self.bound + 1
+        rows = np.repeat(np.arange(n_max + 1), cnt)
+        k = np.arange(rows.size) - np.repeat(np.cumsum(cnt) - cnt, cnt) + 1
+        prow = px[rows]
+        t = np.zeros(rows.size, dtype=np.int64)
+        for b in (*range(52, -1, -1), 0):
+            step = 1 << b
+            t += step * (_invert(prow, (t + (step - 1)) * 2.0**-53) < k)
+
+        bits = max(0, min(_GUIDE_BITS, _GUIDE_CELL_BITS - n_max.bit_length()))
+        self.nb = nb = 1 << bits
+        shift = 53 - bits
+        # a threshold at a bucket's start counts in that bucket's base
+        first = (t + (1 << shift) - 1) >> shift
+        base = np.bincount(rows * (nb + 1) + first,
+                           minlength=(n_max + 1) * (nb + 1))
+        base = base.reshape(n_max + 1, nb + 1).cumsum(axis=1)[:, :nb]
+        inside = (t & ((1 << shift) - 1)) != 0
+        cell = (rows * nb + (t >> shift))[inside]
+        self.thr = np.full(base.size, 2.0)
+        self.thr[cell] = t[inside] * 2.0**-53
+        restart = t[np.cumsum(cnt) - 1] >> shift
+        base[(np.bincount(cell, minlength=base.size) > 1).reshape(base.shape)
+             | (np.arange(nb) >= restart[:, None])] = -2
+        self.base = base.ravel().astype(np.int8)  # X <= cut-off + 1 <= 86
+
+    def _lookup(self, n, u):
+        """(X per (n, u) pair, indices of the pairs inverted directly)."""
+        idx = (u * self.nb).astype(np.intp)
+        idx += n * self.nb
+        x = self.base[idx]
+        x += u >= self.thr[idx]
+        slow = np.flatnonzero(x < 0)
+        if slow.size:
+            x[slow] = _invert(self.px[n[slow]], u[slow])
+        return x, slow
+
+    def __call__(self, gen: np.random.Generator, n):
+        if self.native:
+            return gen.binomial(n, self.p)
+        # Cache-sized blocks; drawing block after block keeps the stream.
+        out = np.empty(n.size, dtype=np.int64)
+        for lo in range(0, n.size, _SAMPLE_BLOCK):
+            part = n[lo:lo + _SAMPLE_BLOCK]
+            x = self._draw(gen, part)
+            out[lo:lo + _SAMPLE_BLOCK] = part - x if self.flip else x
+        return out
+
+    def _draw(self, gen, n):
+        """numpy's inversion counts X for one block, restarts included."""
+        # n = 0 draws nothing, and row 0 gives 0 for any u
+        live = n != 0
+        k = np.count_nonzero(live)
+        if k == n.size:
+            u = gen.random(k)
+        else:
+            u = np.zeros(n.size)
+            u[live] = gen.random(k)
+        x, slow = self._lookup(n, u)
+        while slow.size:
+            redo = slow[x[slow] > self.bound[n[slow]]]
+            if not redo.size:
+                break
+            # numpy draws again at once, so the first restarted draw and
+            # every later live one take the next double
+            tail = redo[0] + np.flatnonzero(live[redo[0]:])
+            u[tail[:-1]] = u[tail[1:]]
+            u[tail[-1]] = gen.random()
+            x[tail], s = self._lookup(n[tail], u[tail])
+            slow = tail[s]
+        return x
+
+
+class _Powers:
+    """Per-run constants: received powers and binomial samplers.
+
+    The scalar powers feed the per-slot SINR checks. The samplers, each
+    covering n <= N, draw the transmission counts (``tx``, ``fd``, ``fr``
+    for q_u, q_uf, q_ur) and, in decoupled mode only, the LOS interferer
+    counts (``los_ur``, ``los_ud``). Equal probabilities share one table,
+    so a run builds at most five.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, mode: str):
         b = LinkBudget(cfg)
         self.plos_ur = b.p_los("ur")
         self.plos_ud = b.p_los("ud")
@@ -195,36 +352,45 @@ class _Powers:
         self.noise = b.noise_w
         self.alpha = b.alpha
         self.gamma = b.gamma_linear
+        probs = (cfg.q_u, cfg.q_uf, cfg.q_ur)
+        if mode == "decoupled":
+            probs += (self.plos_ur, self.plos_ud)
+        tables = {p: _Binomial(cfg.n_ues, p) for p in dict.fromkeys(probs)}
+        self.tx, self.fd, self.fr, *los = (tables[p] for p in probs)
+        if los:
+            self.los_ur, self.los_ud = los
 
     def ok(self, signal, interference):
         """Vectorized SINR >= gamma indicator."""
         return signal / (self.noise + self.alpha * interference) >= self.gamma
 
 
-def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, c: int):
+def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
+                 c: int):
     """Per-slot transmission counts following the per-UE decision tree."""
-    n_tx = gen.binomial(cfg.n_ues, cfg.q_u, size=c)
-    n_f = gen.binomial(n_tx, cfg.q_uf)
-    n_fr = gen.binomial(n_f, cfg.q_ur)
+    n_tx = pw.tx(gen, np.full(c, cfg.n_ues))
+    n_f = pw.fd(gen, n_tx)
+    n_fr = pw.fr(gen, n_f)
     n_fd = n_f - n_fr
     n_b = n_tx - n_f
     coin = gen.random(c) < cfg.q_r
     return n_fr, n_fd, n_b, coin
 
 
-def _fresh_reception(gen: np.random.Generator, p_los: float, desired,
+def _fresh_reception(gen: np.random.Generator, los: _Binomial, desired,
                      kf_n, kb_n, fd: tuple[float, float],
                      br: tuple[float, float]):
     """(signal, interference) of receptions with fresh LOS draws.
 
-    ``desired``, ``fd`` and ``br`` are (LOS, NLOS) power pairs; a scalar
-    ``desired`` is an always-LOS link and draws nothing. Draw order: desired
-    state, then the ``kf_n`` FD interferers, then the ``kb_n`` BR ones.
+    ``los`` samples LOS counts at the link's p_los. ``desired``, ``fd`` and
+    ``br`` are (LOS, NLOS) power pairs; a scalar ``desired`` is an
+    always-LOS link and draws nothing. Draw order: desired state, then the
+    ``kf_n`` FD interferers, then the ``kb_n`` BR ones.
     """
     if isinstance(desired, tuple):
-        desired = np.where(gen.random(kf_n.size) < p_los, *desired)
-    kfl = gen.binomial(kf_n, p_los)
-    kbl = gen.binomial(kb_n, p_los)
+        desired = np.where(gen.random(kf_n.size) < los.p, *desired)
+    kfl = los(gen, kf_n)
+    kbl = los(gen, kb_n)
     interf = (kfl * fd[0] + (kf_n - kfl) * fd[1]
               + kbl * br[0] + (kb_n - kbl) * br[1])
     return desired, interf
@@ -258,28 +424,28 @@ def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
 
     # FD packets at the relay: interfered by the other FD-to-relay
     # transmissions and every broadcast.
-    ok_fr = pw.ok(*_fresh_reception(gen, pw.plos_ur, fr, n_fr[slots_fr] - 1,
+    ok_fr = pw.ok(*_fresh_reception(gen, pw.los_ur, fr, n_fr[slots_fr] - 1,
                                     n_b[slots_fr], fr, br_r))
 
     # BR packets at the relay.
     kb_n = n_b[slots_b] - 1
-    ok_br_r = pw.ok(*_fresh_reception(gen, pw.plos_ur, br_r, n_fr[slots_b],
+    ok_br_r = pw.ok(*_fresh_reception(gen, pw.los_ur, br_r, n_fr[slots_b],
                                       kb_n, fr, br_r))
 
     # The same BR packets at the mmAP, with and without the relay's beam.
-    des, interf = _fresh_reception(gen, pw.plos_ud, br_d, n_fd[slots_b], kb_n,
+    des, interf = _fresh_reception(gen, pw.los_ud, br_d, n_fd[slots_b], kb_n,
                                    fd, br_d)
     ok_br_d_s = pw.ok(des, interf)
     ok_br_d_t = pw.ok(des, interf + pw.rd_l)
 
     # FD packets at the mmAP.
-    des, interf = _fresh_reception(gen, pw.plos_ud, fd, n_fd[slots_fd] - 1,
+    des, interf = _fresh_reception(gen, pw.los_ud, fd, n_fd[slots_fd] - 1,
                                    n_b[slots_fd], fd, br_d)
     ok_fd_s = pw.ok(des, interf)
     ok_fd_t = pw.ok(des, interf + pw.rd_l)
 
     # Relay's head-of-queue packet at the mmAP (always in LOS).
-    rd_ok = pw.ok(*_fresh_reception(gen, pw.plos_ud, pw.rd_l, n_fd, n_b,
+    rd_ok = pw.ok(*_fresh_reception(gen, pw.los_ud, pw.rd_l, n_fd, n_b,
                                     fd, br_d))
 
     sides = ((ok_fd_s, ok_br_d_s), (ok_fd_t, ok_br_d_t))
@@ -324,11 +490,14 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers,
 def run(cfg: ScenarioConfig, n_slots: int, seed: int,
         mode: str = "decoupled") -> SimStats:
     """Simulate ``n_slots`` slots and return the measured statistics."""
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    for name, value, low in (("n_slots", n_slots, 1), ("seed", seed, 0)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < low):
+            raise ValueError(f"{name} must be an integer >= {low}, "
+                             f"got {value!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    pw = _Powers(cfg)
+    pw = _Powers(cfg, mode)
     ss = np.random.SeedSequence(seed)
     child = ss.spawn(3)
     gen_choices = np.random.Generator(np.random.PCG64(child[0]))
@@ -348,7 +517,7 @@ def run(cfg: ScenarioConfig, n_slots: int, seed: int,
     t0 = 0
     while t0 < n_slots:
         c = min(_CHUNK, n_slots - t0)
-        n_fr, n_fd, n_b, coin = _draw_counts(gen_choices, cfg, c)
+        n_fr, n_fd, n_b, coin = _draw_counts(gen_choices, cfg, pw, c)
         if mode == "decoupled":
             arr_s, arr_t, dir_s, dir_t, rd_ok = _chunk_decoupled(
                 gen_reception, pw, n_fr, n_fd, n_b, c)

@@ -8,7 +8,9 @@ Both share only the link-budget power primitives with the code under test.
 The success-table oracle is a scalar loop over the binomial LOS
 partitions; the array table must reproduce its floats exactly. The
 queue-scan oracle is the simulator's slot-by-slot queue update, which the
-vectorized scan must reproduce exactly. The two-UE closed forms are
+vectorized scan must reproduce exactly. The binomial oracle is numpy's
+scalar binomial draw, which the simulator's tabulated sampler must
+reproduce draw for draw. The two-UE closed forms are
 carried both verbatim (``literal=True``) and in engine-matching form, with
 every verbatim term that disagrees catalogued in
 ``TWO_UE_LITERAL_DISCREPANCIES``.
@@ -201,6 +203,48 @@ def scan_chunk_oracle(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
                 if q > qacc[1]:
                     qacc[1] = q
     return q
+
+
+def binomial_oracle(next_double, n: int, p: float) -> int:
+    """numpy's ``Generator.binomial`` for one (n, p), drawing from ``next_double``.
+
+    A line-by-line port of ``random_binomial`` and
+    ``random_binomial_inversion`` in numpy 2.x's
+    ``random/src/distributions/distributions.c``: no draw for n = 0 or
+    p = 0, p > 0.5 mapped to n - X(1 - p), and sequential inversion of one
+    double, drawn again whenever X passes the cut-off. The BTPE branch,
+    taken when n * min(p, 1 - p) > 30, is not ported.
+    """
+    if n == 0 or p == 0.0:
+        return 0
+    if p <= 0.5:
+        if p * n <= 30.0:
+            return _binomial_inversion(next_double, n, p)
+    else:
+        q = 1.0 - p
+        if q * n <= 30.0:
+            return n - _binomial_inversion(next_double, n, q)
+    raise NotImplementedError("numpy uses BTPE for n * min(p, 1 - p) > 30")
+
+
+def _binomial_inversion(next_double, n: int, p: float) -> int:
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x = 0
+    px = qn
+    u = next_double()
+    while u > px:
+        x += 1
+        if x > bound:
+            x = 0
+            px = qn
+            u = next_double()
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mmrelay import ScenarioConfig, SuccessTable, aggregate_throughput, compare, run
 from mmrelay import simulator
 from mmrelay.queue_model import solve_queue
-from oracles import scan_chunk_oracle
+from oracles import binomial_oracle, scan_chunk_oracle
 
 
 class TestDeterminism:
@@ -132,6 +132,15 @@ class TestCompare:
         with pytest.raises(ValueError):
             run(two_ue_cfg, 0, seed=0)
 
+    @pytest.mark.parametrize("n_slots, seed, name", [
+        (True, 0, "n_slots"), (100.0, 0, "n_slots"), (0, 0, "n_slots"),
+        (100, True, "seed"), (100, 1.5, "seed"), (100, -1, "seed"),
+    ])
+    def test_rejects_bad_counts_naming_the_argument(self, two_ue_cfg,
+                                                    n_slots, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run(two_ue_cfg, n_slots, seed)
+
 
 @st.composite
 def _chunks(draw):
@@ -205,3 +214,136 @@ class TestScanEndToEnd:
         assert _bits(fast) == _bits(slow)
         if n_slots > 2 * simulator._CHUNK:
             assert fast.queue_final > 1000
+
+
+# p values where numpy's binomial branches (p = 0, p <= 0.5 against
+# p > 0.5, p = 1) or is plain.
+_EDGE_P = (0.0, 0.05, 0.5, math.nextafter(0.5, 1.0), 0.9, 1.0)
+
+
+@st.composite
+def _binomial_calls(draw):
+    """(n_max, p, n, seed): a sampler, an n array with zeros, a stream.
+
+    n_max above 31 gets fewer guide buckets per n and, with p near 0.5,
+    crosses numpy's BTPE boundary.
+    """
+    n_max = draw(st.one_of(st.integers(0, 30), st.integers(31, 80)))
+    p = draw(st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0)))
+    n = draw(st.lists(st.one_of(st.just(0), st.integers(0, n_max)),
+                      max_size=300))
+    return n_max, p, np.array(n, dtype=np.int64), draw(st.integers(0, 2**32 - 1))
+
+
+class _Doubles:
+    """A generator stand-in that hands out the given doubles in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def random(self, size=None):
+        start = self.used
+        self.used += 1 if size is None else size
+        assert self.used <= self.values.size, "stream exhausted"
+        if size is None:
+            return float(self.values[start])
+        return self.values[start:self.used].copy()
+
+
+def _oracle_draws(values, n, p):
+    """binomial_oracle over ``n`` from ``values``: (counts, doubles used)."""
+    stream = _Doubles(values)
+    return [binomial_oracle(stream.random, int(k), p) for k in n], stream.used
+
+
+class TestBinomialSampler:
+    """``_Binomial`` is numpy's binomial draw for draw; so is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_binomial_calls())
+    def test_equals_generator_binomial(self, call):
+        n_max, p, n, seed = call
+        sampler = simulator._Binomial(n_max, p)
+        ref, gen = (np.random.Generator(np.random.PCG64(seed)) for _ in "ab")
+        for _ in range(2):  # the second call starts from the state left
+            want = ref.binomial(n, p)
+            got = sampler(gen, n)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(_binomial_calls())
+    def test_oracle_equals_generator_binomial(self, call):
+        n_max, p, n, seed = call
+        n = n[n * min(p, 1.0 - p) <= 30.0]  # the oracle has no BTPE branch
+        ref, gen = (np.random.Generator(np.random.PCG64(seed)) for _ in "ab")
+        want = ref.binomial(n, p)
+        got = [binomial_oracle(gen.random, int(k), p) for k in n]
+        assert got == want.tolist()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_restarts_and_crowded_buckets_equal_oracle(self, p, block,
+                                                       monkeypatch):
+        if block is not None:  # restarts that cross a block boundary
+            monkeypatch.setattr(simulator, "_SAMPLE_BLOCK", block)
+        top = 1.0 - 2.0**-53  # the largest random() double
+        restarting = [k for k in range(31)
+                      if _oracle_draws([top, 0.5], [k], p)[1] == 2]
+        assert restarting, "no n <= 30 reaches numpy's restart here"
+        sampler = simulator._Binomial(30, p)
+        rng = np.random.default_rng(1)
+        # the last bucket holds the tail thresholds, several per bucket
+        crowded = 1.0 - np.geomspace(1.0 / sampler.nb, 2.0**-53, 400)
+        single = sampler.thr[sampler.thr < 1.0][::29]
+        pool = np.concatenate([np.full(3 * len(restarting), top), crowded,
+                               single, single - 2.0**-53, rng.random(300)])
+        rng.shuffle(pool)
+        n = np.concatenate([np.repeat(restarting, 3),
+                            rng.integers(0, 31, pool.size - 3 * len(restarting))])
+        n[rng.random(n.size) < 0.1] = 0
+        values = np.concatenate([pool, rng.random(200)])
+
+        want, used = _oracle_draws(values, n, p)
+        stream = _Doubles(values)
+        got = sampler(stream, n)
+        assert got.tolist() == want
+        assert stream.used == used
+        assert used > np.count_nonzero(n)  # restarts happened
+        idx = n * sampler.nb + (pool * sampler.nb).astype(int)
+        assert (sampler.base[idx] < 0).sum() > 10  # crowded buckets visited
+
+
+class TestReceptionEndToEnd:
+    """``run`` with the tabulated sampler equals ``run`` with numpy's."""
+
+    @pytest.mark.parametrize("cfg, n_slots, mode", [
+        (ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9), 50_000, "decoupled"),
+        (ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9), 50_000, "physical"),
+        (ScenarioConfig(n_ues=30, q_u=0.9, q_r=0.9), 20_000, "decoupled"),
+        (ScenarioConfig(n_ues=30, q_u=0.9, q_r=0.9), 20_000, "physical"),
+        (ScenarioConfig(n_ues=5, q_u=0.6, q_r=0.1), 2 * simulator._CHUNK + 3,
+         "decoupled"),
+        (ScenarioConfig(n_ues=6, q_u=0.5, d_ur_m=15.0), 30_000, "decoupled"),
+        (ScenarioConfig(n_ues=5, q_u=0.0, q_r=1.0), 20_000, "decoupled"),
+        (ScenarioConfig(n_ues=6, q_u=0.7, q_uf=0.0), 30_000, "decoupled"),
+        (ScenarioConfig(n_ues=6, q_u=0.7, q_uf=1.0), 30_000, "decoupled"),
+        (ScenarioConfig(n_ues=70, q_u=0.5), 5_000, "decoupled"),
+    ], ids=["light-decoupled", "light-physical", "heavy-decoupled",
+            "heavy-physical", "unstable-3-chunks", "ur-always-los", "silent",
+            "no-fd", "no-br", "btpe"])
+    def test_stats_bit_identical(self, cfg, n_slots, mode, monkeypatch):
+        fast = run(cfg, n_slots, seed=8, mode=mode)
+        monkeypatch.setattr(simulator._Binomial, "__call__",
+                            lambda self, gen, n: gen.binomial(n, self.p))
+        slow = run(cfg, n_slots, seed=8, mode=mode)
+        assert _bits(fast) == _bits(slow)
+
+    def test_edge_points_reach_the_edge(self):
+        assert simulator._Powers(
+            ScenarioConfig(n_ues=6, d_ur_m=15.0), "decoupled").plos_ur == 1.0
+        assert simulator._Powers(
+            ScenarioConfig(n_ues=70, q_u=0.5), "decoupled").tx.native
