@@ -246,16 +246,12 @@ def received_power_w(link: Link, state: LinkState, tx_gain: float, rx_gain: floa
     return p_t_w * tx_gain * rx_gain * 10.0 ** (-pl / 10.0)
 
 
-# Link identifiers used across the analytical modules: 'ur' = UE->relay,
-# 'ud' = UE->mmAP, 'rd' = relay->mmAP. Schemes: 'fd' (narrow beam to one
-# receiver) and 'br' (wide beam covering both).
-LINKS = ("ur", "ud", "rd")
-SCHEMES = ("fd", "br")
-
-
 class LinkBudget:
     """Precomputed per-link received powers and radio constants.
 
+    Links are 'ur' (UE->relay), 'ud' (UE->mmAP) and 'rd' (relay->mmAP);
+    schemes are 'fd' (narrow beam to one receiver) and 'br' (wide beam
+    covering both).
     The relay sits at mmAP height, which keeps its link to the mmAP
     unobstructed (p_los = 1). Receivers form one narrow beam per decoded
     stream, so every reception uses the FD beamwidth on the receive side.

@@ -11,13 +11,13 @@ All quantities for arbitrary N are exact sums over the multinomial UE
 transmission configurations (n_fr, n_fd, n_b); success events at a
 receiver are treated as independent given the configuration (the
 decoupling convention, matched by the simulator's ``decoupled`` mode).
-``queue_statistics`` takes the N UEs' configurations once per analysis
-(``_iter_configs`` is their only source) and works in two steps:
+``queue_statistics`` works in two steps:
 
 * a traffic-free block, built on first use and kept on the
   ``SuccessTable`` per N and per zero pattern (which of p_fr, p_fd, p_b
   and the idle probability are zero; that decides which configurations
-  can carry weight). It holds every success probability gathered from
+  can carry weight). It holds those configurations (the only copy of
+  them), the binomial coefficients, every success probability gathered from
   the 2-D arrays of ``SuccessTable.grid`` by fancy indexing, the stored
   and departure probabilities, and, built with numpy one n_fr slab at a
   time, each configuration's binomial pmfs of stored FD->relay and BR
@@ -25,12 +25,11 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   success probabilities read only the radio fields, so neither does the
   block: every traffic point (N, q_u, q_uf, q_ur, q_r) of a sweep group
   that shares a table and a zero pattern reuses it;
-* the traffic point's weighted sums: the multinomial weights, mapped
-  onto the block's rows, times the block's columns, each output one
-  ``math.fsum``.
+* the traffic point's weighted sums: the multinomial weights, computed
+  on the block's own rows by ``_weights``, times the block's columns,
+  each output one ``math.fsum``.
 
-A cold analysis builds the block over the same configurations the
-weights reach, so it does no more work than a single walk. The one
+So a traffic point on a warm block enumerates nothing. The one
 result, ``QueueStatistics``, also holds a tagged user's rates as moments
 of the same walk: for a scheme x with per-UE probability p_x and any f of
 the other UEs' counts, E_N[n_x * f(n_x - 1, ...)] = N * p_x * E_{N-1}[f],
@@ -131,32 +130,6 @@ def _comb_table(n: int) -> np.ndarray:
                      for i in range(n + 1)], dtype=float)
 
 
-def _iter_configs(n: int, p_fr: float, p_fd: float, p_b: float) -> np.ndarray:
-    """Rows (weight, n_fr, n_fd, n_b) of the multinomial outcomes of n UEs
-    with a nonzero weight, n_fr-major.
-
-    A weight is comb(n, n_fr) * p_fr**n_fr, times comb(n - n_fr, n_fd) *
-    p_fd**n_fd, and so on for n_b and the idle UEs, multiplied left to
-    right; the powers are Python ``**`` (numpy's ``power`` may differ in
-    the last bit), so a weight is the same float as the scalar product.
-    """
-    p_idle = max(1.0 - (p_fr + p_fd + p_b), 0.0)
-    try:  # C(n, n // 2) is the largest coefficient of the table
-        float(math.comb(n, n // 2))
-    except OverflowError:
-        raise ValueError(
-            f"multinomial weights of {n} UEs overflow a float") from None
-    comb = _comb_table(n)
-    n_fr, n_fd, n_b = _rows(n, _active(p_fr, p_fd, p_b))
-    pw_fr, pw_fd, pw_b, pw_idle = (np.array([p**k for k in range(n + 1)])
-                                   for p in (p_fr, p_fd, p_b, p_idle))
-    c1 = comb[n, n_fr] * pw_fr[n_fr]
-    c2 = (c1 * comb[n - n_fr, n_fd]) * pw_fd[n_fd]
-    w = (((c2 * comb[n - n_fr - n_fd, n_b]) * pw_b[n_b])
-         * pw_idle[n - n_fr - n_fd - n_b])
-    return np.column_stack([w, n_fr, n_fd, n_b])[w != 0.0]
-
-
 def _binom_rows(comb: np.ndarray, n, p: np.ndarray, width: int) -> np.ndarray:
     """Row c: comb(n_c, k) * p_c**k * (1 - p_c)**(n_c - k), zero past k = n_c."""
     k = np.arange(width)
@@ -174,14 +147,16 @@ def _fsum(terms: np.ndarray) -> float:
 class _ConfigBlock:
     """The traffic-free part of the queue walk over one set of rows.
 
-    Per configuration c: the gathered success probabilities, ``stores[s]``
+    The rows are the configurations' counts ``n_fr``, ``n_fd``, ``n_b``;
+    ``_weights`` weighs them with the binomial table ``comb``. Per
+    configuration c: the gathered success probabilities, ``stores[s]``
     (a BR packet is stored: decoded at the relay, lost at the mmAP, relay
     silent s = 0 or transmitting s = 1), ``p_dep`` (the relay's packet
     reaches the mmAP) and ``v[s][k + 1, c]`` = P(k stored | c); a zero row
     on each side of v serves the k - 1 and k + 1 shifts.
     """
 
-    keys: np.ndarray      # (n_fr * (N + 1) + n_fd) * (N + 1) + n_b, ascending
+    comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N
     n_fr: np.ndarray
     n_fd: np.ndarray
     n_b: np.ndarray
@@ -201,6 +176,11 @@ def _config_block(table: SuccessTable, n: int,
     block = table.blocks.get((n, active))
     if block is not None:
         return block
+    try:  # C(n, n // 2) is the largest coefficient of the table
+        float(math.comb(n, n // 2))
+    except OverflowError:
+        raise ValueError(
+            f"multinomial weights of {n} UEs overflow a float") from None
     n_fr, n_fd, n_b = _rows(n, active)
     # Counts with one UE of the scheme removed; where that count is 0 the
     # gathered value is unused: it enters a binomial of 0 trials or is
@@ -228,11 +208,30 @@ def _config_block(table: SuccessTable, n: int,
             pmf_b = _binom_rows(comb, n_b[s], store[s], n - f + 1).T
             for i in range(f + 1):
                 v_s[i + 1:i + n - f + 2, s] += pmf_f[:, i] * pmf_b
-    block = _ConfigBlock((n_fr * (n + 1) + n_fd) * (n + 1) + n_b,
-                         n_fr, n_fd, n_b, p_f, p_dep, 1.0 - p_dep,
+    block = _ConfigBlock(comb, n_fr, n_fd, n_b, p_f, p_dep, 1.0 - p_dep,
                          at_mmap, stores, ud_fd, v)
     table.blocks[n, active] = block
     return block
+
+
+def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,
+             p_b: float) -> np.ndarray:
+    """The multinomial weight of each of the block's configurations.
+
+    A weight is comb(n, n_fr) * p_fr**n_fr, times comb(n - n_fr, n_fd) *
+    p_fd**n_fd, and so on for n_b and the idle UEs, multiplied left to
+    right; the powers are Python ``**`` (numpy's ``power`` may differ in
+    the last bit), so a weight is the same float as the scalar product. A
+    weight that underflows is 0 and drops out of every sum.
+    """
+    p_idle = max(1.0 - (p_fr + p_fd + p_b), 0.0)
+    pw_fr, pw_fd, pw_b, pw_idle = (np.array([p**k for k in range(n + 1)])
+                                   for p in (p_fr, p_fd, p_b, p_idle))
+    comb, n_fr, n_fd, n_b = blk.comb, blk.n_fr, blk.n_fd, blk.n_b
+    c1 = comb[n, n_fr] * pw_fr[n_fr]
+    c2 = (c1 * comb[n - n_fr, n_fd]) * pw_fd[n_fd]
+    return (((c2 * comb[n - n_fr - n_fd, n_b]) * pw_b[n_b])
+            * pw_idle[n - n_fr - n_fd - n_b])
 
 
 def queue_statistics(cfg: ScenarioConfig,
@@ -262,17 +261,8 @@ def queue_statistics(cfg: ScenarioConfig,
     n = cfg.n_ues
     q_r = cfg.q_r
     probs = _ue_activity_probs(cfg)
-    flat = _iter_configs(n, *probs)
-    if not isinstance(flat, np.ndarray):
-        # perfbench's layer tracer re-yields the rows from a generator
-        flat = np.array(list(flat), dtype=float).reshape(-1, 4)
     blk = _config_block(table, n, _active(*probs))
-    # Rows whose weight is 0 (only by underflow) keep w = 0 and drop out
-    # of every sum.
-    counts = flat[:, 1:].astype(np.intp).T
-    w = np.zeros(blk.keys.size)
-    w[np.searchsorted(blk.keys, (counts[0] * (n + 1) + counts[1]) * (n + 1)
-                      + counts[2])] = flat[:, 0]
+    w = _weights(blk, n, *probs)
     v0, v1 = blk.v
     w_s, w_t = w * (1.0 - q_r), w * q_r
     arrivals = [np.array([_fsum(w * v_s[k + 1]) for k in range(n + 1)])

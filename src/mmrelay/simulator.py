@@ -19,6 +19,11 @@ Two LOS-sampling modes expose the analysis's decoupling convention:
 * ``physical`` - one LOS draw per directed link per slot, shared by all
   receptions, which quantifies the correlation the analysis ignores.
 
+The modes differ only in LOS sampling: each returns the same five
+(signal, interference) pairs per chunk, and both share one set of
+outcome rules (``_outcomes``: the SINR tests, the relay's beam at the
+mmAP and the per-slot tallies).
+
 Random-number streams are split per purpose (transmission choices,
 per-link LOS draws, per-reception draws) so switching modes never
 perturbs the transmission pattern. Identical (cfg, n_slots, seed, mode)
@@ -361,19 +366,27 @@ class _Powers:
             self.los_ur, self.los_ud = los
 
     def ok(self, signal, interference):
-        """Vectorized SINR >= gamma indicator."""
-        return signal / (self.noise + self.alpha * interference) >= self.gamma
+        """Vectorized SINR >= gamma indicator.
+
+        signal / (noise + alpha * interference), in one new array.
+        """
+        den = self.alpha * interference
+        den += self.noise
+        return np.divide(signal, den, out=den) >= self.gamma
 
 
 def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
                  c: int):
-    """Per-slot transmission counts following the per-UE decision tree."""
+    """Per-slot transmission counts following the per-UE decision tree.
+
+    The counts are int32, and so are the per-reception counts gathered
+    from them, which keeps a chunk's live arrays small.
+    """
     n_tx = pw.tx(gen, np.full(c, cfg.n_ues))
     n_f = pw.fd(gen, n_tx)
     n_fr = pw.fr(gen, n_f)
-    n_fd = n_f - n_fr
-    n_b = n_tx - n_f
     coin = gen.random(c) < cfg.q_r
+    n_fr, n_fd, n_b = np.array([n_fr, n_f - n_fr, n_tx - n_f], dtype=np.int32)
     return n_fr, n_fd, n_b, coin
 
 
@@ -389,77 +402,45 @@ def _fresh_reception(gen: np.random.Generator, los: _Binomial, desired,
     """
     if isinstance(desired, tuple):
         desired = np.where(gen.random(kf_n.size) < los.p, *desired)
-    kfl = los(gen, kf_n)
-    kbl = los(gen, kb_n)
-    interf = (kfl * fd[0] + (kf_n - kfl) * fd[1]
-              + kbl * br[0] + (kb_n - kbl) * br[1])
+    # LOS count * LOS power + NLOS count * NLOS power, FD then BR, added
+    # in place and left to right: at most four arrays are live at once.
+    k = los(gen, kf_n)
+    interf = k * fd[0]
+    interf += np.subtract(kf_n, k, out=k) * fd[1]
+    del k
+    k = los(gen, kb_n)
+    interf += k * br[0]
+    interf += np.subtract(kb_n, k, out=k) * br[1]
     return desired, interf
 
 
-def _tally(c: int, slots_fr, slots_fd, slots_b, ok_fr, ok_br_r, sides):
-    """(arr_s, arr_t, dir_s, dir_t) per slot from reception outcomes.
-
-    ``sides`` holds the (FD, BR) decoded-at-the-mmAP masks with the relay
-    silent, then transmitting. The queue stores decoded FD->relay packets
-    and BR packets decoded at the relay and lost at the mmAP; direct
-    deliveries are the FD and BR packets decoded at the mmAP.
-    """
-    arr_fr = np.bincount(slots_fr[ok_fr], minlength=c)
-    arr, direct = [], []
-    for ok_fd, ok_br_d in sides:
-        arr.append(arr_fr + np.bincount(slots_b[ok_br_r & ~ok_br_d], minlength=c))
-        direct.append(np.bincount(slots_fd[ok_fd], minlength=c)
-                      + np.bincount(slots_b[ok_br_d], minlength=c))
-    return arr[0], arr[1], direct[0], direct[1]
-
-
 def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
-                     n_fr, n_fd, n_b, c: int):
-    """Per-slot reduced outcomes with fresh LOS draws per reception."""
-    slots_fr = np.repeat(np.arange(c), n_fr)
-    slots_b = np.repeat(np.arange(c), n_b)
-    slots_fd = np.repeat(np.arange(c), n_fd)
+                     n_fr, n_fd, n_b, slots):
+    """The five receptions of a chunk, fresh LOS draws per reception."""
+    slots_fr, slots_b, slots_fd = slots
     fr, br_r = (pw.fr_l, pw.fr_n), (pw.br_r_l, pw.br_r_n)
     fd, br_d = (pw.fd_l, pw.fd_n), (pw.br_d_l, pw.br_d_n)
-
+    kb_n = n_b[slots_b] - 1
     # FD packets at the relay: interfered by the other FD-to-relay
     # transmissions and every broadcast.
-    ok_fr = pw.ok(*_fresh_reception(gen, pw.los_ur, fr, n_fr[slots_fr] - 1,
-                                    n_b[slots_fr], fr, br_r))
-
-    # BR packets at the relay.
-    kb_n = n_b[slots_b] - 1
-    ok_br_r = pw.ok(*_fresh_reception(gen, pw.los_ur, br_r, n_fr[slots_b],
-                                      kb_n, fr, br_r))
-
-    # The same BR packets at the mmAP, with and without the relay's beam.
-    des, interf = _fresh_reception(gen, pw.los_ud, br_d, n_fd[slots_b], kb_n,
-                                   fd, br_d)
-    ok_br_d_s = pw.ok(des, interf)
-    ok_br_d_t = pw.ok(des, interf + pw.rd_l)
-
-    # FD packets at the mmAP.
-    des, interf = _fresh_reception(gen, pw.los_ud, fd, n_fd[slots_fd] - 1,
-                                   n_b[slots_fd], fd, br_d)
-    ok_fd_s = pw.ok(des, interf)
-    ok_fd_t = pw.ok(des, interf + pw.rd_l)
-
-    # Relay's head-of-queue packet at the mmAP (always in LOS).
-    rd_ok = pw.ok(*_fresh_reception(gen, pw.los_ud, pw.rd_l, n_fd, n_b,
-                                    fd, br_d))
-
-    sides = ((ok_fd_s, ok_br_d_s), (ok_fd_t, ok_br_d_t))
-    return (*_tally(c, slots_fr, slots_fd, slots_b, ok_fr, ok_br_r, sides),
-            rd_ok)
+    fd_r = _fresh_reception(gen, pw.los_ur, fr, n_fr[slots_fr] - 1,
+                            n_b[slots_fr], fr, br_r)
+    br_at_r = _fresh_reception(gen, pw.los_ur, br_r, n_fr[slots_b], kb_n,
+                               fr, br_r)
+    br_at_d = _fresh_reception(gen, pw.los_ud, br_d, n_fd[slots_b], kb_n,
+                               fd, br_d)
+    fd_d = _fresh_reception(gen, pw.los_ud, fd, n_fd[slots_fd] - 1,
+                            n_b[slots_fd], fd, br_d)
+    # The relay's head-of-queue packet (always in LOS).
+    rd = _fresh_reception(gen, pw.los_ud, pw.rd_l, n_fd, n_b, fd, br_d)
+    return fd_r, br_at_r, br_at_d, fd_d, rd
 
 
 def _chunk_physical(gen: np.random.Generator, pw: _Powers,
-                    n_fr, n_fd, n_b, c: int):
-    """Per-slot reduced outcomes with one LOS draw per link per slot."""
-    slots_fr = np.repeat(np.arange(c), n_fr)
-    slots_b = np.repeat(np.arange(c), n_b)
-    slots_fd = np.repeat(np.arange(c), n_fd)
-
+                    n_fr, n_fd, n_b, slots):
+    """The five receptions of a chunk, one LOS draw per link per slot."""
+    slots_fr, slots_b, slots_fd = slots
+    c = n_fr.size
     # Links toward the relay exist for FD-to-relay and BR transmitters.
     p_fr_r = np.where(gen.random(slots_fr.size) < pw.plos_ur, pw.fr_l, pw.fr_n)
     p_b_r = np.where(gen.random(slots_b.size) < pw.plos_ur, pw.br_r_l, pw.br_r_n)
@@ -471,20 +452,38 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers,
                + np.bincount(slots_b, weights=p_b_r, minlength=c))
     total_d = (np.bincount(slots_fd, weights=p_fd_d, minlength=c)
                + np.bincount(slots_b, weights=p_b_d, minlength=c))
+    return ((p_fr_r, total_r[slots_fr] - p_fr_r),
+            (p_b_r, total_r[slots_b] - p_b_r),
+            (p_b_d, total_d[slots_b] - p_b_d),
+            (p_fd_d, total_d[slots_fd] - p_fd_d),
+            (pw.rd_l, total_d))
 
-    ok_fr = pw.ok(p_fr_r, total_r[slots_fr] - p_fr_r)
-    ok_br_r = pw.ok(p_b_r, total_r[slots_b] - p_b_r)
-    i_br_d = total_d[slots_b] - p_b_d
-    ok_br_d_s = pw.ok(p_b_d, i_br_d)
-    ok_br_d_t = pw.ok(p_b_d, i_br_d + pw.rd_l)
-    i_fd_d = total_d[slots_fd] - p_fd_d
-    ok_fd_s = pw.ok(p_fd_d, i_fd_d)
-    ok_fd_t = pw.ok(p_fd_d, i_fd_d + pw.rd_l)
-    rd_ok = pw.ok(pw.rd_l, total_d)
 
-    sides = ((ok_fd_s, ok_br_d_s), (ok_fd_t, ok_br_d_t))
-    return (*_tally(c, slots_fr, slots_fd, slots_b, ok_fr, ok_br_r, sides),
-            rd_ok)
+def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
+    """(arr_s, arr_t, dir_s, dir_t, rd_ok) per slot from the receptions.
+
+    Each reception is a (signal, interference) pair, in the order of the
+    chunk functions: FD and BR at the relay, BR and FD at the mmAP, then
+    the relay at the mmAP. With the relay transmitting (suffix t) its beam
+    adds ``rd_l`` to the BR and FD interference at the mmAP. The queue
+    stores decoded FD->relay packets and BR packets decoded at the relay
+    and lost at the mmAP; direct deliveries are the FD and BR packets
+    decoded at the mmAP.
+    """
+    slots_fr, slots_b, slots_fd = slots
+    arr_fr = np.bincount(slots_fr[pw.ok(*fd_r)], minlength=c)
+    ok_br_r = pw.ok(*br_at_r)
+    (s_bd, i_bd), (s_fd, i_fd) = br_at_d, fd_d
+    arr, direct = [], []
+    for relay_on in (False, True):
+        if relay_on:  # in place: the chunk functions return fresh arrays
+            i_bd += pw.rd_l
+            i_fd += pw.rd_l
+        ok_br_d = pw.ok(s_bd, i_bd)
+        arr.append(arr_fr + np.bincount(slots_b[ok_br_r & ~ok_br_d], minlength=c))
+        direct.append(np.bincount(slots_fd[pw.ok(s_fd, i_fd)], minlength=c)
+                      + np.bincount(slots_b[ok_br_d], minlength=c))
+    return arr[0], arr[1], direct[0], direct[1], pw.ok(*rd)
 
 
 def run(cfg: ScenarioConfig, n_slots: int, seed: int,
@@ -498,11 +497,12 @@ def run(cfg: ScenarioConfig, n_slots: int, seed: int,
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     pw = _Powers(cfg, mode)
-    ss = np.random.SeedSequence(seed)
-    child = ss.spawn(3)
+    child = np.random.SeedSequence(seed).spawn(3)
     gen_choices = np.random.Generator(np.random.PCG64(child[0]))
-    gen_physical = np.random.Generator(np.random.PCG64(child[1]))
-    gen_reception = np.random.Generator(np.random.PCG64(child[2]))
+    # physical mode draws from the second stream, decoupled from the third
+    chunk, stream = ((_chunk_decoupled, child[2]) if mode == "decoupled"
+                     else (_chunk_physical, child[1]))
+    gen = np.random.Generator(np.random.PCG64(stream))
 
     warm = min(n_slots // 10, _WARMUP_CAP)
     measured = n_slots - warm
@@ -518,12 +518,10 @@ def run(cfg: ScenarioConfig, n_slots: int, seed: int,
     while t0 < n_slots:
         c = min(_CHUNK, n_slots - t0)
         n_fr, n_fd, n_b, coin = _draw_counts(gen_choices, cfg, pw, c)
-        if mode == "decoupled":
-            arr_s, arr_t, dir_s, dir_t, rd_ok = _chunk_decoupled(
-                gen_reception, pw, n_fr, n_fd, n_b, c)
-        else:
-            arr_s, arr_t, dir_s, dir_t, rd_ok = _chunk_physical(
-                gen_physical, pw, n_fr, n_fd, n_b, c)
+        idx = np.arange(c, dtype=np.int32)
+        slots = (np.repeat(idx, n_fr), np.repeat(idx, n_b), np.repeat(idx, n_fd))
+        arr_s, arr_t, dir_s, dir_t, rd_ok = _outcomes(
+            pw, c, slots, *chunk(gen, pw, n_fr, n_fd, n_b, slots))
         q = _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
                         warm, blen, nb, early_end, late_start, bat, qacc)
         t0 += c
@@ -591,6 +589,14 @@ class ComparisonResult:
         return all(r.passed for r in self.rows if r.passed is not None)
 
 
+def _z(diff: float, se: float) -> float:
+    """z-score of an empirical-minus-analytic ``diff``; without a positive
+    standard error it is 0.0 within 1e-9 and inf beyond."""
+    if not math.isnan(se) and se > 0.0:
+        return diff / se
+    return 0.0 if abs(diff) <= 1e-9 else math.inf
+
+
 def compare(report: ThroughputReport, stats: SimStats,
             z_limit: float = 3.0) -> ComparisonResult:
     """Analytic-vs-empirical z-score table for one scenario point."""
@@ -613,11 +619,7 @@ def compare(report: ThroughputReport, stats: SimStats,
             rows.append(MetricComparison(name, ana, emp, se, math.nan, None,
                                          "no samples (queue never nonempty)"))
             continue
-        diff = emp - ana
-        if not math.isnan(se) and se > 0.0:
-            z = diff / se
-        else:
-            z = 0.0 if abs(diff) <= 1e-9 else math.inf
+        z = _z(emp - ana, se)
         rows.append(MetricComparison(name, ana, emp, se, z,
                                      abs(z) <= z_limit))
     note = ""

@@ -43,6 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import simulator
 from .geometry import ScenarioConfig
 from .success import SuccessTable
 from .throughput import aggregate_throughput
@@ -207,9 +208,10 @@ def load_config(path: str) -> SweepSpec:
                         raise ConfigError(f"line {lineno}: {key} must be "
                                           f">= {low}, got {sim[key]}")
                 elif key == "mode":
-                    if value not in ("decoupled", "physical"):
-                        raise ConfigError(f"line {lineno}: mode must be "
-                                          "'decoupled' or 'physical'")
+                    if value not in simulator.MODES:
+                        raise ConfigError(
+                            f"line {lineno}: mode must be "
+                            + " or ".join(map(repr, simulator.MODES)))
                     sim["mode"] = value
                 else:
                     raise ConfigError(f"line {lineno}: unknown key {key!r} "
@@ -263,17 +265,12 @@ def _run_point(spec: SweepSpec, index: int, overrides: dict,
             cfg = spec.base.replace(**overrides)
         row.update(evaluate_point(cfg, table))
         if spec.simulate:
-            from .simulator import run as sim_run
-            stats = sim_run(cfg, spec.n_slots, _point_seed(spec.seed, index),
-                            spec.mode)
+            stats = simulator.run(cfg, spec.n_slots,
+                                  _point_seed(spec.seed, index), spec.mode)
             row["t_sim"] = stats.t_sim
             row["t_sim_se"] = stats.t_sim_se
-            se = stats.t_sim_se
-            diff = stats.t_sim - row["t_total"]
-            if not math.isnan(se) and se > 0.0:
-                row["t_sim_z"] = diff / se
-            else:
-                row["t_sim_z"] = 0.0 if abs(diff) <= 1e-9 else math.inf
+            row["t_sim_z"] = simulator._z(stats.t_sim - row["t_total"],
+                                          stats.t_sim_se)
     except ValueError as exc:
         row["error"] = str(exc)
     except Exception as exc:  # any model fault stays in its own row
@@ -334,7 +331,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
         groups.setdefault(key, []).append((index, overrides, cfg))
     tasks = [(spec, points) for points in _tasks(list(groups.values()), jobs)]
     if len(tasks) > 1 and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             done = list(pool.map(_run_task, tasks))
     else:
         done = [_run_task(task) for task in tasks]

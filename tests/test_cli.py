@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from mmrelay import ConfigError, SuccessTable, load_config, run_sweep
+from mmrelay import sweeps
 from mmrelay.sweeps import _tasks, evaluate_point, sweep_columns, write_csv
 from conftest import RECIPES
 
@@ -83,6 +84,13 @@ class TestLoadConfig:
     def test_simulation_counts_out_of_range(self, tmp_path, line, message):
         text = f"[simulation]\nsimulate = true\n{line}\n"
         with pytest.raises(ConfigError, match=f"line 3: {message}"):
+            load_config(_write(tmp_path, text))
+
+    def test_unknown_mode_names_both_modes(self, tmp_path):
+        text = "[simulation]\nmode = bogus\n"
+        with pytest.raises(ConfigError,
+                           match="line 2: mode must be 'decoupled' or "
+                                 "'physical'"):
             load_config(_write(tmp_path, text))
 
     def test_forty_five_point_plan(self, tmp_path):
@@ -201,6 +209,32 @@ class TestSweepReuse:
                                               str(exc.value)]
         assert "link budget out of float range" in rows[2]["error"]
         assert all("t_total" in r for r in rows[:2])
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch,
+                                                 tmp_path):
+        # Three radio configurations of one point each make three tasks, so
+        # jobs=8 forks three workers. The fake pool maps in-process and
+        # starts no process.
+        workers = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        spec = load_config(_write(tmp_path, "[sweep]\nalpha = 0.1, 0.2, 0.3\n"))
+        serial = run_sweep(spec)
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+        assert run_sweep(spec, jobs=8) == serial
+        assert workers == [3]
 
     def test_groups_split_only_below_the_job_count(self):
         groups = [[1, 2, 3], [4, 5]]

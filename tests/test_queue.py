@@ -20,8 +20,11 @@ from oracles import arrival_pmf_bruteforce, two_ue_closed_forms
 
 def _configs(cfg):
     """(weight, n_fr, n_fd, n_b) of every nonzero configuration of cfg's UEs."""
-    return list(queue_model._iter_configs(
-        cfg.n_ues, *queue_model._ue_activity_probs(cfg)))
+    probs = queue_model._ue_activity_probs(cfg)
+    blk = queue_model._config_block(SuccessTable(cfg), cfg.n_ues,
+                                    queue_model._active(*probs))
+    w = queue_model._weights(blk, cfg.n_ues, *probs)
+    return list(np.column_stack([w, blk.n_fr, blk.n_fd, blk.n_b])[w != 0.0])
 
 
 def _arrivals(cfg, table, relay_tx):
@@ -287,13 +290,13 @@ class TestLoynesBoundary:
     @pytest.mark.parametrize("q_r, regime", [(1.0, "stable"), (0.3, "unstable")])
     def test_aggregate_walks_simplex_once(self, monkeypatch, q_r, regime):
         calls = []
-        walk = queue_model._iter_configs
+        walk = queue_model._weights
 
         def counted(*args):
             calls.append(args)
             return walk(*args)
 
-        monkeypatch.setattr(queue_model, "_iter_configs", counted)
+        monkeypatch.setattr(queue_model, "_weights", counted)
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
         assert aggregate_throughput(cfg).regime == regime
         assert len(calls) == 1
@@ -329,16 +332,32 @@ class TestSuccessArrayUse:
         queue_statistics(cfg.replace(n_ues=4), table)
         assert len(table.blocks) == 3
 
+    def test_warm_point_enumerates_nothing(self, monkeypatch):
+        # A second traffic point on a warm block weighs the block's own
+        # rows; it never enumerates the configurations again.
+        cfg = ScenarioConfig(n_ues=6, q_u=0.3)
+        table = SuccessTable(cfg)
+        queue_statistics(cfg, table)
+        calls = []
+        rows = queue_model._rows
+
+        def counted(*args):
+            calls.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(queue_model, "_rows", counted)
+        queue_statistics(cfg.replace(q_u=0.8, q_r=0.4), table)
+        assert calls == []
+
     def test_table_of_another_radio_configuration_rejected(self):
         cfg = ScenarioConfig(n_ues=3)
         with pytest.raises(ValueError, match="radio configuration"):
             queue_statistics(cfg, SuccessTable(cfg.replace(alpha=0.2)))
 
     def test_weight_overflow_names_the_count(self):
-        # Zero activity probabilities skip almost every configuration, so
-        # the walk reaches C(1030, 515) after a few hundred cheap steps.
+        # The block checks C(1030, 515) before it gathers anything.
         with pytest.raises(ValueError, match="1030"):
-            list(queue_model._iter_configs(1030, 0.0, 0.0, 0.0))
+            queue_statistics(ScenarioConfig(n_ues=1030, q_u=0.0))
 
 
 class TestWalkMemory:

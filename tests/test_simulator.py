@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,3 +349,22 @@ class TestReceptionEndToEnd:
             ScenarioConfig(n_ues=6, d_ur_m=15.0), "decoupled").plos_ur == 1.0
         assert simulator._Powers(
             ScenarioConfig(n_ues=70, q_u=0.5), "decoupled").tx.native
+
+
+# Recorded once from the simulator as it stood before the two LOS modes
+# shared one reception-outcome path. The draw order is part of the
+# contract, so this file is never re-recorded to make a change pass: a
+# mismatch means the change altered the random streams or the outcome
+# rules.
+_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_simstats.json").read_text())
+
+
+class TestGoldenStats:
+    @pytest.mark.parametrize("case", _GOLDEN, ids=[
+        f"{'light' if g['point']['n_ues'] == 5 else 'heavy'}-{g['mode']}"
+        for g in _GOLDEN])
+    def test_fixed_seed_stats_unchanged(self, case):
+        stats = run(ScenarioConfig(**case["point"]), case["n_slots"],
+                    case["seed"], case["mode"])
+        assert _bits(stats) == case["stats"]
