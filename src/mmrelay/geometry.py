@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -21,6 +22,12 @@ SPEED_OF_LIGHT = 3.0e8  # m/s, as used by TR 38.901 breakpoint formula
 
 # Effective environment height for UMi breakpoint distance (Table 7.4.1-1 note 1)
 _H_ENV = 1.0
+
+# Bit pattern of +inf: the nonnegative float64 values, +inf included, are
+# the patterns 0 .. _INF_BITS, in the same order as the values.
+_INF_BITS = 0x7FF0000000000000
+# Half-width, in float64 steps, of the seeded bracket of a decode threshold.
+_SEED_ULPS = 64
 
 # TR 38.901 formulas are calibrated down to 10 m; we evaluate below that but
 # refuse distances under this hard floor.
@@ -246,8 +253,16 @@ def received_power_w(link: Link, state: LinkState, tx_gain: float, rx_gain: floa
     return p_t_w * tx_gain * rx_gain * 10.0 ** (-pl / 10.0)
 
 
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _float_to_bits(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
 class LinkBudget:
-    """Precomputed per-link received powers and radio constants.
+    """Precomputed per-link received powers, radio constants and decode rule.
 
     Links are 'ur' (UE->relay), 'ud' (UE->mmAP) and 'rd' (relay->mmAP);
     schemes are 'fd' (narrow beam to one receiver) and 'br' (wide beam
@@ -255,6 +270,14 @@ class LinkBudget:
     The relay sits at mmAP height, which keeps its link to the mmAP
     unobstructed (p_los = 1). Receivers form one narrow beam per decoded
     stream, so every reception uses the FD beamwidth on the receive side.
+
+    The budget owns the decode rule. A reception with signal power s and
+    interference I (watts at the receiver, before leakage) decodes when
+    s / (noise_w + alpha * I) >= gamma_linear in float64. Each rounding
+    step of that test is monotone in I, so for I >= 0 it holds exactly
+    when I <= ``threshold(link, scheme, state)``: the largest float (+inf
+    included) that passes for that signal, or -1.0 when even I = 0 fails.
+    Both the success tables and the simulator decide by that comparison.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -296,10 +319,53 @@ class LinkBudget:
         if self.noise_w == 0.0:
             raise ValueError(f"noise floor underflows to 0 W at "
                              f"p_n_dbm={cfg.p_n_dbm!r}")
+        self._threshold = {key: self._decode_threshold(s)
+                           for key, s in self._power.items()}
+
+    def _decodes(self, signal: float, interference: float) -> bool:
+        return signal / (self.noise_w + self.alpha * interference) \
+            >= self.gamma_linear
+
+    def _decode_threshold(self, signal: float) -> float:
+        """Largest I >= 0 at which ``signal`` decodes; -1.0 for none.
+
+        Bisection over the bit patterns of 0.0 .. +inf, at most 63 halvings.
+        The real-number threshold (s / gamma - noise) / alpha seeds a bracket
+        of 2 * _SEED_ULPS patterns, used only when the test confirms it; the
+        seed can sit far off (cancellation in s / gamma - noise) or
+        overflow, and then the bisection spans the whole range.
+        """
+        if not self._decodes(signal, 0.0):
+            return -1.0
+        if self.alpha == 0.0:
+            # Interference cannot matter. (At I = +inf the test itself
+            # fails, 0 * inf being NaN, but no sum of powers is infinite.)
+            return math.inf
+        lo, hi = 0, _INF_BITS + 1   # lo decodes; hi is past +inf
+        if self.gamma_linear > 0.0:
+            seed = (signal / self.gamma_linear - self.noise_w) / self.alpha
+            if 0.0 <= seed < math.inf:
+                bits = _float_to_bits(seed)
+                a = max(bits - _SEED_ULPS, 0)
+                z = min(bits + _SEED_ULPS, _INF_BITS)
+                if (self._decodes(signal, _bits_to_float(a))
+                        and not self._decodes(signal, _bits_to_float(z))):
+                    lo, hi = a, z
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._decodes(signal, _bits_to_float(mid)):
+                lo = mid
+            else:
+                hi = mid
+        return _bits_to_float(lo)
 
     def power(self, link: str, scheme: str, state: LinkState) -> float:
         """Received watts for a transmission of `scheme` on `link` in `state`."""
         return self._power[link, scheme, state]
+
+    def threshold(self, link: str, scheme: str, state: LinkState) -> float:
+        """Largest interference at which that transmission decodes (above)."""
+        return self._threshold[link, scheme, state]
 
     def p_los(self, link: str) -> float:
         return self.links[link].p_los

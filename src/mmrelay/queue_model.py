@@ -18,7 +18,8 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   and the idle probability are zero; that decides which configurations
   can carry weight). It holds those configurations (the only copy of
   them), the binomial coefficients, every success probability gathered from
-  the 2-D arrays of ``SuccessTable.grid`` by fancy indexing, the stored
+  the 2-D arrays of ``SuccessTable.grid`` by fancy indexing (two table
+  builds, one per receiver, fill all seven), the stored
   and departure probabilities, and, built with numpy one n_fr slab at a
   time, each configuration's binomial pmfs of stored FD->relay and BR
   packets and their convolution, relay silent and transmitting. The

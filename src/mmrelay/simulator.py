@@ -20,9 +20,12 @@ Two LOS-sampling modes expose the analysis's decoupling convention:
   receptions, which quantifies the correlation the analysis ignores.
 
 The modes differ only in LOS sampling: each returns the same five
-(signal, interference) pairs per chunk, and both share one set of
-outcome rules (``_outcomes``: the SINR tests, the relay's beam at the
-mmAP and the per-slot tallies).
+(desired LOS state, interference) pairs per chunk, and both share one set
+of outcome rules (``_outcomes``: the decode tests, the relay's beam at
+the mmAP and the per-slot tallies). The simulator adds up each reception's
+interference itself, from the received powers, and decides it by the
+link budget's decode rule: interference at most the signal's
+``LinkBudget.threshold``, which is SINR >= gamma in float64.
 
 Random-number streams are split per purpose (transmission choices,
 per-link LOS draws, per-reception draws) so switching modes never
@@ -332,31 +335,20 @@ class _Binomial:
 
 
 class _Powers:
-    """Per-run constants: received powers and binomial samplers.
+    """Per-run constants: the link budget and the binomial samplers.
 
-    The scalar powers feed the per-slot SINR checks. The samplers, each
-    covering n <= N, draw the transmission counts (``tx``, ``fd``, ``fr``
-    for q_u, q_uf, q_ur) and, in decoupled mode only, the LOS interferer
-    counts (``los_ur``, ``los_ud``). Equal probabilities share one table,
-    so a run builds at most five.
+    The budget gives the received powers, which the simulator adds up into
+    interference itself, and the decode thresholds that judge each
+    reception. The samplers, each covering n <= N, draw the transmission
+    counts (``tx``, ``fd``, ``fr`` for q_u, q_uf, q_ur) and, in decoupled
+    mode only, the LOS interferer counts (``los_ur``, ``los_ud``). Equal
+    probabilities share one table, so a run builds at most five.
     """
 
     def __init__(self, cfg: ScenarioConfig, mode: str):
-        b = LinkBudget(cfg)
+        self.budget = b = LinkBudget(cfg)
         self.plos_ur = b.p_los("ur")
         self.plos_ud = b.p_los("ud")
-        self.fr_l = b.power("ur", "fd", LinkState.LOS)
-        self.fr_n = b.power("ur", "fd", LinkState.NLOS)
-        self.br_r_l = b.power("ur", "br", LinkState.LOS)
-        self.br_r_n = b.power("ur", "br", LinkState.NLOS)
-        self.fd_l = b.power("ud", "fd", LinkState.LOS)
-        self.fd_n = b.power("ud", "fd", LinkState.NLOS)
-        self.br_d_l = b.power("ud", "br", LinkState.LOS)
-        self.br_d_n = b.power("ud", "br", LinkState.NLOS)
-        self.rd_l = b.power("rd", "fd", LinkState.LOS)
-        self.noise = b.noise_w
-        self.alpha = b.alpha
-        self.gamma = b.gamma_linear
         probs = (cfg.q_u, cfg.q_uf, cfg.q_ur)
         if mode == "decoupled":
             probs += (self.plos_ur, self.plos_ud)
@@ -365,14 +357,15 @@ class _Powers:
         if los:
             self.los_ur, self.los_ud = los
 
-    def ok(self, signal, interference):
-        """Vectorized SINR >= gamma indicator.
+    def powers(self, link: str, scheme: str) -> tuple[float, float]:
+        """(LOS, NLOS) received watts of ``scheme`` on ``link``."""
+        return (self.budget.power(link, scheme, LinkState.LOS),
+                self.budget.power(link, scheme, LinkState.NLOS))
 
-        signal / (noise + alpha * interference), in one new array.
-        """
-        den = self.alpha * interference
-        den += self.noise
-        return np.divide(signal, den, out=den) >= self.gamma
+    def thresholds(self, link: str, scheme: str) -> tuple[float, float]:
+        """(LOS, NLOS) decode thresholds of ``scheme`` on ``link``."""
+        return (self.budget.threshold(link, scheme, LinkState.LOS),
+                self.budget.threshold(link, scheme, LinkState.NLOS))
 
 
 def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
@@ -390,18 +383,18 @@ def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
     return n_fr, n_fd, n_b, coin
 
 
-def _fresh_reception(gen: np.random.Generator, los: _Binomial, desired,
-                     kf_n, kb_n, fd: tuple[float, float],
-                     br: tuple[float, float]):
-    """(signal, interference) of receptions with fresh LOS draws.
+def _fresh_reception(gen: np.random.Generator, los: _Binomial, kf_n, kb_n,
+                     fd: tuple[float, float], br: tuple[float, float],
+                     draw_desired: bool = True):
+    """(desired LOS state, interference) of receptions with fresh LOS draws.
 
-    ``los`` samples LOS counts at the link's p_los. ``desired``, ``fd`` and
-    ``br`` are (LOS, NLOS) power pairs; a scalar ``desired`` is an
-    always-LOS link and draws nothing. Draw order: desired state, then the
-    ``kf_n`` FD interferers, then the ``kb_n`` BR ones.
+    ``los`` samples LOS counts at the link's p_los; ``fd`` and ``br`` are
+    the interferers' (LOS, NLOS) powers. Without ``draw_desired`` the
+    desired link is always in LOS (the relay's) and draws nothing. Draw
+    order: desired state, then the ``kf_n`` FD interferers, then the
+    ``kb_n`` BR ones.
     """
-    if isinstance(desired, tuple):
-        desired = np.where(gen.random(kf_n.size) < los.p, *desired)
+    desired = gen.random(kf_n.size) < los.p if draw_desired else True
     # LOS count * LOS power + NLOS count * NLOS power, FD then BR, added
     # in place and left to right: at most four arrays are live at once.
     k = los(gen, kf_n)
@@ -418,21 +411,20 @@ def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
                      n_fr, n_fd, n_b, slots):
     """The five receptions of a chunk, fresh LOS draws per reception."""
     slots_fr, slots_b, slots_fd = slots
-    fr, br_r = (pw.fr_l, pw.fr_n), (pw.br_r_l, pw.br_r_n)
-    fd, br_d = (pw.fd_l, pw.fd_n), (pw.br_d_l, pw.br_d_n)
+    fr, br_r = pw.powers("ur", "fd"), pw.powers("ur", "br")
+    fd, br_d = pw.powers("ud", "fd"), pw.powers("ud", "br")
     kb_n = n_b[slots_b] - 1
     # FD packets at the relay: interfered by the other FD-to-relay
     # transmissions and every broadcast.
-    fd_r = _fresh_reception(gen, pw.los_ur, fr, n_fr[slots_fr] - 1,
+    fd_r = _fresh_reception(gen, pw.los_ur, n_fr[slots_fr] - 1,
                             n_b[slots_fr], fr, br_r)
-    br_at_r = _fresh_reception(gen, pw.los_ur, br_r, n_fr[slots_b], kb_n,
-                               fr, br_r)
-    br_at_d = _fresh_reception(gen, pw.los_ud, br_d, n_fd[slots_b], kb_n,
-                               fd, br_d)
-    fd_d = _fresh_reception(gen, pw.los_ud, fd, n_fd[slots_fd] - 1,
+    br_at_r = _fresh_reception(gen, pw.los_ur, n_fr[slots_b], kb_n, fr, br_r)
+    br_at_d = _fresh_reception(gen, pw.los_ud, n_fd[slots_b], kb_n, fd, br_d)
+    fd_d = _fresh_reception(gen, pw.los_ud, n_fd[slots_fd] - 1,
                             n_b[slots_fd], fd, br_d)
     # The relay's head-of-queue packet (always in LOS).
-    rd = _fresh_reception(gen, pw.los_ud, pw.rd_l, n_fd, n_b, fd, br_d)
+    rd = _fresh_reception(gen, pw.los_ud, n_fd, n_b, fd, br_d,
+                          draw_desired=False)
     return fd_r, br_at_r, br_at_d, fd_d, rd
 
 
@@ -442,48 +434,70 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers,
     slots_fr, slots_b, slots_fd = slots
     c = n_fr.size
     # Links toward the relay exist for FD-to-relay and BR transmitters.
-    p_fr_r = np.where(gen.random(slots_fr.size) < pw.plos_ur, pw.fr_l, pw.fr_n)
-    p_b_r = np.where(gen.random(slots_b.size) < pw.plos_ur, pw.br_r_l, pw.br_r_n)
+    los_fr_r = gen.random(slots_fr.size) < pw.plos_ur
+    p_fr_r = np.where(los_fr_r, *pw.powers("ur", "fd"))
+    los_b_r = gen.random(slots_b.size) < pw.plos_ur
+    p_b_r = np.where(los_b_r, *pw.powers("ur", "br"))
     # Links toward the mmAP exist for FD-to-mmAP and BR transmitters.
-    p_fd_d = np.where(gen.random(slots_fd.size) < pw.plos_ud, pw.fd_l, pw.fd_n)
-    p_b_d = np.where(gen.random(slots_b.size) < pw.plos_ud, pw.br_d_l, pw.br_d_n)
+    los_fd_d = gen.random(slots_fd.size) < pw.plos_ud
+    p_fd_d = np.where(los_fd_d, *pw.powers("ud", "fd"))
+    los_b_d = gen.random(slots_b.size) < pw.plos_ud
+    p_b_d = np.where(los_b_d, *pw.powers("ud", "br"))
 
     total_r = (np.bincount(slots_fr, weights=p_fr_r, minlength=c)
                + np.bincount(slots_b, weights=p_b_r, minlength=c))
     total_d = (np.bincount(slots_fd, weights=p_fd_d, minlength=c)
                + np.bincount(slots_b, weights=p_b_d, minlength=c))
-    return ((p_fr_r, total_r[slots_fr] - p_fr_r),
-            (p_b_r, total_r[slots_b] - p_b_r),
-            (p_b_d, total_d[slots_b] - p_b_d),
-            (p_fd_d, total_d[slots_fd] - p_fd_d),
-            (pw.rd_l, total_d))
+    return ((los_fr_r, total_r[slots_fr] - p_fr_r),
+            (los_b_r, total_r[slots_b] - p_b_r),
+            (los_b_d, total_d[slots_b] - p_b_d),
+            (los_fd_d, total_d[slots_fd] - p_fd_d),
+            (True, total_d))
 
 
 def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
     """(arr_s, arr_t, dir_s, dir_t, rd_ok) per slot from the receptions.
 
-    Each reception is a (signal, interference) pair, in the order of the
-    chunk functions: FD and BR at the relay, BR and FD at the mmAP, then
-    the relay at the mmAP. With the relay transmitting (suffix t) its beam
-    adds ``rd_l`` to the BR and FD interference at the mmAP. The queue
-    stores decoded FD->relay packets and BR packets decoded at the relay
-    and lost at the mmAP; direct deliveries are the FD and BR packets
-    decoded at the mmAP.
+    Each reception is a (desired LOS state, interference) pair, in the
+    order of the chunk functions: FD and BR at the relay, BR and FD at the
+    mmAP, then the relay at the mmAP. With the relay transmitting (suffix
+    t) its beam adds its LOS power to the BR and FD interference at the
+    mmAP. The queue stores decoded FD->relay packets and BR packets decoded
+    at the relay and lost at the mmAP; direct deliveries are the FD and BR
+    packets decoded at the mmAP.
     """
     slots_fr, slots_b, slots_fd = slots
-    arr_fr = np.bincount(slots_fr[pw.ok(*fd_r)], minlength=c)
-    ok_br_r = pw.ok(*br_at_r)
-    (s_bd, i_bd), (s_fd, i_fd) = br_at_d, fd_d
+    thr = pw.thresholds
+    arr_fr = np.bincount(slots_fr[_decoded(*fd_r, thr("ur", "fd"))],
+                         minlength=c)
+    ok_br_r = _decoded(*br_at_r, thr("ur", "br"))
+    (los_bd, i_bd), (los_fd, i_fd) = br_at_d, fd_d
+    p_relay = pw.powers("rd", "fd")[0]
     arr, direct = [], []
     for relay_on in (False, True):
         if relay_on:  # in place: the chunk functions return fresh arrays
-            i_bd += pw.rd_l
-            i_fd += pw.rd_l
-        ok_br_d = pw.ok(s_bd, i_bd)
+            i_bd += p_relay
+            i_fd += p_relay
+        ok_br_d = _decoded(los_bd, i_bd, thr("ud", "br"))
+        ok_fd_d = _decoded(los_fd, i_fd, thr("ud", "fd"))
         arr.append(arr_fr + np.bincount(slots_b[ok_br_r & ~ok_br_d], minlength=c))
-        direct.append(np.bincount(slots_fd[pw.ok(s_fd, i_fd)], minlength=c)
+        direct.append(np.bincount(slots_fd[ok_fd_d], minlength=c)
                       + np.bincount(slots_b[ok_br_d], minlength=c))
-    return arr[0], arr[1], direct[0], direct[1], pw.ok(*rd)
+    return arr[0], arr[1], direct[0], direct[1], _decoded(*rd, thr("rd", "fd"))
+
+
+def _decoded(los, interference, thresholds: tuple[float, float]):
+    """Decode indicator of receptions: interference at most the threshold.
+
+    ``thresholds`` are the signal's (LOS, NLOS) ``LinkBudget.threshold``;
+    ``los`` picks one per reception (True: all in LOS). Bitwise, since
+    ``np.where`` over a random mask is several times slower.
+    """
+    ok = interference <= thresholds[0]
+    if los is not True:
+        ok &= los
+        ok |= (interference <= thresholds[1]) & ~los
+    return ok
 
 
 def run(cfg: ScenarioConfig, n_slots: int, seed: int,

@@ -9,12 +9,19 @@ over the desired link's own state yields the unconditional success
 probability for a given interferer profile.
 
 ``SuccessTable`` holds one array per (link, scheme, relay flag): S[n_f][n_b]
-for every n_f + n_b up to a size of at least N, built once on first use.
-The indicator is evaluated with numpy over one n_f slab of partitions
-(k_f_los, k_f_nlos, k_b_los, k_b_nlos) at a time, with the float
-operations of ``sinr_linear`` in the same order, and every cell is one
-exactly rounded ``math.fsum`` of its weighted indicator terms. A cell is
-therefore the same number however the table was sized or filled.
+for every n_f + n_b up to a size of at least N, built on first use. The
+seven arrays have two receivers, and one build fills every array of a
+receiver: the relay's ``ur`` fd/br, or the mmAP's ``ud`` fd/br with the
+relay silent and transmitting plus ``rd`` fd. The build goes over one n_f
+slab of partitions (k_f_los, k_f_nlos, k_b_los, k_b_nlos) at a time and
+forms each partition's interference once per slab, plus one copy with the
+relay's beam added at the mmAP. A partition decodes when its interference
+is at most ``LinkBudget.threshold`` of the signal, which equals the
+division test SINR >= gamma in float64. The terms are laid out cell by
+cell, the nonzero ones taken out with one ``tolist`` per slab, and every
+cell is one exactly rounded ``math.fsum`` of its slice; dropping zero
+terms cannot change a sum of nonnegative terms. A cell is therefore the
+same number however the table was sized or filled.
 
 Interference accounting: an FD transmission aimed at the other receiver
 contributes nothing; a BR transmission interferes at both receivers; the
@@ -41,15 +48,24 @@ def _binom_pmf(n: int, p: float) -> list[float]:
             f"binomial weights of {n} trials overflow a float") from None
 
 
+# The keys each receiver's build fills: (link, scheme, relay transmitting).
+_KEYS = {
+    Role.RELAY: (("ur", "fd", False), ("ur", "br", False)),
+    Role.MMAP: (("ud", "fd", False), ("ud", "fd", True), ("ud", "br", False),
+                ("ud", "br", True), ("rd", "fd", False)),
+}
+
+
 class SuccessTable:
     """Success probabilities of one configuration, one array per key.
 
     ``grid(link, scheme, relay, n)`` returns the 2-D float64 array
     S[n_f, n_b], defined for n_f + n_b <= m with m = max(N, n) and zero
-    elsewhere, building it on first use; a later request beyond m rebuilds
-    that key at the larger size. Values are pure functions of the
-    configuration, so concurrent readers that race on a missing key build
-    identical arrays and need no lock.
+    elsewhere, building it on first use together with every other key of
+    its receiver; a later request beyond m rebuilds that receiver at the
+    larger size. Values are pure functions of the configuration, so
+    concurrent readers that race on a missing key build identical arrays
+    and need no lock.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -60,77 +76,69 @@ class SuccessTable:
         # activity probabilities are nonzero)
         self.blocks: dict = {}
 
-    def sinr_linear(self, link: str, desired_state: LinkState, scheme: str,
-                    k_f_los: int, k_f_nlos: int, k_b_los: int, k_b_nlos: int,
-                    relay_interfering: bool = False) -> float:
-        """SINR for one reception given a fixed LOS partition of interferers."""
-        b = self.budget
-        self._check_relay(link, relay_interfering)
-        signal = b.power(link, scheme, desired_state)
-        ilink = b.interferer_link(link)
-        interference = (k_f_los * b.power(ilink, "fd", LinkState.LOS)
-                        + k_f_nlos * b.power(ilink, "fd", LinkState.NLOS)
-                        + k_b_los * b.power(ilink, "br", LinkState.LOS)
-                        + k_b_nlos * b.power(ilink, "br", LinkState.NLOS))
-        if relay_interfering:
-            interference += b.power("rd", "fd", LinkState.LOS)
-        return signal / (b.noise_w + b.alpha * interference)
+    def _build(self, receiver: Role,
+               m: int) -> dict[tuple[str, str, bool], np.ndarray]:
+        """S[n_f, n_b] of every key of ``receiver``, n_f + n_b <= m.
 
-    def _check_relay(self, link: str, relay_interfering: bool) -> None:
-        if relay_interfering and self.budget.receiver(link) is not Role.MMAP:
-            raise ValueError("the relay can interfere only at the mmAP")
-        if relay_interfering and link == "rd":
-            raise ValueError("the relay does not interfere with its own packet")
-
-    def _build(self, link: str, scheme: str, relay: bool,
-               m: int) -> np.ndarray:
-        """S[n_f, n_b] for n_f + n_b <= m, one n_f slab at a time.
-
-        Each cell sums (w_state * w_f[k]) * w_b[h] over the partitions
-        whose SINR clears gamma, the SINR formed as in ``sinr_linear``.
+        One pass over the n_f slabs. A cell sums (w_state * w_f[k]) * w_b[h]
+        over the partitions whose interference is at most the budget's
+        decode threshold for the cell's signal.
         """
-        self._check_relay(link, relay)
         b = self.budget
-        ilink = b.interferer_link(link)
-        p_des = b.p_los(link)
+        keys = _KEYS[receiver]
+        ilink = "ur" if receiver is Role.RELAY else "ud"
         # Largest count first: an overflow is reported before any work.
         pmf = [_binom_pmf(n, b.p_los(ilink)) for n in range(m, -1, -1)][::-1]
-        states = [(b.power(link, scheme, state), w_state)
-                  for state, w_state in ((LinkState.LOS, p_des),
-                                         (LinkState.NLOS, 1.0 - p_des))
-                  if w_state != 0.0]
+        # (state, weight) of each link's desired signal, per link
+        states = {link: [(state, w) for state, w in
+                         ((LinkState.LOS, b.p_los(link)),
+                          (LinkState.NLOS, 1.0 - b.p_los(link))) if w != 0.0]
+                  for link, _, _ in keys}
+        # decode thresholds per key, along the state axis of a slab
+        thresholds = {(link, scheme, relay): np.array(
+            [b.threshold(link, scheme, state) for state, _ in states[link]]
+        )[:, None, None] for link, scheme, relay in keys}
         p_fl = b.power(ilink, "fd", LinkState.LOS)
         p_fn = b.power(ilink, "fd", LinkState.NLOS)
         p_bl = b.power(ilink, "br", LinkState.LOS)
         p_bn = b.power(ilink, "br", LinkState.NLOS)
         p_relay = b.power("rd", "fd", LinkState.LOS)
         # w_b[n_b, h] = P(h of n_b BR interferers in LOS); 0 for h > n_b,
-        # which adds only zero terms to a cell's sum.
+        # and zero terms are dropped before the sums.
         w_b = np.zeros((m + 1, m + 1))
         for n_b in range(m + 1):
             w_b[n_b, :n_b + 1] = pmf[n_b]
-        gamma = b.gamma_linear
         h = np.arange(m + 1)
         fsum = math.fsum
-        out = np.zeros((m + 1, m + 1))
+        out = {key: np.zeros((m + 1, m + 1)) for key in keys}
         for n_f in range(m + 1):
             top = m - n_f + 1                      # n_b = 0 .. m - n_f
-            k = np.arange(n_f + 1)[:, None, None]
-            n_b = h[:top, None]
+            k = np.arange(n_f + 1)[:, None]
             hb = h[:top]
-            # Indexed [k, n_b, h]; h > n_b is clamped and carries weight 0.
-            interference = (k * p_fl + (n_f - k) * p_fn
-                            + hb * p_bl + np.maximum(n_b - hb, 0) * p_bn)
-            if relay:
-                interference = interference + p_relay
-            denom = b.noise_w + b.alpha * interference
-            w_f = np.array(pmf[n_f])[:, None, None]
-            terms = np.stack([
-                np.where(signal / denom >= gamma,
-                         (w_state * w_f) * w_b[:top, :top], 0.0)
-                for signal, w_state in states])
-            out[n_f, :top] = [fsum(terms[:, :, j, :j + 1].ravel().tolist())
-                              for j in range(top)]
+            # Indexed [n_b, k, h] (cell-major); h > n_b is clamped and
+            # carries weight 0.
+            interference = {False: k * p_fl + (n_f - k) * p_fn + hb * p_bl
+                            + np.maximum(h[:top, None, None] - hb, 0) * p_bn}
+            if receiver is Role.MMAP:
+                interference[True] = interference[False] + p_relay
+            w_f = np.array(pmf[n_f])[:, None]
+            # Terms indexed [n_b, state, k, h], per link
+            terms = {link: np.stack([(w_state * w_f) * w_b[:top, None, :top]
+                                     for _, w_state in link_states], axis=1)
+                     for link, link_states in states.items()}
+            live = {link: t != 0.0 for link, t in terms.items()}
+            picked, counts = [], []
+            for link, scheme, relay in keys:
+                ok = interference[relay][:, None] <= thresholds[link, scheme,
+                                                                relay]
+                ok &= live[link]
+                picked.append(terms[link][ok])
+                counts.append(np.count_nonzero(ok.reshape(top, -1), axis=1))
+            values = np.concatenate(picked).tolist()
+            ends = np.cumsum(np.concatenate(counts)).tolist()
+            cells = [fsum(values[a:z]) for a, z in zip([0, *ends], ends)]
+            for i, key in enumerate(keys):
+                out[key][n_f, :top] = cells[i * top:(i + 1) * top]
         return out
 
     def grid(self, link: str, scheme: str, relay: bool = False,
@@ -139,8 +147,15 @@ class SuccessTable:
         key = (link, scheme, bool(relay))
         grid = self._grids.get(key)
         if grid is None or len(grid) <= n:
-            grid = self._build(link, scheme, key[2], max(self.cfg.n_ues, n))
-            self._grids[key] = grid
+            receiver = self.budget.receiver(link)
+            if key not in _KEYS[receiver]:
+                raise ValueError(
+                    f"no success array for {key!r}: the relay interferes "
+                    "only at the mmAP, never with its own packet; the keys "
+                    f"are {[*_KEYS[Role.RELAY], *_KEYS[Role.MMAP]]}")
+            built = self._build(receiver, max(self.cfg.n_ues, n))
+            self._grids.update(built)
+            grid = built[key]
         return grid
 
     def p(self, link: str, scheme: str, n_f: int, n_b: int,

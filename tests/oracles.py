@@ -5,8 +5,11 @@ oracle enumerates every joint LOS/NLOS assignment one interferer at a
 time (no binomial partition counting), and the arrival oracle enumerates
 per-user decision tuples and acceptance subsets (no pmf convolution).
 Both share only the link-budget power primitives with the code under test.
-The success-table oracle is a scalar loop over the binomial LOS
-partitions; the array table must reproduce its floats exactly. The
+``sinr_linear`` is the decode rule in its division form,
+s / (noise + alpha * I) >= gamma, which the library replaces by
+comparing I with ``LinkBudget.threshold``; the success oracles decide by
+the division. The success-table oracle is a scalar loop over the binomial
+LOS partitions; the array table must reproduce its floats exactly. The
 queue-scan oracle is the simulator's slot-by-slot queue update, which the
 vectorized scan must reproduce exactly. The binomial oracle is numpy's
 scalar binomial draw, which the simulator's tabulated sampler must
@@ -21,36 +24,61 @@ from __future__ import annotations
 import itertools
 import math
 
-from mmrelay.geometry import LinkBudget, LinkState, ScenarioConfig
+from mmrelay.geometry import LinkBudget, LinkState, Role, ScenarioConfig
 from mmrelay.success import SuccessTable
+
+
+def sinr(budget: LinkBudget, signal: float, interference: float) -> float:
+    """signal / (noise + alpha * interference): the division form."""
+    return signal / (budget.noise_w + budget.alpha * interference)
+
+
+def sinr_linear(budget: LinkBudget, link: str, desired_state: LinkState,
+                scheme: str, k_f_los: int, k_f_nlos: int, k_b_los: int,
+                k_b_nlos: int, relay_interfering: bool = False) -> float:
+    """SINR for one reception given a fixed LOS partition of interferers."""
+    b = budget
+    if relay_interfering and b.receiver(link) is not Role.MMAP:
+        raise ValueError("the relay can interfere only at the mmAP")
+    if relay_interfering and link == "rd":
+        raise ValueError("the relay does not interfere with its own packet")
+    signal = b.power(link, scheme, desired_state)
+    ilink = b.interferer_link(link)
+    interference = (k_f_los * b.power(ilink, "fd", LinkState.LOS)
+                    + k_f_nlos * b.power(ilink, "fd", LinkState.NLOS)
+                    + k_b_los * b.power(ilink, "br", LinkState.LOS)
+                    + k_b_nlos * b.power(ilink, "br", LinkState.NLOS))
+    if relay_interfering:
+        interference += b.power("rd", "fd", LinkState.LOS)
+    return sinr(b, signal, interference)
 
 
 def success_probability_bruteforce(cfg: ScenarioConfig, link: str, scheme: str,
                                    n_f: int, n_b: int,
                                    relay_active: bool = False) -> float:
-    """Average the SINR indicator over all 2^(1 + n_f + n_b) LOS states."""
+    """Average the SINR indicator over all 2^(1 + n_f + n_b) LOS states.
+
+    Each state is weighed one interferer at a time; its SINR is
+    ``sinr_linear`` of the state's LOS counts.
+    """
     b = LinkBudget(cfg)
-    ilink = b.interferer_link(link)
     p_des = b.p_los(link)
-    p_int = b.p_los(ilink)
-    gamma = b.gamma_linear
+    p_int = b.p_los(b.interferer_link(link))
     total = 0.0
     states = (LinkState.LOS, LinkState.NLOS)
     for des_state in states:
         w_des = p_des if des_state is LinkState.LOS else 1.0 - p_des
         if w_des == 0.0:
             continue
-        signal = b.power(link, scheme, des_state)
         for combo in itertools.product(states, repeat=n_f + n_b):
             w = w_des
-            interference = 0.0
-            for idx, st in enumerate(combo):
+            for st in combo:
                 w *= p_int if st is LinkState.LOS else 1.0 - p_int
-                kind = "fd" if idx < n_f else "br"
-                interference += b.power(ilink, kind, st)
-            if relay_active:
-                interference += b.power("rd", "fd", LinkState.LOS)
-            if signal / (b.noise_w + b.alpha * interference) >= gamma:
+            k_f = combo[:n_f].count(LinkState.LOS)
+            k_b = combo[n_f:].count(LinkState.LOS)
+            value = sinr_linear(b, link, des_state, scheme, k_f, n_f - k_f,
+                                k_b, n_b - k_b, relay_active)
+            if value >= b.gamma_linear:
                 total += w
     return total
 
@@ -59,7 +87,7 @@ def success_table_oracle(table, link: str, scheme: str, n_f: int, n_b: int,
                          relay_active: bool = False) -> float:
     """One success-table cell by a scalar loop over the LOS partitions.
 
-    Calls the public ``sinr_linear`` once per partition and sums the
+    Calls ``sinr_linear`` once per partition and sums the
     weights (w_state * w_f[k]) * w_b[h] of the partitions that clear gamma
     with one ``math.fsum``, the float expressions the table must reproduce
     bit for bit.
@@ -80,9 +108,9 @@ def success_table_oracle(table, link: str, scheme: str, n_f: int, n_b: int,
             continue
         for k in range(n_f + 1):
             for h in range(n_b + 1):
-                sinr = table.sinr_linear(link, state, scheme,
-                                         k, n_f - k, h, n_b - h, relay_active)
-                if sinr >= gamma:
+                value = sinr_linear(b, link, state, scheme,
+                                    k, n_f - k, h, n_b - h, relay_active)
+                if value >= gamma:
                     terms.append(w_state * w_f[k] * w_b[h])
     return math.fsum(terms)
 

@@ -168,12 +168,12 @@ def _hex(value):
 
 
 class TestSweepReuse:
-    @pytest.mark.parametrize("recipe, builds", [("fig4.cfg", 42),
-                                                ("fig3.cfg", 7)])
+    @pytest.mark.parametrize("recipe, builds", [("fig4.cfg", 12),
+                                                ("fig3.cfg", 2)])
     def test_one_table_per_radio_configuration(self, monkeypatch, recipe,
                                                builds):
         # fig4 has six radio configurations (one per theta_rd), fig3 one;
-        # each table builds its seven arrays once, at the group's largest N.
+        # each table builds its two receivers once, at the group's largest N.
         built = []
         build = SuccessTable._build
 

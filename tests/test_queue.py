@@ -305,17 +305,22 @@ class TestLoynesBoundary:
 class TestSuccessArrayUse:
     @pytest.mark.parametrize("q_r, regime", [(1.0, "stable"), (0.3, "unstable")])
     def test_cold_analysis_builds_seven_arrays(self, monkeypatch, q_r, regime):
-        built = []
+        # Each of the two receivers is built once, and the two builds
+        # together return the seven arrays.
+        built, arrays = [], []
         build = SuccessTable._build
 
-        def counted(self, link, scheme, relay, m):
-            built.append((link, scheme, relay))
-            return build(self, link, scheme, relay, m)
+        def counted(self, receiver, m):
+            built.append(receiver.value)
+            out = build(self, receiver, m)
+            arrays.extend(out)
+            return out
 
         monkeypatch.setattr(SuccessTable, "_build", counted)
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
         assert aggregate_throughput(cfg).regime == regime
-        assert sorted(built) == sorted([
+        assert sorted(built) == ["mmap", "relay"]
+        assert sorted(arrays) == sorted([
             ("ur", "fd", False), ("ur", "br", False),
             ("ud", "fd", False), ("ud", "fd", True),
             ("ud", "br", False), ("ud", "br", True), ("rd", "fd", False)])

@@ -6,10 +6,13 @@ import tracemalloc
 
 import pytest
 
-from mmrelay import ScenarioConfig, SuccessTable
+from mmrelay import LinkBudget, ScenarioConfig, SuccessTable, load_config
+from mmrelay.geometry import LinkState
 from mmrelay.success import _binom_pmf
 
-from oracles import success_probability_bruteforce, success_table_oracle
+from conftest import RECIPES
+from oracles import (sinr, sinr_linear, success_probability_bruteforce,
+                     success_table_oracle)
 
 # Every (link, scheme, relay flag) the analysis reads.
 KEYS = [("ur", "fd", False), ("ur", "br", False), ("ud", "fd", False),
@@ -20,37 +23,136 @@ KEYS = [("ur", "fd", False), ("ur", "br", False), ("ud", "fd", False),
 class TestSinrLinear:
     def test_no_interferers_is_snr(self, default_cfg):
         t = SuccessTable(default_cfg)
-        from mmrelay.geometry import LinkState
-        sinr = t.sinr_linear("ud", LinkState.LOS, "fd", 0, 0, 0, 0)
+        value = sinr_linear(t.budget, "ud", LinkState.LOS, "fd", 0, 0, 0, 0)
         expected = t.budget.power("ud", "fd", LinkState.LOS) / t.budget.noise_w
-        assert sinr == pytest.approx(expected, rel=1e-15)
+        assert value == pytest.approx(expected, rel=1e-15)
 
     def test_alpha_zero_cancels_everything(self):
         cfg = ScenarioConfig(alpha=0.0)
         t = SuccessTable(cfg)
-        from mmrelay.geometry import LinkState
-        clean = t.sinr_linear("ud", LinkState.LOS, "fd", 0, 0, 0, 0)
-        loaded = t.sinr_linear("ud", LinkState.LOS, "fd", 3, 2, 4, 1, True)
+        clean = sinr_linear(t.budget, "ud", LinkState.LOS, "fd", 0, 0, 0, 0)
+        loaded = sinr_linear(t.budget, "ud", LinkState.LOS, "fd", 3, 2, 4, 1,
+                             True)
         assert loaded == clean
 
     def test_single_br_interferer_at_mmap(self, default_cfg):
         t = SuccessTable(default_cfg)
-        from mmrelay.geometry import LinkState
         b = t.budget
-        sinr = t.sinr_linear("ud", LinkState.LOS, "fd", 0, 0, 1, 0)
+        value = sinr_linear(b, "ud", LinkState.LOS, "fd", 0, 0, 1, 0)
         expected = b.power("ud", "fd", LinkState.LOS) / (
             b.noise_w + 0.1 * b.power("ud", "br", LinkState.LOS))
-        assert sinr == pytest.approx(expected, rel=1e-15)
+        assert value == pytest.approx(expected, rel=1e-15)
 
     def test_relay_cannot_interfere_at_relay(self, default_cfg):
         t = SuccessTable(default_cfg)
-        from mmrelay.geometry import LinkState
         with pytest.raises(ValueError):
-            t.sinr_linear("ur", LinkState.LOS, "fd", 0, 0, 0, 0,
-                          relay_interfering=True)
+            sinr_linear(t.budget, "ur", LinkState.LOS, "fd", 0, 0, 0, 0,
+                        relay_interfering=True)
         with pytest.raises(ValueError):
-            t.sinr_linear("rd", LinkState.LOS, "fd", 0, 0, 0, 0,
-                          relay_interfering=True)
+            sinr_linear(t.budget, "rd", LinkState.LOS, "fd", 0, 0, 0, 0,
+                        relay_interfering=True)
+
+
+def _recipe_budgets():
+    """One LinkBudget per radio configuration of the shipped recipes."""
+    cfgs = {}
+    for path in sorted(RECIPES.glob("*.cfg")):
+        spec = load_config(str(path))
+        for overrides in spec.grid():
+            cfg = spec.base.replace(**overrides)
+            cfgs.setdefault(cfg.radio_key(), cfg)
+    return [LinkBudget(cfg) for cfg in cfgs.values()]
+
+
+def _signals(b):
+    return [(key, b.power(*key)) for key in
+            ((link, scheme, state) for link in ("ur", "ud", "rd")
+             for scheme in ("fd", "br") for state in LinkState)]
+
+
+def _decodes(b, signal, interference):
+    return sinr(b, signal, interference) >= b.gamma_linear
+
+
+class TestDecodeThresholds:
+    def test_threshold_is_the_last_passing_float_of_every_recipe_budget(self):
+        budgets = _recipe_budgets()
+        assert len(budgets) > 20   # 29 in the shipped recipes
+        rng = random.Random(7)
+        for b in budgets:
+            for key, signal in _signals(b):
+                thr = b.threshold(*key)
+                assert thr == -1.0 or thr >= 0.0, key
+                if thr == -1.0:
+                    assert not _decodes(b, signal, 0.0), key
+                    continue
+                if thr == math.inf:     # alpha = 0
+                    assert _decodes(b, signal, sys.float_info.max), key
+                    continue
+                assert _decodes(b, signal, thr), key
+                assert not _decodes(b, signal, math.nextafter(thr, math.inf))
+                # random interference, near the threshold and over decades
+                for _ in range(60):
+                    x = rng.choice((
+                        thr * rng.uniform(0.0, 2.0),
+                        math.ldexp(rng.random(), rng.randrange(-1074, 1024)),
+                        thr + rng.randrange(-40, 40) * math.ulp(thr)))
+                    if x >= 0.0:
+                        assert (x <= thr) == _decodes(b, signal, x), (key, x)
+
+    def test_alpha_zero_gives_inf(self):
+        b = LinkBudget(ScenarioConfig(alpha=0.0))
+        signal = b.power("ud", "fd", LinkState.LOS)
+        assert _decodes(b, signal, 0.0)
+        assert b.threshold("ud", "fd", LinkState.LOS) == math.inf
+        assert _decodes(b, signal, sys.float_info.max)
+
+    def test_signal_failing_without_interference_gives_minus_one(self):
+        # gamma is 5 ulps above this signal's SNR; 1 ulp lower it passes.
+        b = LinkBudget(ScenarioConfig(gamma_db=43.39593648733957))
+        signal = b.power("ud", "fd", LinkState.LOS)
+        assert not _decodes(b, signal, 0.0)
+        assert b.threshold("ud", "fd", LinkState.LOS) == -1.0
+        b = LinkBudget(ScenarioConfig(gamma_db=43.39593648733956))
+        thr = b.threshold("ud", "fd", LinkState.LOS)
+        assert 0.0 <= thr < 1e-24
+        assert _decodes(b, signal, thr)
+        assert not _decodes(b, signal, math.nextafter(thr, math.inf))
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300])
+    def test_tiny_alpha(self, alpha):
+        # At 5e-324 the seed (s / gamma - noise) / alpha overflows to inf,
+        # so the search runs over the whole float range.
+        b = LinkBudget(ScenarioConfig(alpha=alpha))
+        for key, signal in _signals(b):
+            seed = (signal / b.gamma_linear - b.noise_w) / alpha
+            assert (seed == math.inf) == (alpha == 5e-324)
+            thr = b.threshold(*key)
+            assert _decodes(b, signal, thr), key
+            assert not _decodes(b, signal, math.nextafter(thr, math.inf))
+
+    def test_search_is_bounded_and_runs_once_per_budget(self, monkeypatch):
+        calls = []
+        decodes = LinkBudget._decodes
+
+        def counted(self, signal, interference):
+            calls.append(signal)
+            return decodes(self, signal, interference)
+
+        monkeypatch.setattr(LinkBudget, "_decodes", counted)
+        for cfg in (ScenarioConfig(), ScenarioConfig(alpha=5e-324)):
+            # per signal at most the test at 0, two seed checks and 63
+            # halvings, all while the budget is made
+            calls.clear()
+            t = SuccessTable(cfg.replace(n_ues=4))
+            assert 0 < len(calls) <= 12 * 66
+            assert max(calls.count(s) for _, s in _signals(t.budget)) <= 66
+            made = len(calls)
+            for key in KEYS:
+                t.grid(*key)
+            for key, _ in _signals(t.budget):
+                t.budget.threshold(*key)
+            assert len(calls) == made
 
 
 class TestSuccessProbability:
@@ -199,6 +301,9 @@ class TestArrayTable:
         {"gamma_db": -100.0},
         {"d_ur_m": 10.0, "d_ud_m": 15.0},    # p_los = 1 on every link
         {"alpha": 0.0},
+        {"alpha": 5e-324},                   # the threshold seed overflows
+        {"gamma_db": 43.39593648733956},     # 7 ulps under the ud/fd LOS
+        {"gamma_db": 43.39593648733957},     # SNR, and 5 ulps over it
     ])
     def test_cells_equal_scalar_oracle_exactly(self, point):
         n = 12
