@@ -14,21 +14,21 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
 ``queue_statistics`` works in two steps:
 
 * a traffic-free block, built on first use and kept on the
-  ``SuccessTable`` per N and per zero pattern (which of p_fr, p_fd, p_b
-  and the idle probability are zero; that decides which configurations
-  can carry weight). It holds those configurations (the only copy of
-  them), the binomial coefficients, every success probability gathered from
-  the 2-D arrays of ``SuccessTable.grid`` by fancy indexing (two table
-  builds, one per receiver, fill all seven), the stored
-  and departure probabilities, and, built with numpy one n_fr slab at a
+  ``SuccessTable`` per zero pattern (which of p_fr, p_fd and p_b are
+  zero; that decides which configurations can carry weight). It holds
+  the configurations of the table's N UEs (the only copy of them), the
+  binomial coefficients, every success probability gathered from the
+  2-D arrays of ``SuccessTable.grid`` by fancy indexing, the stored and
+  departure probabilities, and, built with numpy one n_fr slab at a
   time, each configuration's binomial pmfs of stored FD->relay and BR
   packets and their convolution, relay silent and transmitting. The
   success probabilities read only the radio fields, so neither does the
-  block: every traffic point (N, q_u, q_uf, q_ur, q_r) of a sweep group
-  that shares a table and a zero pattern reuses it;
-* the traffic point's weighted sums: the multinomial weights, computed
-  on the block's own rows by ``_weights``, times the block's columns,
-  each output one ``math.fsum``.
+  block: every traffic point (n <= N, q_u, q_uf, q_ur, q_r) of a sweep
+  group that shares a table and a zero pattern reuses it;
+* the traffic point's weighted sums: the multinomial weights of its n
+  UEs, computed on the block's own rows by ``_weights``, times the
+  block's columns, each output one ``math.fsum``. A row with
+  n_fr + n_fd + n_b > n weighs exactly 0.0.
 
 So a traffic point on a warm block enumerates nothing. The one
 result, ``QueueStatistics``, also holds a tagged user's rates as moments
@@ -113,22 +113,21 @@ def _ue_activity_probs(cfg: ScenarioConfig) -> tuple[float, float, float]:
 
 
 def _active(p_fr: float, p_fd: float, p_b: float) -> tuple[bool, ...]:
-    """Which of p_fr, p_fd, p_b and the idle probability are nonzero."""
-    return (p_fr > 0.0, p_fd > 0.0, p_b > 0.0, 1.0 - (p_fr + p_fd + p_b) > 0.0)
+    """Which of p_fr, p_fd and p_b are nonzero."""
+    return p_fr > 0.0, p_fd > 0.0, p_b > 0.0
 
 
 def _rows(n: int, active: tuple[bool, ...]) -> np.ndarray:
     """(n_fr, n_fd, n_b) of every configuration of n UEs whose weight a
     zero probability does not rule out, n_fr-major, as a (3, R) array."""
-    *schemes, idle = active
-    idx = np.indices([n + 1 if a else 1 for a in schemes]).reshape(3, -1)
-    total = idx.sum(axis=0)
-    return idx[:, total <= n if idle else total == n]
+    idx = np.indices([n + 1 if a else 1 for a in active]).reshape(3, -1)
+    return idx[:, idx.sum(axis=0) <= n]
 
 
 def _comb_table(n: int) -> np.ndarray:
-    return np.array([[math.comb(i, j) for j in range(n + 1)]
-                     for i in range(n + 1)], dtype=float)
+    # C(i, j) for i, j <= n, then n zero rows: row indices -n..-1 read zeros
+    return np.array([[math.comb(i, j) if i <= n else 0 for j in range(n + 1)]
+                     for i in range(2 * n + 1)], dtype=float)
 
 
 def _binom_rows(comb: np.ndarray, n, p: np.ndarray, width: int) -> np.ndarray:
@@ -157,7 +156,7 @@ class _ConfigBlock:
     on each side of v serves the k - 1 and k + 1 shifts.
     """
 
-    comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N
+    comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N, then zeros
     n_fr: np.ndarray
     n_fd: np.ndarray
     n_b: np.ndarray
@@ -170,31 +169,27 @@ class _ConfigBlock:
     v: np.ndarray
 
 
-def _config_block(table: SuccessTable, n: int,
+def _config_block(table: SuccessTable,
                   active: tuple[bool, ...]) -> _ConfigBlock:
-    """The block of n UEs' configurations allowed by ``active``, built on
-    first use and kept on the table."""
-    block = table.blocks.get((n, active))
+    """The block of the table's N UEs' configurations allowed by
+    ``active``, built on first use and kept on the table."""
+    block = table.blocks.get(active)
     if block is not None:
         return block
-    try:  # C(n, n // 2) is the largest coefficient of the table
-        float(math.comb(n, n // 2))
-    except OverflowError:
-        raise ValueError(
-            f"multinomial weights of {n} UEs overflow a float") from None
+    n = table.cfg.n_ues
     n_fr, n_fd, n_b = _rows(n, active)
     # Counts with one UE of the scheme removed; where that count is 0 the
     # gathered value is unused: it enters a binomial of 0 trials or is
     # multiplied by n_x = 0.
     b = np.maximum(n_b - 1, 0)
     fd = np.maximum(n_fd - 1, 0)
-    at_relay = table.grid("ur", "br", False, n)[n_fr, b]
-    at_mmap = tuple(table.grid("ud", "br", relay, n)[n_fd, b]
+    at_relay = table.grid("ur", "br", False)[n_fr, b]
+    at_mmap = tuple(table.grid("ud", "br", relay)[n_fd, b]
                     for relay in (False, True))
     stores = tuple(at_relay * (1.0 - m) for m in at_mmap)
-    p_f = table.grid("ur", "fd", False, n)[np.maximum(n_fr - 1, 0), n_b]
-    p_dep = table.grid("rd", "fd", False, n)[n_fd, n_b]
-    ud_fd = tuple(table.grid("ud", "fd", relay, n)[fd, n_b]
+    p_f = table.grid("ur", "fd", False)[np.maximum(n_fr - 1, 0), n_b]
+    p_dep = table.grid("rd", "fd", False)[n_fd, n_b]
+    ud_fd = tuple(table.grid("ud", "fd", relay)[fd, n_b]
                   for relay in (False, True))
     comb = _comb_table(n)
     # The rows run n_fr-major, so each n_fr slab is a slice.
@@ -211,22 +206,25 @@ def _config_block(table: SuccessTable, n: int,
                 v_s[i + 1:i + n - f + 2, s] += pmf_f[:, i] * pmf_b
     block = _ConfigBlock(comb, n_fr, n_fd, n_b, p_f, p_dep, 1.0 - p_dep,
                          at_mmap, stores, ud_fd, v)
-    table.blocks[n, active] = block
+    table.blocks[active] = block
     return block
 
 
 def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,
              p_b: float) -> np.ndarray:
-    """The multinomial weight of each of the block's configurations.
+    """The multinomial weight of each of the block's rows for n UEs.
 
     A weight is comb(n, n_fr) * p_fr**n_fr, times comb(n - n_fr, n_fd) *
     p_fd**n_fd, and so on for n_b and the idle UEs, multiplied left to
     right; the powers are Python ``**`` (numpy's ``power`` may differ in
     the last bit), so a weight is the same float as the scalar product. A
-    weight that underflows is 0 and drops out of every sum.
+    weight that underflows is 0 and drops out of every sum. So does a row
+    of more than n UEs (the block's N may exceed n): it reads a zero of
+    ``comb`` or of the power tables, which are zero past p**n.
     """
     p_idle = max(1.0 - (p_fr + p_fd + p_b), 0.0)
-    pw_fr, pw_fd, pw_b, pw_idle = (np.array([p**k for k in range(n + 1)])
+    pad = [0.0] * (len(blk.comb[0]) - 1 - n)
+    pw_fr, pw_fd, pw_b, pw_idle = (np.array([p**k for k in range(n + 1)] + pad)
                                    for p in (p_fr, p_fd, p_b, p_idle))
     comb, n_fr, n_fd, n_b = blk.comb, blk.n_fr, blk.n_fd, blk.n_b
     c1 = comb[n, n_fr] * pw_fr[n_fr]
@@ -251,18 +249,22 @@ def queue_statistics(cfg: ScenarioConfig,
     failure of BR packets both depend on whether the relay's beam is up).
     The tagged user's rates are the moments in the module docstring.
 
-    ``table`` must belong to a configuration with the same ``radio_key``;
-    it keeps the configuration blocks for later calls.
+    ``table`` must belong to a configuration with the same ``radio_key``
+    and at least ``cfg.n_ues`` UEs; it keeps the configuration blocks for
+    later calls.
     """
     if table is None:
         table = SuccessTable(cfg)
     elif table.cfg.radio_key() != cfg.radio_key():
         raise ValueError("the success table belongs to another radio "
                          "configuration")
+    elif table.cfg.n_ues < cfg.n_ues:
+        raise ValueError(f"the success table covers N = {table.cfg.n_ues} "
+                         f"UEs, fewer than the {cfg.n_ues} analysed")
     n = cfg.n_ues
     q_r = cfg.q_r
     probs = _ue_activity_probs(cfg)
-    blk = _config_block(table, n, _active(*probs))
+    blk = _config_block(table, _active(*probs))
     w = _weights(blk, n, *probs)
     v0, v1 = blk.v
     w_s, w_t = w * (1.0 - q_r), w * q_r

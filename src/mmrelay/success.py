@@ -9,8 +9,8 @@ over the desired link's own state yields the unconditional success
 probability for a given interferer profile.
 
 ``SuccessTable`` holds one array per (link, scheme, relay flag): S[n_f][n_b]
-for every n_f + n_b up to a size of at least N, built on first use. The
-seven arrays have two receivers, and one build fills every array of a
+for every n_f + n_b <= N, all built when the table is made. The seven
+arrays have two receivers, and one build fills every array of a
 receiver: the relay's ``ur`` fd/br, or the mmAP's ``ud`` fd/br with the
 relay silent and transmitting plus ``rd`` fd. The build goes over one n_f
 slab of partitions (k_f_los, k_f_nlos, k_b_los, k_b_nlos) at a time and
@@ -21,7 +21,7 @@ division test SINR >= gamma in float64. The terms are laid out cell by
 cell, the nonzero ones taken out with one ``tolist`` per slab, and every
 cell is one exactly rounded ``math.fsum`` of its slice; dropping zero
 terms cannot change a sum of nonnegative terms. A cell is therefore the
-same number however the table was sized or filled.
+same number whatever the table's N.
 
 Interference accounting: an FD transmission aimed at the other receiver
 contributes nothing; a BR transmission interferes at both receivers; the
@@ -59,21 +59,21 @@ _KEYS = {
 class SuccessTable:
     """Success probabilities of one configuration, one array per key.
 
-    ``grid(link, scheme, relay, n)`` returns the 2-D float64 array
-    S[n_f, n_b], defined for n_f + n_b <= m with m = max(N, n) and zero
-    elsewhere, building it on first use together with every other key of
-    its receiver; a later request beyond m rebuilds that receiver at the
-    larger size. Values are pure functions of the configuration, so
-    concurrent readers that race on a missing key build identical arrays
-    and need no lock.
+    Both receivers are built when the table is made, at N = ``cfg.n_ues``;
+    ``grid(link, scheme, relay)`` returns the 2-D float64 array
+    S[n_f, n_b], defined for n_f + n_b <= N and zero elsewhere. The table
+    never changes afterwards, except for ``blocks``, so any number of
+    readers may share it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.budget = LinkBudget(cfg)
         self._grids: dict[tuple[str, str, bool], np.ndarray] = {}
-        # queue_model's traffic-free configuration blocks, by (N, which
-        # activity probabilities are nonzero)
+        for receiver in _KEYS:
+            self._grids.update(self._build(receiver, cfg.n_ues))
+        # queue_model's traffic-free configuration blocks, by which
+        # activity probabilities are nonzero
         self.blocks: dict = {}
 
     def _build(self, receiver: Role,
@@ -141,26 +141,20 @@ class SuccessTable:
                 out[key][n_f, :top] = cells[i * top:(i + 1) * top]
         return out
 
-    def grid(self, link: str, scheme: str, relay: bool = False,
-             n: int = 0) -> np.ndarray:
-        """S[n_f, n_b] of one key, valid for n_f + n_b <= max(N, n)."""
+    def grid(self, link: str, scheme: str, relay: bool = False) -> np.ndarray:
+        """S[n_f, n_b] of one key, valid for n_f + n_b <= N."""
         key = (link, scheme, bool(relay))
-        grid = self._grids.get(key)
-        if grid is None or len(grid) <= n:
-            receiver = self.budget.receiver(link)
-            if key not in _KEYS[receiver]:
-                raise ValueError(
-                    f"no success array for {key!r}: the relay interferes "
-                    "only at the mmAP, never with its own packet; the keys "
-                    f"are {[*_KEYS[Role.RELAY], *_KEYS[Role.MMAP]]}")
-            built = self._build(receiver, max(self.cfg.n_ues, n))
-            self._grids.update(built)
-            grid = built[key]
-        return grid
+        if key not in self._grids:
+            raise ValueError(
+                f"no success array for {key!r}: the relay interferes "
+                "only at the mmAP, never with its own packet; the keys "
+                f"are {[*_KEYS[Role.RELAY], *_KEYS[Role.MMAP]]}")
+        return self._grids[key]
 
     def p(self, link: str, scheme: str, n_f: int, n_b: int,
           relay: bool = False) -> float:
         """Success probability for raw interferer counts."""
-        if n_f < 0 or n_b < 0:
-            raise ValueError("interferer counts must be non-negative")
-        return float(self.grid(link, scheme, relay, n_f + n_b)[n_f, n_b])
+        if not (n_f >= 0 and n_b >= 0 and n_f + n_b <= self.cfg.n_ues):
+            raise ValueError(f"interferer counts ({n_f}, {n_b}) must be >= 0 "
+                             f"with a sum of at most N = {self.cfg.n_ues}")
+        return float(self.grid(link, scheme, relay)[n_f, n_b])

@@ -21,16 +21,18 @@ comments and three optional sections::
 ``run_sweep`` evaluates the analytical model at every grid point (axis 1
 outer, axis 2 inner), optionally simulates each point, and never aborts
 the grid: per-point failures land in the ``error`` column. Points are
-evaluated one radio configuration at a time (``ScenarioConfig.radio_key``:
-every field but n_ues, q_u, q_uf, q_ur and q_r). Each group shares one
-``SuccessTable``, sized at its largest N and dropped when the call ends,
-and with it the traffic-free configuration blocks of ``queue_model``, so
-a traffic point costs its weighted sums. The numbers are those of a
-fresh per-point analysis, bit for bit. A table that cannot be built
-fails its group's rows only. With ``jobs > 1`` each worker task is a
-contiguous run of one group's points; a group is split only when there
-are fewer groups than jobs. Floats are printed with 9 significant digits
-and identical spec + seed reruns are byte-identical, whatever ``jobs``.
+evaluated one radio configuration at a time
+(``ScenarioConfig.radio_key``: every field but n_ues, q_u, q_uf, q_ur
+and q_r). Each group shares one ``SuccessTable``, built at its largest N
+and dropped when the call ends, and with it the traffic-free
+configuration blocks of ``queue_model``, one per zero pattern, so a
+traffic point costs its weighted sums. The numbers are those of a fresh
+per-point analysis, bit for bit. If that table cannot be built, each
+point gets its own, and only points that fail alone get an error. With
+``jobs > 1`` each worker task is a contiguous run of one group's points;
+a group is split only when there are fewer groups than jobs. Floats are
+printed with 9 significant digits and identical spec + seed reruns are
+byte-identical, whatever ``jobs``.
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ def _run_point(spec: SweepSpec, index: int, overrides: dict,
 
 def _run_task(args) -> list[tuple[int, dict]]:
     """Rows of a run of points that share one radio configuration, all
-    evaluated with one ``SuccessTable`` sized at their largest N."""
+    evaluated with one ``SuccessTable`` built at their largest N."""
     spec, points = args
     table = None
     if points[0][2] is not None:  # invalid points are grouped apart
@@ -288,7 +290,7 @@ def _run_task(args) -> list[tuple[int, dict]]:
             table = SuccessTable(max((cfg for _, _, cfg in points),
                                      key=lambda cfg: cfg.n_ues))
         except Exception:
-            pass  # then each point fails alike on its own cold table
+            pass  # then each point is evaluated on its own cold table
     return [(index, _run_point(spec, index, overrides, cfg, table))
             for index, overrides, cfg in points]
 

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
-from mmrelay import ConfigError, SuccessTable, load_config, run_sweep
-from mmrelay import sweeps
-from mmrelay.sweeps import _tasks, evaluate_point, sweep_columns, write_csv
+from mmrelay import ConfigError, ScenarioConfig, SuccessTable, load_config, \
+    run_sweep
+from mmrelay import queue_model, sweeps
+from mmrelay.sweeps import SweepSpec, _tasks, evaluate_point, \
+    sweep_columns, write_csv
 from conftest import RECIPES
 
 
@@ -185,6 +187,34 @@ class TestSweepReuse:
         rows = run_sweep(load_config(str(RECIPES / recipe)))
         assert all(r["error"] == "" for r in rows)
         assert len(built) == builds
+
+    def test_one_block_serves_every_n(self, monkeypatch):
+        # fig3's 45 points share one radio configuration and one zero
+        # pattern: one block, built at N = 15, serves N = 1..15.
+        built = []
+        rows = queue_model._rows
+
+        def counted(*args):
+            built.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(queue_model, "_rows", counted)
+        out = run_sweep(load_config(str(RECIPES / "fig3.cfg")))
+        assert all(r["error"] == "" for r in out)
+        assert built == [(15, (True, True, True))]
+
+    def test_oversized_n_fails_only_its_own_row(self):
+        # The group's table at N = 1030 cannot be built, so each point is
+        # evaluated on its own table: N = 5 gets a fresh analysis's row.
+        spec = SweepSpec(base=ScenarioConfig(q_u=0.1),
+                         axes=(("n_ues", (5, 1030)),))
+        rows = run_sweep(spec)
+        want = evaluate_point(spec.base.replace(n_ues=5))
+        assert rows[0]["error"] == ""
+        assert {k: _hex(rows[0][k]) for k in want} == \
+            {k: _hex(v) for k, v in want.items()}
+        assert "1030" in rows[1]["error"]
+        assert "t_total" not in rows[1]
 
     def test_rows_equal_fresh_per_point_evaluation(self):
         for path in sorted(RECIPES.glob("*.cfg")):

@@ -21,7 +21,7 @@ from oracles import arrival_pmf_bruteforce, two_ue_closed_forms
 def _configs(cfg):
     """(weight, n_fr, n_fd, n_b) of every nonzero configuration of cfg's UEs."""
     probs = queue_model._ue_activity_probs(cfg)
-    blk = queue_model._config_block(SuccessTable(cfg), cfg.n_ues,
+    blk = queue_model._config_block(SuccessTable(cfg),
                                     queue_model._active(*probs))
     w = queue_model._weights(blk, cfg.n_ues, *probs)
     return list(np.column_stack([w, blk.n_fr, blk.n_fd, blk.n_b])[w != 0.0])
@@ -326,16 +326,17 @@ class TestSuccessArrayUse:
             ("ud", "br", False), ("ud", "br", True), ("rd", "fd", False)])
 
     def test_traffic_points_share_one_block(self):
-        # The block depends on N and on which activity probabilities are
-        # zero, not on their values or on q_r.
+        # The block depends only on which activity probabilities are zero,
+        # not on their values, on q_r or on N up to the table's.
         cfg = ScenarioConfig(n_ues=6, q_u=0.3)
         table = SuccessTable(cfg)
         for change in ({}, {"q_u": 0.8, "q_r": 0.4}, {"q_ur": 0.9}):
             queue_statistics(cfg.replace(**change), table)
-        assert list(table.blocks) == [(6, (True, True, True, True))]
+        assert list(table.blocks) == [(True, True, True)]
         queue_statistics(cfg.replace(q_uf=1.0), table)
         queue_statistics(cfg.replace(n_ues=4), table)
-        assert len(table.blocks) == 3
+        queue_statistics(cfg.replace(n_ues=1, q_u=1.0), table)
+        assert list(table.blocks) == [(True, True, True), (True, True, False)]
 
     def test_warm_point_enumerates_nothing(self, monkeypatch):
         # A second traffic point on a warm block weighs the block's own
@@ -359,8 +360,14 @@ class TestSuccessArrayUse:
         with pytest.raises(ValueError, match="radio configuration"):
             queue_statistics(cfg, SuccessTable(cfg.replace(alpha=0.2)))
 
+    def test_table_smaller_than_n_rejected(self):
+        cfg = ScenarioConfig(n_ues=4)
+        with pytest.raises(ValueError, match="N = 3 UEs"):
+            queue_statistics(cfg, SuccessTable(cfg.replace(n_ues=3)))
+
     def test_weight_overflow_names_the_count(self):
-        # The block checks C(1030, 515) before it gathers anything.
+        # The table's binomial pmfs of 1030 trials overflow before any
+        # block is built.
         with pytest.raises(ValueError, match="1030"):
             queue_statistics(ScenarioConfig(n_ues=1030, q_u=0.0))
 
