@@ -7,6 +7,9 @@ Subcommands::
     mmrelay sweep    <cfg> -o out.csv [--jobs]       grid evaluation to CSV
     mmrelay compare  <cfg> [--slots --seed --mode]   analytic-vs-sim z table
 
+``analyze`` prints ``ThroughputReport.metrics()``; every value is
+printed by ``sweeps.format_value``, the CSV's formatter.
+
 Exit codes: 0 ok, 1 usage error (including a file that cannot be read or
 written), 2 model/configuration error (any exception the model raises),
 3 comparison failure (some |z| > 3).
@@ -20,7 +23,7 @@ import sys
 import traceback
 
 from . import simulator
-from .sweeps import ConfigError, load_config, sweep_to_csv
+from .sweeps import ConfigError, format_value, load_config, sweep_to_csv
 from .throughput import aggregate_throughput
 
 EXIT_OK = 0
@@ -34,10 +37,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".9g")
 
 
 def _int_at_least(low: int):
@@ -71,20 +70,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="print queue solution and throughput")
     p.add_argument("config")
+    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run the slot-level simulator")
     p.add_argument("config")
     _add_sim_flags(p)
+    p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("sweep", help="evaluate a sweep grid and write CSV")
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="parallel worker processes")
+    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("compare", help="analytic vs simulation z-score table")
     p.add_argument("config")
     _add_sim_flags(p)
+    p.set_defaults(handler=cmd_compare)
     return parser
 
 
@@ -97,23 +100,8 @@ def _sim_args(spec, args) -> tuple[int, int, str]:
 
 def cmd_analyze(args) -> int:
     spec = load_config(args.config)
-    report = aggregate_throughput(spec.base)
-    q = report.queue
-    print(f"regime      : {report.regime}")
-    print(f"q_r_min     : {_fmt(q.q_r_min)}")
-    print(f"lambda0     : {_fmt(q.lambda0)}")
-    print(f"lambda1     : {_fmt(q.lambda1)}")
-    print(f"a_r         : {_fmt(q.a_r)}")
-    print(f"b_r         : {_fmt(q.b_r)}")
-    print(f"mu_r        : {_fmt(q.mu_r)}")
-    print(f"p_empty     : {_fmt(q.p_empty_prob)}")
-    print(f"t_ud0       : {_fmt(report.t_ud0)}")
-    print(f"t_ud1       : {_fmt(report.t_ud1)}")
-    print(f"t_ur0       : {_fmt(report.t_ur0)}")
-    print(f"t_ur1       : {_fmt(report.t_ur1)}")
-    print(f"t_ud        : {_fmt(report.t_ud)}")
-    print(f"t_ur        : {_fmt(report.t_ur)}")
-    print(f"t_total     : {_fmt(report.t_aggregate)}")
+    for name, value in aggregate_throughput(spec.base).metrics().items():
+        print(f"{name:<12}: {format_value(value)}")
     return EXIT_OK
 
 
@@ -127,14 +115,18 @@ def cmd_simulate(args) -> int:
     print(f"n_batches        : {stats.n_batches}")
     print(f"delivered_direct : {stats.delivered_direct}")
     print(f"delivered_relay  : {stats.delivered_relay}")
-    print(f"t_sim            : {_fmt(stats.t_sim)} +/- {_fmt(stats.t_sim_se)}")
-    print(f"lambda_sim       : {_fmt(stats.lambda_sim)} +/- {_fmt(stats.lambda_sim_se)}")
-    print(f"mu_sim           : {_fmt(stats.mu_sim)} +/- {_fmt(stats.mu_sim_se)}")
-    print(f"p_empty_sim      : {_fmt(stats.p_empty_sim)} +/- {_fmt(stats.p_empty_se)}")
-    print(f"mean_queue       : {_fmt(stats.mean_queue)}")
+    print(f"t_sim            : {format_value(stats.t_sim)} +/- "
+          f"{format_value(stats.t_sim_se)}")
+    print(f"lambda_sim       : {format_value(stats.lambda_sim)} +/- "
+          f"{format_value(stats.lambda_sim_se)}")
+    print(f"mu_sim           : {format_value(stats.mu_sim)} +/- "
+          f"{format_value(stats.mu_sim_se)}")
+    print(f"p_empty_sim      : {format_value(stats.p_empty_sim)} +/- "
+          f"{format_value(stats.p_empty_se)}")
+    print(f"mean_queue       : {format_value(stats.mean_queue)}")
     print(f"max_queue        : {stats.max_queue}")
     print(f"queue_final      : {stats.queue_final}")
-    print(f"drift_sim        : {_fmt(stats.drift_sim)}")
+    print(f"drift_sim        : {format_value(stats.drift_sim)}")
     print(f"seed             : {stats.seed}")
     print(f"mode             : {stats.mode}")
     return EXIT_OK
@@ -177,14 +169,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    handlers = {
-        "analyze": cmd_analyze,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "compare": cmd_compare,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except OSError as exc:
         print(f"mmrelay: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -68,6 +68,8 @@ from .geometry import LinkBudget, LinkState, ScenarioConfig
 from .throughput import ThroughputReport
 
 MODES = ("decoupled", "physical")
+# Least valid value of each integer argument of ``run``.
+_LOWEST = {"n_slots": 1, "seed": 0}
 
 # Slots processed per vectorized block. Part of the deterministic draw
 # order: changing it changes the random streams.
@@ -500,16 +502,26 @@ def _decoded(los, interference, thresholds: tuple[float, float]):
     return ok
 
 
+def check_argument(name: str, value) -> None:
+    """Reject, naming the argument, a bad ``run`` argument: ``n_slots`` is
+    an integer >= 1, ``seed`` an integer >= 0 (bools rejected) and
+    ``mode`` one of ``MODES``."""
+    if name == "mode":
+        if value not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, "
+                             f"got {value!r}")
+        return
+    low = _LOWEST[name]
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def run(cfg: ScenarioConfig, n_slots: int, seed: int,
         mode: str = "decoupled") -> SimStats:
     """Simulate ``n_slots`` slots and return the measured statistics."""
-    for name, value, low in (("n_slots", n_slots, 1), ("seed", seed, 0)):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < low):
-            raise ValueError(f"{name} must be an integer >= {low}, "
-                             f"got {value!r}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    for name, value in (("n_slots", n_slots), ("seed", seed), ("mode", mode)):
+        check_argument(name, value)
     pw = _Powers(cfg, mode)
     child = np.random.SeedSequence(seed).spawn(3)
     gen_choices = np.random.Generator(np.random.PCG64(child[0]))

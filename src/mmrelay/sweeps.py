@@ -12,11 +12,14 @@ comments and three optional sections::
     q_u = 0.1, 0.5, 0.9      # explicit list
     outputs = t_total, q_r_min   # optional subset of metric columns
 
-    [simulation]
+    [simulation]  # checked by simulator.check_argument
     simulate = true
     n_slots = 1000000
     seed = 1
     mode = decoupled
+
+The metric columns are named as in ``ThroughputReport.metrics()``;
+``STANDARD_METRICS`` is the default subset.
 
 ``run_sweep`` evaluates the analytical model at every grid point (axis 1
 outer, axis 2 inner), optionally simulates each point, and never aborts
@@ -30,15 +33,17 @@ traffic point costs its weighted sums. The numbers are those of a fresh
 per-point analysis, bit for bit. If that table cannot be built, each
 point gets its own, and only points that fail alone get an error. With
 ``jobs > 1`` each worker task is a contiguous run of one group's points;
-a group is split only when there are fewer groups than jobs. Floats are
-printed with 9 significant digits and identical spec + seed reruns are
-byte-identical, whatever ``jobs``.
+a group is split only when there are fewer groups than jobs. Cells are
+printed by ``format_value`` (floats with 9 significant digits) and
+identical spec + seed reruns are byte-identical, whatever ``jobs``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -64,7 +69,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A base scenario plus up to two swept parameters and sim options."""
+    """A base scenario plus swept parameters (a file gives at most two)
+    and sim options."""
 
     base: ScenarioConfig
     axes: tuple[tuple[str, tuple], ...] = ()
@@ -75,14 +81,10 @@ class SweepSpec:
     mode: str = "decoupled"
 
     def grid(self) -> list[dict]:
-        """Field overrides per grid point, axis 1 outer, axis 2 inner."""
-        if not self.axes:
-            return [{}]
-        if len(self.axes) == 1:
-            name, values = self.axes[0]
-            return [{name: v} for v in values]
-        (n1, v1), (n2, v2) = self.axes
-        return [{n1: a, n2: b} for a in v1 for b in v2]
+        """Field overrides per grid point, axis 1 outermost."""
+        names = [name for name, _ in self.axes]
+        return [dict(zip(names, point))
+                for point in itertools.product(*(v for _, v in self.axes))]
 
 
 def _parse_scalar(field: str, text: str, lineno: int):
@@ -112,11 +114,12 @@ def _parse_values(field: str, text: str, lineno: int) -> tuple:
         if step <= 0 or stop < start:
             raise ConfigError(f"line {lineno}: bad range {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        # round away accumulated step noise (0.1 * 6 -> 0.6000000000000001)
-        vals = tuple(round(start + i * step, 10) for i in range(count))
+        vals = tuple(start + i * step for i in range(count))
         if field in _INT_FIELDS:
-            vals = tuple(int(v) for v in vals)
-        return vals
+            return vals
+        # round away accumulated step noise (0.1 * 6 -> 0.6000000000000001)
+        # relative to each value's magnitude
+        return tuple(float(f"{v:.15g}") for v in vals)
     return (_parse_scalar(field, text, lineno),)
 
 
@@ -129,9 +132,10 @@ def _parse_bool(text: str, lineno: int) -> bool:
     raise ConfigError(f"line {lineno}: expected a boolean, got {text!r}")
 
 
-def _check_field(name: str, value, lineno: int) -> None:
+def _check_field(name: str, value, lineno: int,
+                 check=ScenarioConfig.check_field) -> None:
     try:
-        ScenarioConfig.check_field(name, value)
+        check(name, value)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}") from None
 
@@ -199,22 +203,12 @@ def load_config(path: str) -> SweepSpec:
             else:  # simulation
                 if key == "simulate":
                     sim["simulate"] = _parse_bool(value, lineno)
-                elif key in ("n_slots", "seed"):
-                    try:
-                        sim[key] = int(value)
-                    except ValueError:
-                        raise ConfigError(f"line {lineno}: {key} must be an "
-                                          f"integer, got {value!r}") from None
-                    low = 1 if key == "n_slots" else 0
-                    if sim[key] < low:
-                        raise ConfigError(f"line {lineno}: {key} must be "
-                                          f">= {low}, got {sim[key]}")
-                elif key == "mode":
-                    if value not in simulator.MODES:
-                        raise ConfigError(
-                            f"line {lineno}: mode must be "
-                            + " or ".join(map(repr, simulator.MODES)))
-                    sim["mode"] = value
+                elif key in ("n_slots", "seed", "mode"):
+                    if key != "mode":  # text that is no integer is named
+                        with contextlib.suppress(ValueError):
+                            value = int(value)
+                    _check_field(key, value, lineno, simulator.check_argument)
+                    sim[key] = value
                 else:
                     raise ConfigError(f"line {lineno}: unknown key {key!r} "
                                       "in [simulation]")
@@ -227,7 +221,9 @@ def load_config(path: str) -> SweepSpec:
     return SweepSpec(base=base, axes=tuple(axes), outputs=outputs, **sim)
 
 
-def _format(value) -> str:
+def format_value(value) -> str:
+    """A CSV cell or report value: text as is, integers exactly, floats
+    with 9 significant digits."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -237,21 +233,10 @@ def _format(value) -> str:
 
 def evaluate_point(cfg: ScenarioConfig,
                    table: SuccessTable | None = None) -> dict:
-    """All standard analytical metrics for one scenario point; ``table``
-    may be shared by points with the same ``radio_key``."""
-    report = aggregate_throughput(cfg, table)
-    q = report.queue
-    return {
-        "regime": report.regime,
-        "q_r_min": q.q_r_min,
-        "lambda0": q.lambda0,
-        "lambda1": q.lambda1,
-        "mu_r": q.mu_r,
-        "p_empty": q.p_empty_prob,
-        "t_ud": report.t_ud,
-        "t_ur": report.t_ur,
-        "t_total": report.t_aggregate,
-    }
+    """The ``STANDARD_METRICS`` of one scenario point; ``table`` may be
+    shared by points with the same ``radio_key``."""
+    metrics = aggregate_throughput(cfg, table).metrics()
+    return {name: metrics[name] for name in STANDARD_METRICS}
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -349,7 +334,7 @@ def write_csv(spec: SweepSpec, rows: list[dict], stream: io.TextIOBase) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(cols)
     for row in rows:
-        writer.writerow([_format(row.get(c, "")) for c in cols])
+        writer.writerow([format_value(row.get(c, "")) for c in cols])
 
 
 def sweep_to_csv(spec: SweepSpec, path: str, jobs: int = 1) -> list[dict]:

@@ -44,6 +44,17 @@ class ThroughputReport:
     regime: str
     queue: QueueSolution
 
+    def metrics(self) -> dict:
+        """Every reported number by its output name, in ``analyze`` order;
+        ``run_sweep``'s columns are a subset of these names."""
+        q = self.queue
+        return {"regime": self.regime, "q_r_min": q.q_r_min,
+                "lambda0": q.lambda0, "lambda1": q.lambda1, "a_r": q.a_r,
+                "b_r": q.b_r, "mu_r": q.mu_r, "p_empty": q.p_empty_prob,
+                "t_ud0": self.t_ud0, "t_ud1": self.t_ud1, "t_ur0": self.t_ur0,
+                "t_ur1": self.t_ur1, "t_ud": self.t_ud, "t_ur": self.t_ur,
+                "t_total": self.t_aggregate}
+
 
 def aggregate_throughput(cfg: ScenarioConfig,
                          table: SuccessTable | None = None) -> ThroughputReport:

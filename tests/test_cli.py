@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from mmrelay import ConfigError, ScenarioConfig, SuccessTable, load_config, \
     run_sweep
-from mmrelay import queue_model, sweeps
+from mmrelay import queue_model, simulator, sweeps
 from mmrelay.sweeps import SweepSpec, _tasks, evaluate_point, \
     sweep_columns, write_csv
 from conftest import RECIPES
@@ -80,13 +81,26 @@ class TestLoadConfig:
             load_config(_write(tmp_path, text))
 
     @pytest.mark.parametrize("line, message", [
-        ("n_slots = 0", "n_slots must be >= 1, got 0"),
-        ("seed = -1", "seed must be >= 0, got -1"),
+        ("n_slots = 0", "n_slots must be an integer >= 1, got 0"),
+        ("seed = -1", "seed must be an integer >= 0, got -1"),
     ])
     def test_simulation_counts_out_of_range(self, tmp_path, line, message):
         text = f"[simulation]\nsimulate = true\n{line}\n"
         with pytest.raises(ConfigError, match=f"line 3: {message}"):
             load_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("key, text", [
+        ("n_slots", "abc"), ("seed", "1.5"), ("mode", "bogus")])
+    def test_simulation_argument_has_one_message(self, tmp_path, two_ue_cfg,
+                                                 key, text):
+        # A file states simulator.run's rule and message, plus its line.
+        args = {"n_slots": 10, "seed": 0, "mode": "decoupled", key: text}
+        with pytest.raises(ValueError, match=f"^{key} must be .*, got "
+                                             f"{re.escape(repr(text))}$") as exc:
+            simulator.run(two_ue_cfg, **args)
+        with pytest.raises(ConfigError) as file_exc:
+            load_config(_write(tmp_path, f"[simulation]\n{key} = {text}\n"))
+        assert str(file_exc.value) == f"line 2: {exc.value}"
 
     def test_unknown_mode_names_both_modes(self, tmp_path):
         text = "[simulation]\nmode = bogus\n"
@@ -94,6 +108,16 @@ class TestLoadConfig:
                            match="line 2: mode must be 'decoupled' or "
                                  "'physical'"):
             load_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("line, values", [
+        ("q_u = 0:1:0.1", tuple(i / 10 for i in range(11))),
+        # step noise is cleaned relative to each value, not to 1e-10
+        ("alpha = 0:0.00000000005:0.00000000001",
+         (0.0, 1e-11, 2e-11, 3e-11, 4e-11, 5e-11)),
+    ])
+    def test_range_step_noise_cleaned(self, tmp_path, line, values):
+        spec = load_config(_write(tmp_path, f"[sweep]\n{line}\n"))
+        assert spec.axes == ((line.split(" = ")[0], values),)
 
     def test_forty_five_point_plan(self, tmp_path):
         text = "[sweep]\nn_ues = 1:15\nq_u = 0.1, 0.5, 0.9\n"
@@ -115,6 +139,16 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert [(r["n_ues"], r["q_u"]) for r in rows] == \
             [(1, 0.1), (1, 0.9), (2, 0.1), (2, 0.9)]
+
+    def test_grid_of_three_axes(self):
+        # the file format stops at two axes; a spec built in code does not
+        spec = SweepSpec(base=ScenarioConfig(),
+                         axes=(("n_ues", (1, 2)), ("q_u", (0.1, 0.2)),
+                               ("q_uf", (0.5,))))
+        assert spec.grid() == [
+            {"n_ues": n, "q_u": q, "q_uf": 0.5}
+            for n in (1, 2) for q in (0.1, 0.2)]
+        assert SweepSpec(base=ScenarioConfig()).grid() == [{}]
 
     def test_csv_round_trip(self, tmp_path):
         text = "[sweep]\nn_ues = 1:3\n"
