@@ -19,12 +19,15 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   the configurations of the table's N UEs (the only copy of them), the
   binomial coefficients, every success probability gathered from the
   2-D arrays of ``SuccessTable.grid`` by fancy indexing, the stored and
-  departure probabilities, and, built with numpy one n_fr slab at a
-  time, each configuration's binomial pmfs of stored FD->relay and BR
-  packets and their convolution, relay silent and transmitting. The
-  success probabilities read only the radio fields, so neither does the
-  block: every traffic point (n <= N, q_u, q_uf, q_ur, q_r) of a sweep
-  group that shares a table and a zero pattern reuses it;
+  departure probabilities, and each configuration's binomial pmfs of
+  stored FD->relay and BR packets and their convolution, relay silent
+  and transmitting. The rows run n_fr-major, so the rows with n_fr >= i
+  are a suffix, and the convolution is one numpy pass per i over that
+  suffix of all rows at once (in runs of ``_BLOCK_ROWS`` rows, which
+  bounds the temporaries). The success probabilities read only the
+  radio fields, so neither does the block: every traffic point
+  (n <= N, q_u, q_uf, q_ur, q_r) of a sweep group that shares a table
+  and a zero pattern reuses it;
 * the traffic point's weighted sums: the multinomial weights of its n
   UEs, computed on the block's own rows by ``_weights``, times the
   block's columns, each output one ``math.fsum``. A row with
@@ -54,6 +57,10 @@ import numpy as np
 
 from .geometry import ScenarioConfig
 from .success import SuccessTable
+
+# Rows per run of the stored-count convolution. A block of N <= 15 is one
+# run; a cold N = 30 analysis peaks near 5 MB (10 MB in one run).
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -130,12 +137,20 @@ def _comb_table(n: int) -> np.ndarray:
                      for i in range(2 * n + 1)], dtype=float)
 
 
-def _binom_rows(comb: np.ndarray, n, p: np.ndarray, width: int) -> np.ndarray:
-    """Row c: comb(n_c, k) * p_c**k * (1 - p_c)**(n_c - k), zero past k = n_c."""
-    k = np.arange(width)
-    n = np.broadcast_to(n, p.shape)[:, None]
-    p = p[:, None]
-    return comb[n, k] * p**k * (1.0 - p) ** np.maximum(n - k, 0)
+def _binom_rows(comb: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Column c: comb(n_c, k) * p_c**k * (1 - p_c)**(n_c - k) for k <= n_c,
+    zero past n_c, as a (N + 1, C) array for the N of ``comb``.
+
+    Only the support is evaluated, then scattered into zeros. The powers
+    are numpy ``**``, which gives the same float for a (p, k) pair
+    whatever the array layout.
+    """
+    c = np.repeat(np.arange(n.size), n + 1)
+    k = np.arange(c.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+    m, q = n[c], p[c]
+    out = np.zeros((comb.shape[1], n.size))
+    out[k, c] = comb[m, k] * q**k * (1.0 - q) ** (m - k)
+    return out
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -154,6 +169,14 @@ class _ConfigBlock:
     silent s = 0 or transmitting s = 1), ``p_dep`` (the relay's packet
     reaches the mmAP) and ``v[s][k + 1, c]`` = P(k stored | c); a zero row
     on each side of v serves the k - 1 and k + 1 shifts.
+
+    v is the convolution of each row's Binomial(n_fr, p_f) and
+    Binomial(n_b, stores[s]) pmfs, built one run of ``_BLOCK_ROWS`` rows
+    at a time. The rows are n_fr-major, so in a run the rows with
+    n_fr >= i are a suffix, and the term of i FD->relay packets is one
+    slice update over that suffix for every k at once. The passes go in
+    increasing i, so each cell adds its products in the order of a
+    per-configuration loop; the terms past a row's n_b are exact zeros.
     """
 
     comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N, then zeros
@@ -192,18 +215,21 @@ def _config_block(table: SuccessTable,
     ud_fd = tuple(table.grid("ud", "fd", relay)[fd, n_b]
                   for relay in (False, True))
     comb = _comb_table(n)
-    # The rows run n_fr-major, so each n_fr slab is a slice.
+    # v[s][k + 1, c] sums pmf_f[i, c] * pmf_b[k - i, c] over increasing i.
+    # Within a run of rows those with n_fr >= i are a suffix, from e[i];
+    # the terms with k - i > n_b[c] are exact zeros, so each pass may run
+    # to k = n.
     v = np.zeros((2, n + 3, n_fr.size))
-    edges = np.searchsorted(n_fr, np.arange(n + 2))
-    for f in range(n + 1):
-        s = slice(edges[f], edges[f + 1])
-        if s.start == s.stop:
-            continue
-        pmf_f = _binom_rows(comb, f, p_f[s], f + 1)
-        for v_s, store in zip(v, stores):
-            pmf_b = _binom_rows(comb, n_b[s], store[s], n - f + 1).T
-            for i in range(f + 1):
-                v_s[i + 1:i + n - f + 2, s] += pmf_f[:, i] * pmf_b
+    for lo in range(0, n_fr.size, _BLOCK_ROWS):
+        run = slice(lo, lo + _BLOCK_ROWS)
+        f = n_fr[run]
+        e = np.searchsorted(f, np.arange(f[-1] + 1))
+        pmf_f = _binom_rows(comb, f, p_f[run])
+        for v_s, store in zip(v[:, :, run], stores):
+            pmf_b = _binom_rows(comb, n_b[run], store[run])
+            for i, e_i in enumerate(e):
+                v_s[i + 1:n + 2, e_i:] += (pmf_f[i, e_i:]
+                                           * pmf_b[:n + 1 - i, e_i:])
     block = _ConfigBlock(comb, n_fr, n_fd, n_b, p_f, p_dep, 1.0 - p_dep,
                          at_mmap, stores, ud_fd, v)
     table.blocks[active] = block

@@ -197,8 +197,13 @@ def load_config(path: str) -> SweepSpec:
                     raise ConfigError(f"line {lineno}: empty value list")
                 # Constraints that couple several fields are checked per
                 # grid point and recorded in the `error` column instead.
+                seen = set()
                 for v in vals:
                     _check_field(key, v, lineno)
+                    if v in seen:  # one point would be evaluated twice
+                        raise ConfigError(f"line {lineno}: {key} repeats "
+                                          f"the value {v!r}")
+                    seen.add(v)
                 axes.append((key, vals))
             else:  # simulation
                 if key == "simulate":

@@ -5,6 +5,9 @@ oracle enumerates every joint LOS/NLOS assignment one interferer at a
 time (no binomial partition counting), and the arrival oracle enumerates
 per-user decision tuples and acceptance subsets (no pmf convolution).
 Both share only the link-budget power primitives with the code under test.
+The stored-count oracle is the queue walk's convolution of two binomial
+pmfs, one configuration at a time, with the library's numpy powers and
+term order, so the block built over all rows must reproduce it exactly.
 ``sinr_linear`` is the decode rule in its division form,
 s / (noise + alpha * I) >= gamma, which the library replaces by
 comparing I with ``LinkBudget.threshold``; the success oracles decide by
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 from mmrelay.geometry import LinkBudget, LinkState, Role, ScenarioConfig
 from mmrelay.success import SuccessTable
@@ -156,6 +161,30 @@ def arrival_pmf_bruteforce(cfg: ScenarioConfig, table, relay_tx: bool) -> list[f
                 wo *= p_acc if got else 1.0 - p_acc
             pmf[sum(outcome)] += wo
     return pmf
+
+
+def stored_pmf_oracle(n: int, n_fr: int, n_b: int, p_f: float,
+                      store: float) -> list[float]:
+    """P(k stored | configuration) for k = 0..n: Binomial(n_fr, p_f)
+    convolved with Binomial(n_b, store).
+
+    Each pmf term is comb * p**k * (1 - p)**(m - k) with numpy ``**`` (the
+    library's powers; Python ``**`` differs in the last bit for some
+    pairs), and each cell adds its products in increasing i, the
+    FD->relay count.
+    """
+    def pmf(m, p):
+        k = np.arange(m + 1)
+        comb = np.array([float(math.comb(m, j)) for j in k])
+        p = np.float64(p)
+        return (comb * p**k * (1.0 - p) ** (m - k)).tolist()
+
+    pmf_f, pmf_b = pmf(n_fr, p_f), pmf(n_b, store)
+    out = [0.0] * (n + 1)
+    for i, a in enumerate(pmf_f):
+        for j, b in enumerate(pmf_b):
+            out[i + j] += a * b
+    return out
 
 
 def per_user_throughput_bruteforce(cfg: ScenarioConfig, table,

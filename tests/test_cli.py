@@ -119,6 +119,17 @@ class TestLoadConfig:
         spec = load_config(_write(tmp_path, f"[sweep]\n{line}\n"))
         assert spec.axes == ((line.split(" = ")[0], values),)
 
+    @pytest.mark.parametrize("line, value", [
+        ("q_u = 0.1, 0.1", "0.1"),
+        # the step is below 15 significant digits of the values
+        ("alpha = 0.5:0.500000000000001:0.0000000000000001", "0.5"),
+    ])
+    def test_repeated_axis_value_rejected(self, tmp_path, line, value):
+        with pytest.raises(ConfigError,
+                           match=f"^line 2: {line.split()[0]} repeats the "
+                                 f"value {re.escape(value)}$"):
+            load_config(_write(tmp_path, f"[sweep]\n{line}\n"))
+
     def test_forty_five_point_plan(self, tmp_path):
         text = "[sweep]\nn_ues = 1:15\nq_u = 0.1, 0.5, 0.9\n"
         spec = load_config(_write(tmp_path, text))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -15,7 +16,8 @@ from mmrelay import (
 
 import mmrelay.queue_model as queue_model
 from conftest import random_two_ue_cfg
-from oracles import arrival_pmf_bruteforce, two_ue_closed_forms
+from oracles import (arrival_pmf_bruteforce, stored_pmf_oracle,
+                     two_ue_closed_forms)
 
 
 def _configs(cfg):
@@ -372,10 +374,48 @@ class TestSuccessArrayUse:
             queue_statistics(ScenarioConfig(n_ues=1030, q_u=0.0))
 
 
+class TestConfigBlock:
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 30])
+    def test_stored_pmfs_match_oracle(self, monkeypatch, n, block_rows):
+        # Runs of 7 rows split the n_fr slabs, so a run starts inside one.
+        if block_rows is not None:
+            monkeypatch.setattr(queue_model, "_BLOCK_ROWS", block_rows)
+        table = SuccessTable(ScenarioConfig(n_ues=n))
+        for active in itertools.product((False, True), repeat=3):
+            blk = queue_model._config_block(table, active)
+            for v_s, store in zip(blk.v, blk.stores):
+                assert not v_s[0].any() and not v_s[n + 2].any()
+                for c, (f, b) in enumerate(zip(blk.n_fr.tolist(),
+                                               blk.n_b.tolist())):
+                    assert v_s[1:n + 2, c].tolist() == stored_pmf_oracle(
+                        n, f, b, blk.p_f[c], store[c])
+
+    @pytest.mark.parametrize("n, runs", [(10, 1), (30, 6)])
+    def test_cold_analysis_binomial_passes(self, monkeypatch, n, runs):
+        # Three pmf builds (FD->relay, BR stored silent and transmitting)
+        # per run of _BLOCK_ROWS rows.
+        calls = []
+        binom_rows = queue_model._binom_rows
+
+        def counted(*args):
+            calls.append(args)
+            return binom_rows(*args)
+
+        monkeypatch.setattr(queue_model, "_binom_rows", counted)
+        cfg = ScenarioConfig(n_ues=n, q_u=0.5)
+        table = SuccessTable(cfg)
+        aggregate_throughput(cfg, table)
+        (blk,) = table.blocks.values()
+        assert -(-blk.n_fr.size // queue_model._BLOCK_ROWS) == runs
+        assert len(calls) == 3 * runs
+
+
 class TestWalkMemory:
     def test_cold_n30_analysis_peak(self):
-        # The stored-count pmfs take about 2.9 MB here; the binomial rows
-        # and their products are built one n_fr slab at a time.
+        # The stored-count pmfs take about 2.9 MB here; the binomial pmfs
+        # and their products are built one run of _BLOCK_ROWS rows at a
+        # time.
         cfg = ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5)
         tracemalloc.start()
         try:
