@@ -16,35 +16,40 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
 * a traffic-free block, built on first use and kept on the
   ``SuccessTable`` per zero pattern (which of p_fr, p_fd and p_b are
   zero; that decides which configurations can carry weight). It holds
-  the configurations of the table's N UEs (the only copy of them), the
-  binomial coefficients, every success probability gathered from the
-  2-D arrays of ``SuccessTable.grid`` by fancy indexing, the stored and
-  departure probabilities, and each configuration's binomial pmfs of
-  stored FD->relay and BR packets and their convolution, relay silent
-  and transmitting. The rows run n_fr-major, so the rows with n_fr >= i
-  are a suffix, and the convolution is one numpy pass per i over that
-  suffix of all rows at once (in runs of ``_BLOCK_ROWS`` rows, which
-  bounds the temporaries). The success probabilities read only the
-  radio fields, so neither does the block: every traffic point
-  (n <= N, q_u, q_uf, q_ur, q_r) of a sweep group that shares a table
-  and a zero pattern reuses it;
-* the traffic point's weighted sums: the multinomial weights of its n
-  UEs, computed on the block's own rows by ``_weights``, times the
-  block's columns, each output one ``math.fsum``. A row with
-  n_fr + n_fd + n_b > n weighs exactly 0.0.
+  the configurations of the table's N UEs (the only copy of them),
+  ordered by their number of active UEs n_fr + n_fd + n_b, the binomial
+  coefficients, every success probability gathered from the 2-D arrays
+  of ``SuccessTable.grid`` by fancy indexing, the stored and departure
+  probabilities, and each configuration's pmf of stored packets, relay
+  silent and transmitting: the convolution of its Binomial(n_fr, p_f)
+  FD->relay and Binomial(n_b, store) BR pmfs. That pmf depends only on
+  (n_fr, p_f, n_b, stores), which many configurations share (at N = 30
+  on the default radio, 854 distinct inputs for 5,456 rows), so it is
+  built once per distinct input, sorted n_fr-major: the inputs with
+  n_fr >= i are a suffix, and the convolution is one numpy pass per i
+  over that suffix (in runs of ``_BLOCK_ROWS`` inputs, which bounds the
+  temporaries). A gather takes it back to the rows. The success
+  probabilities read only the radio fields, so neither does the block:
+  every traffic point (n <= N, q_u, q_uf, q_ur, q_r) of a sweep group
+  that shares a table and a zero pattern reuses it;
+* the traffic point's weighted sums over the block's first rows, those
+  of at most n UEs: their multinomial weights, computed by ``_weights``,
+  times the block's columns, each output one ``math.fsum``.
 
-So a traffic point on a warm block enumerates nothing. The one
-result, ``QueueStatistics``, also holds a tagged user's rates as moments
-of the same walk: for a scheme x with per-UE probability p_x and any f of
-the other UEs' counts, E_N[n_x * f(n_x - 1, ...)] = N * p_x * E_{N-1}[f],
+So a traffic point on a warm block enumerates nothing, and one at n < N
+weighs only its own rows. The one result, ``QueueStatistics``, also
+holds a tagged user's rates as moments of the same walk: for a scheme x
+with per-UE probability p_x and any f of the other UEs' counts,
+E_N[n_x * f(n_x - 1, ...)] = N * p_x * E_{N-1}[f],
 since n_x * W_N(n_x, ...) = N * p_x * W_{N-1}(n_x - 1, ...) for the
 multinomial weight W (one tagged UE in scheme x, N - 1 others).
 ``solve_queue`` decides Loynes stability in one place (stable iff
-q_r > q_r_min) and evaluates P(Q = 0) only on the stable side;
-``throughput`` mixes the tagged rates by queue regime.
+q_r > q_r_min) from the arrival pmfs and B_r, and evaluates the nonempty
+pmf and P(Q = 0) only on the stable side; ``throughput`` mixes the
+tagged rates by queue regime.
 
 Each output pmf cell or rate is one exactly rounded ``math.fsum`` over its
-weighted per-configuration terms, so no result depends on the walk order
+weighted per-configuration terms, so no result depends on the row order
 or on whether the block was built for this point or an earlier one.
 """
 
@@ -58,8 +63,10 @@ import numpy as np
 from .geometry import ScenarioConfig
 from .success import SuccessTable
 
-# Rows per run of the stored-count convolution. A block of N <= 15 is one
-# run; a cold N = 30 analysis peaks near 5 MB (10 MB in one run).
+# Distinct inputs per run of the stored-count convolution. The default
+# radio's N = 30 block is one run (854 inputs) and a cold analysis there
+# peaks near 4 MB; a block whose 5,456 inputs are all distinct (N = 30
+# at gamma = 0 dB) is six runs and peaks near 6.3 MB.
 _BLOCK_ROWS = 1024
 
 
@@ -92,7 +99,7 @@ class QueueStatistics:
     t_ur1: float
 
     def mean_empty(self) -> float:
-        return math.fsum(k * v for k, v in enumerate(self.p_empty))
+        return _mean(self.p_empty)
 
     def mean_nonempty(self) -> float:
         return math.fsum((i - 1) * v for i, v in enumerate(self.p_nonempty))
@@ -126,20 +133,24 @@ def _active(p_fr: float, p_fd: float, p_b: float) -> tuple[bool, ...]:
 
 def _rows(n: int, active: tuple[bool, ...]) -> np.ndarray:
     """(n_fr, n_fd, n_b) of every configuration of n UEs whose weight a
-    zero probability does not rule out, n_fr-major, as a (3, R) array."""
+    zero probability does not rule out, as a (3, R) array ordered by the
+    number of active UEs n_fr + n_fd + n_b (n_fr-major within a count)."""
     idx = np.indices([n + 1 if a else 1 for a in active]).reshape(3, -1)
-    return idx[:, idx.sum(axis=0) <= n]
+    total = idx.sum(axis=0)
+    keep = np.flatnonzero(total <= n)
+    return idx[:, keep[np.argsort(total[keep], kind="stable")]]
 
 
 def _comb_table(n: int) -> np.ndarray:
-    # C(i, j) for i, j <= n, then n zero rows: row indices -n..-1 read zeros
-    return np.array([[math.comb(i, j) if i <= n else 0 for j in range(n + 1)]
-                     for i in range(2 * n + 1)], dtype=float)
+    # C(i, j) for i, j <= n
+    return np.array([[math.comb(i, j) for j in range(n + 1)]
+                     for i in range(n + 1)], dtype=float)
 
 
 def _binom_rows(comb: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Column c: comb(n_c, k) * p_c**k * (1 - p_c)**(n_c - k) for k <= n_c,
-    zero past n_c, as a (N + 1, C) array for the N of ``comb``.
+    zero past n_c, as a (N + 1, C) array for the N of ``comb``; a p of
+    shape (S, C) gives S such arrays, (S, N + 1, C).
 
     Only the support is evaluated, then scattered into zeros. The powers
     are numpy ``**``, which gives the same float for a (p, k) pair
@@ -147,10 +158,51 @@ def _binom_rows(comb: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     c = np.repeat(np.arange(n.size), n + 1)
     k = np.arange(c.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
-    m, q = n[c], p[c]
-    out = np.zeros((comb.shape[1], n.size))
-    out[k, c] = comb[m, k] * q**k * (1.0 - q) ** (m - k)
+    m, q = n[c], p[..., c]
+    out = np.zeros((*p.shape[:-1], comb.shape[1], n.size))
+    out[..., k, c] = comb[m, k] * q**k * (1.0 - q) ** (m - k)
     return out
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``keys`` that start a distinct value, sorted by its
+    last row, then the one before, and so on; and each column's index
+    among them."""
+    order = np.lexsort(keys)
+    sorted_keys = keys[:, order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    new[1:] = (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _stored_pmfs(comb: np.ndarray, n_fr: np.ndarray, p_f: np.ndarray,
+                 n_b: np.ndarray, stores: np.ndarray) -> np.ndarray:
+    """v[s][1:N + 2, c]: the pmf of Binomial(n_fr[c], p_f[c]) +
+    Binomial(n_b[c], stores[s][c]), with a zero row on each side, for
+    columns whose n_fr does not decrease.
+
+    The columns go in runs of ``_BLOCK_ROWS``. In a run the columns with
+    n_fr >= i are a suffix, and the term of i FD->relay packets is one
+    slice update over that suffix for every count and both s at once.
+    The passes go in increasing i, so each cell adds its products in the
+    order of a per-column loop; the terms past a column's n_b are exact
+    zeros.
+    """
+    n = comb.shape[0] - 1
+    v = np.zeros((len(stores), n + 3, n_fr.size))
+    for lo in range(0, n_fr.size, _BLOCK_ROWS):
+        run = slice(lo, lo + _BLOCK_ROWS)
+        f, v_run = n_fr[run], v[:, :, run]
+        e = np.searchsorted(f, np.arange(f[-1] + 1))
+        pmf_f = _binom_rows(comb, f, p_f[run])
+        pmf_b = _binom_rows(comb, n_b[run], stores[:, run])
+        for i, e_i in enumerate(e):
+            v_run[:, i + 1:n + 2, e_i:] += (pmf_f[i, e_i:]
+                                            * pmf_b[:, :n + 1 - i, e_i:])
+    return v
 
 
 def _fsum(terms: np.ndarray) -> float:
@@ -162,34 +214,44 @@ def _fsum(terms: np.ndarray) -> float:
 class _ConfigBlock:
     """The traffic-free part of the queue walk over one set of rows.
 
-    The rows are the configurations' counts ``n_fr``, ``n_fd``, ``n_b``;
-    ``_weights`` weighs them with the binomial table ``comb``. Per
-    configuration c: the gathered success probabilities, ``stores[s]``
-    (a BR packet is stored: decoded at the relay, lost at the mmAP, relay
-    silent s = 0 or transmitting s = 1), ``p_dep`` (the relay's packet
-    reaches the mmAP) and ``v[s][k + 1, c]`` = P(k stored | c); a zero row
-    on each side of v serves the k - 1 and k + 1 shifts.
+    The rows are the configurations' counts ``n_fr``, ``n_fd``, ``n_b``,
+    ordered by their number of active UEs, so the ``ends[n]`` rows of at
+    most n UEs come first (``head(n)``); ``_weights`` weighs them with the
+    binomial table ``comb``. Per configuration c: the gathered success
+    probabilities, ``stores[s]`` (a BR packet is stored: decoded at the
+    relay, lost at the mmAP, relay silent s = 0 or transmitting s = 1),
+    ``p_dep`` (the relay's packet reaches the mmAP) and
+    ``v[s][k + 1, c]`` = P(k stored | c); a zero row on each side of v
+    serves the k - 1 and k + 1 shifts.
 
-    v is the convolution of each row's Binomial(n_fr, p_f) and
-    Binomial(n_b, stores[s]) pmfs, built one run of ``_BLOCK_ROWS`` rows
-    at a time. The rows are n_fr-major, so in a run the rows with
-    n_fr >= i are a suffix, and the term of i FD->relay packets is one
-    slice update over that suffix for every k at once. The passes go in
-    increasing i, so each cell adds its products in the order of a
-    per-configuration loop; the terms past a row's n_b are exact zeros.
+    v[s] is the convolution of Binomial(n_fr, p_f) and
+    Binomial(n_b, stores[s]), which depends on those four inputs only. It
+    is built once per distinct input, sorted n_fr-major for the suffix
+    passes of ``_stored_pmfs``, and gathered back to the rows.
     """
 
-    comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N, then zeros
+    comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N
+    ends: tuple           # ends[n]: the number of rows of at most n UEs
     n_fr: np.ndarray
     n_fd: np.ndarray
     n_b: np.ndarray
     p_f: np.ndarray       # a tagged FD->relay packet is decoded
     p_dep: np.ndarray
     q_dep: np.ndarray     # 1 - p_dep
-    at_mmap: tuple        # a tagged BR packet is decoded at the mmAP, by s
-    stores: tuple
-    ud_fd: tuple          # a tagged FD->mmAP packet is decoded, by s
+    at_mmap: np.ndarray   # a tagged BR packet is decoded at the mmAP, by s
+    stores: np.ndarray
+    ud_fd: np.ndarray     # a tagged FD->mmAP packet is decoded, by s
     v: np.ndarray
+
+    def head(self, n: int) -> _ConfigBlock:
+        """The block's rows of at most n UEs, as views."""
+        m = self.ends[n]
+        if m == self.n_fr.size:
+            return self
+        return _ConfigBlock(self.comb, self.ends[:n + 1], *(
+            a[..., :m] for a in (self.n_fr, self.n_fd, self.n_b, self.p_f,
+                                 self.p_dep, self.q_dep, self.at_mmap,
+                                 self.stores, self.ud_fd, self.v)))
 
 
 def _config_block(table: SuccessTable,
@@ -207,56 +269,92 @@ def _config_block(table: SuccessTable,
     b = np.maximum(n_b - 1, 0)
     fd = np.maximum(n_fd - 1, 0)
     at_relay = table.grid("ur", "br", False)[n_fr, b]
-    at_mmap = tuple(table.grid("ud", "br", relay)[n_fd, b]
-                    for relay in (False, True))
-    stores = tuple(at_relay * (1.0 - m) for m in at_mmap)
+    at_mmap = np.array([table.grid("ud", "br", relay)[n_fd, b]
+                        for relay in (False, True)])
+    stores = at_relay * (1.0 - at_mmap)
     p_f = table.grid("ur", "fd", False)[np.maximum(n_fr - 1, 0), n_b]
     p_dep = table.grid("rd", "fd", False)[n_fd, n_b]
-    ud_fd = tuple(table.grid("ud", "fd", relay)[fd, n_b]
-                  for relay in (False, True))
+    ud_fd = np.array([table.grid("ud", "fd", relay)[fd, n_b]
+                      for relay in (False, True)])
     comb = _comb_table(n)
-    # v[s][k + 1, c] sums pmf_f[i, c] * pmf_b[k - i, c] over increasing i.
-    # Within a run of rows those with n_fr >= i are a suffix, from e[i];
-    # the terms with k - i > n_b[c] are exact zeros, so each pass may run
-    # to k = n.
-    v = np.zeros((2, n + 3, n_fr.size))
-    for lo in range(0, n_fr.size, _BLOCK_ROWS):
-        run = slice(lo, lo + _BLOCK_ROWS)
-        f = n_fr[run]
-        e = np.searchsorted(f, np.arange(f[-1] + 1))
-        pmf_f = _binom_rows(comb, f, p_f[run])
-        for v_s, store in zip(v[:, :, run], stores):
-            pmf_b = _binom_rows(comb, n_b[run], store[run])
-            for i, e_i in enumerate(e):
-                v_s[i + 1:n + 2, e_i:] += (pmf_f[i, e_i:]
-                                           * pmf_b[:n + 1 - i, e_i:])
-    block = _ConfigBlock(comb, n_fr, n_fd, n_b, p_f, p_dep, 1.0 - p_dep,
-                         at_mmap, stores, ud_fd, v)
+    # p_f is a function of (n_fr, n_b), so a column of v is one of
+    # (n_fr, n_b, stores[0], stores[1]); the pair id sorts n_fr-major.
+    pair = n_fr * (n + 1) + n_b
+    first, inverse = _distinct(np.vstack([stores[::-1], pair]))
+    v = np.take(_stored_pmfs(comb, n_fr[first], p_f[first], n_b[first],
+                             stores[:, first]), inverse, axis=2)
+    ends = tuple(np.cumsum(np.bincount(n_fr + n_fd + n_b,
+                                       minlength=n + 1)).tolist())
+    block = _ConfigBlock(comb, ends, n_fr, n_fd, n_b, p_f, p_dep,
+                         1.0 - p_dep, at_mmap, stores, ud_fd, v)
     table.blocks[active] = block
     return block
 
 
 def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,
              p_b: float) -> np.ndarray:
-    """The multinomial weight of each of the block's rows for n UEs.
+    """The multinomial weight of each row of ``blk``, which has at most n
+    UEs, for n UEs.
 
     A weight is comb(n, n_fr) * p_fr**n_fr, times comb(n - n_fr, n_fd) *
     p_fd**n_fd, and so on for n_b and the idle UEs, multiplied left to
     right; the powers are Python ``**`` (numpy's ``power`` may differ in
     the last bit), so a weight is the same float as the scalar product. A
-    weight that underflows is 0 and drops out of every sum. So does a row
-    of more than n UEs (the block's N may exceed n): it reads a zero of
-    ``comb`` or of the power tables, which are zero past p**n.
+    weight that underflows is 0 and drops out of every sum.
     """
     p_idle = max(1.0 - (p_fr + p_fd + p_b), 0.0)
-    pad = [0.0] * (len(blk.comb[0]) - 1 - n)
-    pw_fr, pw_fd, pw_b, pw_idle = (np.array([p**k for k in range(n + 1)] + pad)
+    pw_fr, pw_fd, pw_b, pw_idle = (np.array([p**k for k in range(n + 1)])
                                    for p in (p_fr, p_fd, p_b, p_idle))
     comb, n_fr, n_fd, n_b = blk.comb, blk.n_fr, blk.n_fd, blk.n_b
     c1 = comb[n, n_fr] * pw_fr[n_fr]
     c2 = (c1 * comb[n - n_fr, n_fd]) * pw_fd[n_fd]
     return (((c2 * comb[n - n_fr - n_fd, n_b]) * pw_b[n_b])
             * pw_idle[n - n_fr - n_fd - n_b])
+
+
+class _Walk:
+    """One traffic point's queue walk: its weights ``w`` on the block rows
+    ``blk`` of at most n UEs, and every ``QueueStatistics`` field. The
+    nonempty pmf is computed each time it is read, so ``_solve``, which
+    reads it on the stable side only, skips it on the unstable side."""
+
+    def __init__(self, cfg: ScenarioConfig, table: SuccessTable | None):
+        if table is None:
+            table = SuccessTable(cfg)
+        elif table.cfg.radio_key() != cfg.radio_key():
+            raise ValueError("the success table belongs to another radio "
+                             "configuration")
+        elif table.cfg.n_ues < cfg.n_ues:
+            raise ValueError(f"the success table covers N = "
+                             f"{table.cfg.n_ues} UEs, fewer than the "
+                             f"{cfg.n_ues} analysed")
+        n = cfg.n_ues
+        probs = _ue_activity_probs(cfg)
+        blk = _config_block(table, _active(*probs)).head(n)
+        w = _weights(blk, n, *probs)
+        self.cfg, self.blk, self.w = cfg, blk, w
+        self.p_empty, self.p_arrival_tx = [
+            np.array([_fsum(w * v_s[k + 1]) for k in range(n + 1)])
+            for v_s in blk.v]
+        self.b_r = _fsum(w * blk.p_dep)
+        self.t_ud0, self.t_ud1 = [
+            (_fsum(w * blk.n_fd * g) + _fsum(w * blk.n_b * m)) / n
+            for g, m in zip(blk.ud_fd, blk.at_mmap)]
+        self.t_fr = _fsum(w * blk.n_fr * blk.p_f) / n
+        self.t_ur0, self.t_ur1 = [_fsum(w * blk.n_b * store) / n
+                                  for store in blk.stores]
+
+    @property
+    def p_nonempty(self) -> np.ndarray:
+        """P(net change = i - 1 | queue nonempty) by i."""
+        blk, w, q_r = self.blk, self.w, self.cfg.q_r
+        v0, v1 = blk.v
+        w_s, w_t = w * (1.0 - q_r), w * q_r
+        # net = arrivals - 1{departure}
+        return np.array([
+            _fsum(np.concatenate([w_s * v0[k], (w_t * v1[k + 1]) * blk.p_dep,
+                                  (w_t * v1[k]) * blk.q_dep]))
+            for k in range(self.cfg.n_ues + 2)])
 
 
 def queue_statistics(cfg: ScenarioConfig,
@@ -279,34 +377,10 @@ def queue_statistics(cfg: ScenarioConfig,
     and at least ``cfg.n_ues`` UEs; it keeps the configuration blocks for
     later calls.
     """
-    if table is None:
-        table = SuccessTable(cfg)
-    elif table.cfg.radio_key() != cfg.radio_key():
-        raise ValueError("the success table belongs to another radio "
-                         "configuration")
-    elif table.cfg.n_ues < cfg.n_ues:
-        raise ValueError(f"the success table covers N = {table.cfg.n_ues} "
-                         f"UEs, fewer than the {cfg.n_ues} analysed")
-    n = cfg.n_ues
-    q_r = cfg.q_r
-    probs = _ue_activity_probs(cfg)
-    blk = _config_block(table, _active(*probs))
-    w = _weights(blk, n, *probs)
-    v0, v1 = blk.v
-    w_s, w_t = w * (1.0 - q_r), w * q_r
-    arrivals = [np.array([_fsum(w * v_s[k + 1]) for k in range(n + 1)])
-                for v_s in blk.v]
-    # net = arrivals - 1{departure}; p_nonempty[k + 1] is net change k.
-    nonempty = np.array([
-        _fsum(np.concatenate([w_s * v0[k], (w_t * v1[k + 1]) * blk.p_dep,
-                              (w_t * v1[k]) * blk.q_dep]))
-        for k in range(n + 2)])
-    t_ud = [(_fsum(w * blk.n_fd * g) + _fsum(w * blk.n_b * m)) / n
-            for g, m in zip(blk.ud_fd, blk.at_mmap)]
-    t_ur = [_fsum(w * blk.n_b * store) / n for store in blk.stores]
-    return QueueStatistics(arrivals[0], nonempty, arrivals[1],
-                           _fsum(w * blk.p_dep), t_ud[0], t_ud[1],
-                           _fsum(w * blk.n_fr * blk.p_f) / n, t_ur[0], t_ur[1])
+    walk = _Walk(cfg, table)
+    return QueueStatistics(walk.p_empty, walk.p_nonempty, walk.p_arrival_tx,
+                           walk.b_r, walk.t_ud0, walk.t_ud1, walk.t_fr,
+                           walk.t_ur0, walk.t_ur1)
 
 
 def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> QueueSolution:
@@ -317,14 +391,20 @@ def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> Queue
     P(Q = 0) is evaluated on the stable side only, from the nonempty
     net-change probabilities; it is 0.0 when unstable.
     """
-    return _solve(cfg, queue_statistics(cfg, table))
+    return _solve(cfg, _Walk(cfg, table))
 
 
-def _solve(cfg: ScenarioConfig, stats: QueueStatistics) -> QueueSolution:
-    """``solve_queue``'s result from a finished queue walk."""
+def _mean(pmf: np.ndarray) -> float:
+    return math.fsum(k * v for k, v in enumerate(pmf))
+
+
+def _solve(cfg: ScenarioConfig,
+           stats: QueueStatistics | _Walk) -> QueueSolution:
+    """``solve_queue``'s result from a queue walk; the nonempty pmf is
+    read on the stable side only."""
     q_r = cfg.q_r
-    lambda0 = stats.mean_empty()
-    a_r = math.fsum(k * v for k, v in enumerate(stats.p_arrival_tx))
+    lambda0 = _mean(stats.p_empty)
+    a_r = _mean(stats.p_arrival_tx)
     b_r = stats.b_r
     mu_r = q_r * b_r
     lambda1 = (1.0 - q_r) * lambda0 + q_r * a_r
@@ -343,4 +423,3 @@ def _solve(cfg: ScenarioConfig, stats: QueueStatistics) -> QueueSolution:
     # limit at the boundary is 0, the unstable-side value.
     p0 = num / (num + lambda0) if num > 0.0 else 0.0
     return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r, q_r_min, p0, True)
-

@@ -147,6 +147,7 @@ def load_config(path: str) -> SweepSpec:
     axes: list[tuple[str, tuple]] = []
     outputs: tuple[str, ...] = STANDARD_METRICS
     sim: dict = {}
+    key_lines: dict[tuple[str, str], int] = {}   # (section, key) -> line
     section = "scenario"
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -166,6 +167,10 @@ def load_config(path: str) -> SweepSpec:
             value = value.strip()
             if not value:
                 raise ConfigError(f"line {lineno}: missing value for {key!r}")
+            first = key_lines.setdefault((section, key), lineno)
+            if first != lineno:  # the last one would silently win
+                raise ConfigError(f"line {lineno}: {key!r} is already set "
+                                  f"on line {first} in [{section}]")
             if section == "scenario":
                 if key not in _SCENARIO_FIELDS:
                     raise ConfigError(f"line {lineno}: unknown key {key!r} "
@@ -181,14 +186,16 @@ def load_config(path: str) -> SweepSpec:
                     if bad:
                         raise ConfigError(f"line {lineno}: unknown metric(s) "
                                           f"{bad} in outputs")
+                    repeated = [m for i, m in enumerate(requested)
+                                if m in requested[:i]]
+                    if repeated:  # it would be two identical columns
+                        raise ConfigError(f"line {lineno}: outputs names "
+                                          f"{repeated[0]!r} twice")
                     outputs = requested
                     continue
                 if key not in _SCENARIO_FIELDS:
                     raise ConfigError(f"line {lineno}: unknown sweep parameter "
                                       f"{key!r}")
-                if any(name == key for name, _ in axes):
-                    raise ConfigError(f"line {lineno}: parameter {key!r} "
-                                      "swept twice")
                 if len(axes) == 2:
                     raise ConfigError(f"line {lineno}: at most two sweep axes "
                                       "are supported")

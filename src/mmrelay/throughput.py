@@ -4,7 +4,8 @@ A tagged user's direct throughput sums its FD-to-mmAP deliveries and the
 BR copies the mmAP decodes; its relayed throughput counts packets the
 relay accepts into its queue (FD aimed at the relay plus BR copies the
 relay decodes while the mmAP does not). Both come with the queue
-statistics from the one queue walk of ``queue_statistics``. With a
+statistics from one queue walk of ``queue_model``, which evaluates the
+nonempty net-change pmf only when the queue is stable. With a
 stable queue every accepted packet eventually reaches the mmAP, so
 acceptance is credited directly; with an unstable queue only the relay's
 service rate reaches the mmAP and the relay interferes in every slot.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import ScenarioConfig
-from .queue_model import QueueSolution, _solve, queue_statistics
+from .queue_model import QueueSolution, _solve, _Walk
 from .success import SuccessTable
 
 STABLE = "stable"
@@ -59,15 +60,15 @@ class ThroughputReport:
 def aggregate_throughput(cfg: ScenarioConfig,
                          table: SuccessTable | None = None) -> ThroughputReport:
     """Network throughput report at the configured operating point."""
-    stats = queue_statistics(cfg, table)
-    queue = _solve(cfg, stats)
+    walk = _Walk(cfg, table)
+    queue = _solve(cfg, walk)
     n = cfg.n_ues
     # The relay transmits with probability w1: q_r while its queue is
     # nonempty, which is almost surely when unstable (p_empty_prob is 0.0).
     w1 = cfg.q_r * (1.0 - queue.p_empty_prob)
-    t_ud = (1.0 - w1) * stats.t_ud0 + w1 * stats.t_ud1
+    t_ud = (1.0 - w1) * walk.t_ud0 + w1 * walk.t_ud1
     if queue.stable:
-        t_ur = stats.t_fr + (1.0 - w1) * stats.t_ur0 + w1 * stats.t_ur1
+        t_ur = walk.t_fr + (1.0 - w1) * walk.t_ur0 + w1 * walk.t_ur1
         total = n * (t_ud + t_ur)
         regime = STABLE
     else:
@@ -75,5 +76,5 @@ def aggregate_throughput(cfg: ScenarioConfig,
         t_ur = queue.mu_r / n
         total = n * t_ud + queue.mu_r
         regime = UNSTABLE
-    return ThroughputReport(stats.t_ud0, stats.t_ud1, stats.t_ur0, stats.t_ur1,
+    return ThroughputReport(walk.t_ud0, walk.t_ud1, walk.t_ur0, walk.t_ur1,
                             t_ud, t_ur, total, regime, queue)

@@ -130,6 +130,45 @@ class TestLoadConfig:
                                  f"value {re.escape(value)}$"):
             load_config(_write(tmp_path, f"[sweep]\n{line}\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[scenario]\nq_u = 0.1\nq_u = 0.2\n",
+         "line 3: 'q_u' is already set on line 2 in [scenario]"),
+        # a section opened twice is still one section
+        ("[simulation]\nseed = 1\n[scenario]\nn_ues = 3\n[simulation]\n"
+         "seed = 1\n",
+         "line 6: 'seed' is already set on line 2 in [simulation]"),
+        ("[sweep]\nq_u = 0.1, 0.2\n\nq_u = 0.3\n",
+         "line 4: 'q_u' is already set on line 2 in [sweep]"),
+        ("[sweep]\noutputs = t_total\noutputs = t_ud\n",
+         "line 3: 'outputs' is already set on line 2 in [sweep]"),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, text,
+                                           message):
+        import mmrelay.cli as cli
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert cli.main(["analyze", path]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_repeated_output_metric_rejected(self, tmp_path, capsys):
+        import mmrelay.cli as cli
+        path = _write(tmp_path, "[sweep]\nq_u = 0.1, 0.2\n"
+                                "outputs = t_total, t_ud, t_total\n")
+        message = "line 3: outputs names 't_total' twice"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["sweep", path, "-o", out]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_same_key_in_two_sections_allowed(self, tmp_path):
+        # The same key in two sections is not a repeat: a [scenario] value
+        # is the base that a [sweep] axis of that name replaces.
+        text = "[scenario]\nq_u = 0.3\n[sweep]\nq_u = 0.1, 0.2\n"
+        spec = load_config(_write(tmp_path, text))
+        assert spec.base.q_u == 0.3 and spec.axes == (("q_u", (0.1, 0.2)),)
+
     def test_forty_five_point_plan(self, tmp_path):
         text = "[sweep]\nn_ues = 1:15\nq_u = 0.1, 0.5, 0.9\n"
         spec = load_config(_write(tmp_path, text))

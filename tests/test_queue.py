@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -391,31 +392,107 @@ class TestConfigBlock:
                     assert v_s[1:n + 2, c].tolist() == stored_pmf_oracle(
                         n, f, b, blk.p_f[c], store[c])
 
-    @pytest.mark.parametrize("n, runs", [(10, 1), (30, 6)])
-    def test_cold_analysis_binomial_passes(self, monkeypatch, n, runs):
-        # Three pmf builds (FD->relay, BR stored silent and transmitting)
-        # per run of _BLOCK_ROWS rows.
+    @pytest.mark.parametrize("radio, state", [
+        # the relay-transmitting stores repeat where the silent ones differ
+        ({}, 1),
+        # and the other way round
+        ({"gamma_db": -10.0, "alpha": 0.01, "d_ud_m": 50.0,
+          "theta_rd_deg": 40.0}, 0),
+    ])
+    def test_inputs_are_distinct_in_both_relay_states(self, radio, state):
+        n = 7
+        table = SuccessTable(ScenarioConfig(n_ues=n, **radio))
+        for active in itertools.product((False, True), repeat=3):
+            blk = queue_model._config_block(table, active)
+            for v_s, store in zip(blk.v, blk.stores):
+                for c, (f, b) in enumerate(zip(blk.n_fr.tolist(),
+                                               blk.n_b.tolist())):
+                    assert v_s[1:n + 2, c].tolist() == stored_pmf_oracle(
+                        n, f, b, blk.p_f[c], store[c])
+
+        def inputs(*stores):
+            return len(set(zip(blk.n_fr.tolist(), blk.n_b.tolist(),
+                               *(s.tolist() for s in stores))))
+
+        assert inputs(*blk.stores) > inputs(blk.stores[state])
+
+    @pytest.mark.parametrize("n, row_runs", [(10, 1), (30, 6)])
+    def test_cold_analysis_binomial_passes(self, monkeypatch, n, row_runs):
+        # Two pmf builds per run of _BLOCK_ROWS distinct inputs (n_fr, p_f,
+        # n_b, stores): FD->relay, and stored BR with the relay silent and
+        # transmitting in one call. Each covers those inputs only: at
+        # N = 30, 854 inputs for 5,456 rows, so one run where the rows
+        # would take six.
         calls = []
         binom_rows = queue_model._binom_rows
 
-        def counted(*args):
-            calls.append(args)
-            return binom_rows(*args)
+        def counted(comb, trials, p):
+            calls.append(p.size)
+            return binom_rows(comb, trials, p)
 
         monkeypatch.setattr(queue_model, "_binom_rows", counted)
         cfg = ScenarioConfig(n_ues=n, q_u=0.5)
         table = SuccessTable(cfg)
         aggregate_throughput(cfg, table)
         (blk,) = table.blocks.values()
-        assert -(-blk.n_fr.size // queue_model._BLOCK_ROWS) == runs
-        assert len(calls) == 3 * runs
+        assert -(-blk.n_fr.size // queue_model._BLOCK_ROWS) == row_runs
+        inputs = len(set(zip(blk.n_fr.tolist(), blk.p_f.tolist(),
+                             blk.n_b.tolist(), *blk.stores.tolist())))
+        assert inputs < blk.n_fr.size
+        assert len(calls) == 2 * -(-inputs // queue_model._BLOCK_ROWS)
+        assert sum(calls) == 3 * inputs
+
+    def test_rows_of_at_most_n_ues_come_first(self):
+        # A point at n < N weighs a prefix of the block: exactly the rows,
+        # in order, and the stored-count pmfs of a block built at n.
+        big = SuccessTable(ScenarioConfig(n_ues=12))
+        for active in itertools.product((False, True), repeat=3):
+            blk = queue_model._config_block(big, active)
+            for n in range(1, 13):
+                head = blk.head(n)
+                own = queue_model._config_block(
+                    SuccessTable(ScenarioConfig(n_ues=n)), active)
+                for name in ("n_fr", "n_fd", "n_b"):
+                    assert np.array_equal(getattr(head, name),
+                                          getattr(own, name))
+                assert head.v[:, :n + 2].tolist() == own.v[:, :n + 2].tolist()
+                assert not head.v[:, n + 2:].any()
+
+
+class TestDeferredNonemptyPmf:
+    @pytest.mark.parametrize("q_r, regime, reads", [(1.0, "stable", 1),
+                                                    (0.3, "unstable", 0)])
+    def test_read_on_the_stable_side_only(self, monkeypatch, q_r, regime,
+                                          reads):
+        calls = []
+        pmf = queue_model._Walk.p_nonempty
+
+        def counted(walk):
+            calls.append(walk)
+            return pmf.fget(walk)
+
+        monkeypatch.setattr(queue_model._Walk, "p_nonempty",
+                            property(counted))
+        cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
+        table = SuccessTable(cfg)
+        rep = aggregate_throughput(cfg, table)
+        assert rep.regime == regime and len(calls) == reads
+        # The same numbers as solving from the full queue_statistics,
+        # which always evaluates the pmf.
+        stats = queue_statistics(cfg, table)
+        assert len(calls) == reads + 1
+        hexes = lambda obj: [float(x).hex() for x in dataclasses.astuple(obj)]
+        assert hexes(rep.queue) == hexes(queue_model._solve(cfg, stats))
+        assert hexes(rep.queue) == hexes(solve_queue(cfg, table))
+        assert [rep.t_ud0, rep.t_ud1, rep.t_ur0, rep.t_ur1] == \
+            [stats.t_ud0, stats.t_ud1, stats.t_ur0, stats.t_ur1]
 
 
 class TestWalkMemory:
     def test_cold_n30_analysis_peak(self):
         # The stored-count pmfs take about 2.9 MB here; the binomial pmfs
-        # and their products are built one run of _BLOCK_ROWS rows at a
-        # time.
+        # and their products are built once per distinct input, one run
+        # of _BLOCK_ROWS inputs at a time.
         cfg = ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5)
         tracemalloc.start()
         try:
