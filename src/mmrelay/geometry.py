@@ -40,7 +40,6 @@ class LinkState(Enum):
 
 
 class Role(Enum):
-    UE = "ue"
     RELAY = "relay"
     MMAP = "mmap"
 
@@ -161,8 +160,6 @@ _RADIO_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name not in
 class Link:
     """A directed transmitter->receiver link with its blockage probability."""
 
-    tx: Role
-    rx: Role
     d_2d_m: float
     h_tx_m: float
     h_rx_m: float
@@ -284,11 +281,11 @@ class LinkBudget:
         self.cfg = cfg
         d_rd = relay_mmap_distance(cfg.d_ur_m, cfg.d_ud_m, cfg.theta_rd_deg)
         self.links: dict[str, Link] = {
-            "ur": Link(Role.UE, Role.RELAY, cfg.d_ur_m, cfg.h_ue_m, cfg.h_ap_m,
+            "ur": Link(cfg.d_ur_m, cfg.h_ue_m, cfg.h_ap_m,
                        los_probability(cfg.d_ur_m)),
-            "ud": Link(Role.UE, Role.MMAP, cfg.d_ud_m, cfg.h_ue_m, cfg.h_ap_m,
+            "ud": Link(cfg.d_ud_m, cfg.h_ue_m, cfg.h_ap_m,
                        los_probability(cfg.d_ud_m)),
-            "rd": Link(Role.RELAY, Role.MMAP, d_rd, cfg.h_ap_m, cfg.h_ap_m, 1.0),
+            "rd": Link(d_rd, cfg.h_ap_m, cfg.h_ap_m, 1.0),
         }
         self.alpha = cfg.alpha
         self._power: dict[tuple[str, str, LinkState], float] = {}
@@ -369,11 +366,3 @@ class LinkBudget:
 
     def p_los(self, link: str) -> float:
         return self.links[link].p_los
-
-    @staticmethod
-    def receiver(link: str) -> Role:
-        return Role.RELAY if link == "ur" else Role.MMAP
-
-    def interferer_link(self, link: str) -> str:
-        """Link traversed by an interfering UE toward this link's receiver."""
-        return "ur" if self.receiver(link) is Role.RELAY else "ud"

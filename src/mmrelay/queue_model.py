@@ -51,6 +51,12 @@ tagged rates by queue regime.
 Each output pmf cell or rate is one exactly rounded ``math.fsum`` over its
 weighted per-configuration terms, so no result depends on the row order
 or on whether the block was built for this point or an earlier one.
+``_fsum`` adds the nonzero terms in descending order. Being correctly
+rounded, ``fsum`` gives the same float in any order; largest first keeps
+its list of partials short when the terms span 150-odd bits, as they do
+at N = 20-30. There a cold analysis takes about three quarters of its
+time with the row order; ascending order takes twice as long as
+descending.
 """
 
 from __future__ import annotations
@@ -97,12 +103,6 @@ class QueueStatistics:
     t_fr: float
     t_ur0: float
     t_ur1: float
-
-    def mean_empty(self) -> float:
-        return _mean(self.p_empty)
-
-    def mean_nonempty(self) -> float:
-        return math.fsum((i - 1) * v for i, v in enumerate(self.p_nonempty))
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,13 @@ def _stored_pmfs(comb: np.ndarray, n_fr: np.ndarray, p_f: np.ndarray,
 
 
 def _fsum(terms: np.ndarray) -> float:
-    # The terms are >= 0 and zeros do not change an exact sum.
-    return math.fsum(terms[terms != 0.0].tolist())
+    # The terms are >= 0 and zeros do not change an exact sum. fsum is
+    # correctly rounded, so the order cannot change the float; largest
+    # first keeps its partials list short (ascending takes about 2x as
+    # long as descending).
+    kept = terms[terms != 0.0]
+    kept.sort()
+    return math.fsum(kept[::-1].tolist())
 
 
 @dataclass(frozen=True)

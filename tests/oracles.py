@@ -33,6 +33,16 @@ from mmrelay.geometry import LinkBudget, LinkState, Role, ScenarioConfig
 from mmrelay.success import SuccessTable
 
 
+def receiver(link: str) -> Role:
+    """The node that receives on ``link``."""
+    return Role.RELAY if link == "ur" else Role.MMAP
+
+
+def interferer_link(link: str) -> str:
+    """Link traversed by an interfering UE toward this link's receiver."""
+    return "ur" if receiver(link) is Role.RELAY else "ud"
+
+
 def sinr(budget: LinkBudget, signal: float, interference: float) -> float:
     """signal / (noise + alpha * interference): the division form."""
     return signal / (budget.noise_w + budget.alpha * interference)
@@ -43,12 +53,12 @@ def sinr_linear(budget: LinkBudget, link: str, desired_state: LinkState,
                 k_b_nlos: int, relay_interfering: bool = False) -> float:
     """SINR for one reception given a fixed LOS partition of interferers."""
     b = budget
-    if relay_interfering and b.receiver(link) is not Role.MMAP:
+    if relay_interfering and receiver(link) is not Role.MMAP:
         raise ValueError("the relay can interfere only at the mmAP")
     if relay_interfering and link == "rd":
         raise ValueError("the relay does not interfere with its own packet")
     signal = b.power(link, scheme, desired_state)
-    ilink = b.interferer_link(link)
+    ilink = interferer_link(link)
     interference = (k_f_los * b.power(ilink, "fd", LinkState.LOS)
                     + k_f_nlos * b.power(ilink, "fd", LinkState.NLOS)
                     + k_b_los * b.power(ilink, "br", LinkState.LOS)
@@ -68,7 +78,7 @@ def success_probability_bruteforce(cfg: ScenarioConfig, link: str, scheme: str,
     """
     b = LinkBudget(cfg)
     p_des = b.p_los(link)
-    p_int = b.p_los(b.interferer_link(link))
+    p_int = b.p_los(interferer_link(link))
     total = 0.0
     states = (LinkState.LOS, LinkState.NLOS)
     for des_state in states:
@@ -100,7 +110,7 @@ def success_table_oracle(table, link: str, scheme: str, n_f: int, n_b: int,
     b = table.budget
     gamma = b.gamma_linear
     p_des = b.p_los(link)
-    p_int = b.p_los(b.interferer_link(link))
+    p_int = b.p_los(interferer_link(link))
 
     def pmf(n):
         return [math.comb(n, k) * p_int**k * (1.0 - p_int) ** (n - k)

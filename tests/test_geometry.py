@@ -9,7 +9,6 @@ from mmrelay import (
     Link,
     LinkBudget,
     LinkState,
-    Role,
     ScenarioConfig,
     SuccessTable,
     beam_gain,
@@ -149,7 +148,7 @@ class TestBeamGain:
 
 
 class TestReceivedPower:
-    LINK = Link(Role.UE, Role.MMAP, 50.0, 1.5, 10.0, 0.5)
+    LINK = Link(50.0, 1.5, 10.0, 0.5)
 
     def test_zero_gain_outside_lobe(self):
         assert received_power_w(self.LINK, LinkState.LOS, 0.0, 72.0, 24.0, 30.0) == 0.0
@@ -168,7 +167,7 @@ class TestReceivedPower:
     @given(d=st.floats(min_value=12.0, max_value=500.0))
     @settings(max_examples=200, deadline=None)
     def test_los_at_least_nlos(self, d):
-        link = Link(Role.UE, Role.MMAP, d, 1.5, 10.0, 0.5)
+        link = Link(d, 1.5, 10.0, 0.5)
         p_los = received_power_w(link, LinkState.LOS, 72.0, 72.0, 24.0, 30.0)
         p_nlos = received_power_w(link, LinkState.NLOS, 72.0, 72.0, 24.0, 30.0)
         assert p_los >= p_nlos

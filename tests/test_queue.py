@@ -152,9 +152,12 @@ class TestNetChangeDistribution:
         t = SuccessTable(default_cfg)
         net = queue_statistics(default_cfg, t)
         sol = solve_queue(default_cfg, t)
-        assert net.mean_empty() == pytest.approx(sol.lambda0, abs=1e-12)
-        assert net.mean_nonempty() == pytest.approx(sol.lambda1 - sol.mu_r,
-                                                    abs=1e-12)
+        mean_empty = math.fsum(k * v for k, v in enumerate(net.p_empty))
+        mean_nonempty = math.fsum((i - 1) * v
+                                  for i, v in enumerate(net.p_nonempty))
+        assert mean_empty == pytest.approx(sol.lambda0, abs=1e-12)
+        assert mean_nonempty == pytest.approx(sol.lambda1 - sol.mu_r,
+                                              abs=1e-12)
 
 
 class TestStability:
@@ -501,3 +504,32 @@ class TestWalkMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 1024 * 1024
+
+
+class TestSumRule:
+    def test_same_float_as_fsum_of_the_terms_as_given(self):
+        # Nonnegative terms from 2**-1074 to 1, a quarter of them zero.
+        rng = np.random.default_rng(3)
+        terms = np.ldexp(1.0 + rng.random(4000), rng.integers(-1075, 0, 4000))
+        terms[rng.random(4000) < 0.25] = 0.0
+        terms = np.concatenate([terms, [2.0**-1074, 1.0]])
+        cases = [terms, rng.permutation(terms), np.zeros(9), np.array([0.3])]
+        for case in cases:
+            expect = math.fsum(case.tolist())
+            assert queue_model._fsum(case).hex() == expect.hex()
+        assert queue_model._fsum(np.zeros(9)) == 0.0
+
+    def test_cold_n30_walk_same_floats_as_plain_fsum(self, monkeypatch):
+        # The descending order changes no field of a cold N = 30 walk.
+        cfg = ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5)
+
+        def hexes():
+            walk = queue_model._Walk(cfg, None)
+            return [float(x).hex()
+                    for f in dataclasses.fields(queue_model.QueueStatistics)
+                    for x in np.atleast_1d(getattr(walk, f.name))]
+
+        ordered = hexes()
+        monkeypatch.setattr(queue_model, "_fsum",
+                            lambda t: math.fsum(t[t != 0.0].tolist()))
+        assert hexes() == ordered
