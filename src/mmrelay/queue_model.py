@@ -85,7 +85,11 @@ class QueueStatistics:
     P(net change = i - 1 | queue nonempty), so index 0 holds the
     departure-only event k = -1; ``p_arrival_tx[k]`` is the arrival pmf
     while the relay transmits; ``b_r`` is the relay->mmAP success
-    probability averaged over UE configurations.
+    probability averaged over UE configurations. Where every
+    configuration's relay packet decodes, ``b_r`` is the exactly rounded
+    sum of the rounded multinomial weights, which can exceed 1 by one ulp
+    (1.0000000000000002, for example at N = 3, q_u = 0.1 on the default
+    radio). It is not clamped: it is the sum as computed.
 
     The ``t_*`` fields are a tagged user's rates per slot, suffix 0/1 with
     the relay silent or transmitting: ``t_ud`` its deliveries at the mmAP
@@ -107,7 +111,12 @@ class QueueStatistics:
 
 @dataclass(frozen=True)
 class QueueSolution:
-    """Arrival/service rates, stability verdict and empty-queue probability."""
+    """Arrival/service rates, stability verdict and empty-queue probability.
+
+    ``b_r`` is ``QueueStatistics.b_r`` and can exceed 1 by one ulp where
+    every configuration's relay packet decodes; ``mu_r`` = q_r * b_r then
+    exceeds q_r by up to an ulp (1.0000000000000002 at q_r = 1).
+    """
 
     lambda0: float    # mean arrivals per slot, queue empty
     lambda1: float    # mean arrivals per slot, queue nonempty
@@ -403,14 +412,13 @@ def _mean(pmf: np.ndarray) -> float:
     return math.fsum(k * v for k, v in enumerate(pmf))
 
 
-def _solve(cfg: ScenarioConfig,
-           stats: QueueStatistics | _Walk) -> QueueSolution:
+def _solve(cfg: ScenarioConfig, walk: _Walk) -> QueueSolution:
     """``solve_queue``'s result from a queue walk; the nonempty pmf is
     read on the stable side only."""
     q_r = cfg.q_r
-    lambda0 = _mean(stats.p_empty)
-    a_r = _mean(stats.p_arrival_tx)
-    b_r = stats.b_r
+    lambda0 = _mean(walk.p_empty)
+    a_r = _mean(walk.p_arrival_tx)
+    b_r = walk.b_r
     mu_r = q_r * b_r
     lambda1 = (1.0 - q_r) * lambda0 + q_r * a_r
     if lambda0 == 0.0:
@@ -422,7 +430,7 @@ def _solve(cfg: ScenarioConfig,
     if not q_r > q_r_min:  # strict: a tie sits on the Loynes boundary
         return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r, q_r_min,
                              p_empty_prob=0.0, stable=False)
-    pn = stats.p_nonempty
+    pn = walk.p_nonempty
     num = math.fsum([pn[0]] + [-k * pn[k + 1] for k in range(1, cfg.n_ues + 1)])
     # A few ulps above q_r_min the numerator rounds to <= 0; its exact
     # limit at the boundary is 0, the unstable-side value.

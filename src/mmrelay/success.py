@@ -12,16 +12,21 @@ probability for a given interferer profile.
 for every n_f + n_b <= N, all built when the table is made. The seven
 arrays have two receivers, and one build fills every array of a
 receiver: the relay's ``ur`` fd/br, or the mmAP's ``ud`` fd/br with the
-relay silent and transmitting plus ``rd`` fd. The build goes over one n_f
-slab of partitions (k_f_los, k_f_nlos, k_b_los, k_b_nlos) at a time and
-forms each partition's interference once per slab, plus one copy with the
-relay's beam added at the mmAP. A partition decodes when its interference
-is at most ``LinkBudget.threshold`` of the signal, which equals the
-division test SINR >= gamma in float64. The terms are laid out cell by
-cell, the nonzero ones taken out with one ``tolist`` per slab, and every
-cell is one exactly rounded ``math.fsum`` of its slice; dropping zero
-terms cannot change a sum of nonnegative terms. A cell is therefore the
-same number whatever the table's N.
+relay silent and transmitting plus ``rd`` fd. The build lists the LOS
+partitions that exist, cell by cell: for each cell (n_f, n_b), k of the
+n_f FD and h of the n_b BR interferers in LOS, C(N + 4, 4) partitions in
+all. It walks the listing in runs of whole cells, so a run's temporaries
+are bounded by ``_RUN_PARTITIONS`` whatever N is, and each run costs a
+fixed number of numpy calls. A run forms each partition's interference
+once, plus one copy with the relay's beam added at the mmAP. A partition
+decodes when its interference is at most ``LinkBudget.threshold`` of the
+signal, which equals the division test SINR >= gamma in float64. Per key
+the run takes out the nonzero terms of the partitions that decode, in
+listing order, so each cell's terms are one slice; one ``tolist`` per run
+gives them to one exactly rounded ``math.fsum`` per cell. Dropping zero
+terms cannot change a sum of nonnegative terms, and fsum's result does
+not depend on the order of its terms, so a cell is the same number
+whatever the table's N or the run it falls in.
 
 Interference accounting: an FD transmission aimed at the other receiver
 contributes nothing; a BR transmission interferes at both receivers; the
@@ -55,6 +60,11 @@ _KEYS = {
                 ("ud", "br", True), ("rd", "fd", False)),
 }
 
+# Partitions per run of ``SuccessTable._build``; a run holds whole cells.
+# Most of a run's memory is its decoding terms as Python floats: at
+# alpha = 0, where every term decodes, building a table at N = 30 peaks
+# near 2.3 MB, and near 0.8 MB on the default radio.
+_RUN_PARTITIONS = 1 << 12
 
 class SuccessTable:
     """Success probabilities of one configuration, one array per key.
@@ -80,9 +90,12 @@ class SuccessTable:
                m: int) -> dict[tuple[str, str, bool], np.ndarray]:
         """S[n_f, n_b] of every key of ``receiver``, n_f + n_b <= m.
 
-        One pass over the n_f slabs. A cell sums (w_state * w_f[k]) * w_b[h]
-        over the partitions whose interference is at most the budget's
-        decode threshold for the cell's signal.
+        The partitions (k, h) are listed cell by cell, n_f-major; a cell's
+        rows are k = 0..n_f, and a row holds h = 0..n_b. The listing goes
+        in runs of whole cells of at most ``_RUN_PARTITIONS`` partitions
+        (a larger cell is a run of its own). A cell sums
+        (w_state * w_f[k]) * w_b[h] over the partitions whose interference
+        is at most the budget's decode threshold for the cell's signal.
         """
         b = self.budget
         keys = _KEYS[receiver]
@@ -94,52 +107,81 @@ class SuccessTable:
                          ((LinkState.LOS, b.p_los(link)),
                           (LinkState.NLOS, 1.0 - b.p_los(link))) if w != 0.0]
                   for link, _, _ in keys}
-        # decode thresholds per key, along the state axis of a slab
-        thresholds = {(link, scheme, relay): np.array(
-            [b.threshold(link, scheme, state) for state, _ in states[link]]
-        )[:, None, None] for link, scheme, relay in keys}
+        w_state = {link: [w for _, w in link_states]
+                   for link, link_states in states.items()}
+        # decode thresholds per key, one per state
+        thresholds = {(link, scheme, relay): [
+            b.threshold(link, scheme, state) for state, _ in states[link]]
+            for link, scheme, relay in keys}
         p_fl = b.power(ilink, "fd", LinkState.LOS)
         p_fn = b.power(ilink, "fd", LinkState.NLOS)
         p_bl = b.power(ilink, "br", LinkState.LOS)
         p_bn = b.power(ilink, "br", LinkState.NLOS)
         p_relay = b.power("rd", "fd", LinkState.LOS)
-        # w_b[n_b, h] = P(h of n_b BR interferers in LOS); 0 for h > n_b,
-        # and zero terms are dropped before the sums.
-        w_b = np.zeros((m + 1, m + 1))
-        for n_b in range(m + 1):
-            w_b[n_b, :n_b + 1] = pmf[n_b]
-        h = np.arange(m + 1)
+        # Flat tables over (n, j), read at j <= n only: the weight of j of
+        # n interferers in LOS, and the parts of a partition's interference
+        # k*p_fl + (n_f-k)*p_fn + h*p_bl + (n_b-h)*p_bn, each formed as
+        # that sum forms it on int64 counts.
+        n, j = np.indices((m + 1, m + 1)).reshape(2, -1)
+        pmfs = np.zeros(n.size)
+        pmfs[j <= n] = np.concatenate(pmf)
+        fd = j * p_fl + (n - j) * p_fn
+        bl, bn = j * p_bl, (n - j) * p_bn
+        # The cells (n_f, n_b), n_f-major, and where their partitions end
+        n_f, top = np.triu_indices(m + 1)
+        n_b = top - n_f
+        sizes = (n_f + 1) * (n_b + 1)
+        ends = np.cumsum(sizes)
+        # The rows (cell, k), k = 0..n_f, in listing order: where each
+        # cell's rows start, and per row the FD part of the sum, w_f[k]
+        # and n_b
+        row_starts = np.cumsum(n_f + 1) - (n_f + 1)
+        cell = np.repeat(np.arange(n_f.size), n_f + 1)
+        at = n_f[cell] * (m + 1) + np.arange(cell.size) - row_starts[cell]
+        row_fd, row_w_f, row_b = fd[at], pmfs[at], n_b[cell]
         fsum = math.fsum
-        out = {key: np.zeros((m + 1, m + 1)) for key in keys}
-        for n_f in range(m + 1):
-            top = m - n_f + 1                      # n_b = 0 .. m - n_f
-            k = np.arange(n_f + 1)[:, None]
-            hb = h[:top]
-            # Indexed [n_b, k, h] (cell-major); h > n_b is clamped and
-            # carries weight 0.
-            interference = {False: k * p_fl + (n_f - k) * p_fn + hb * p_bl
-                            + np.maximum(h[:top, None, None] - hb, 0) * p_bn}
+
+        def run_cells(cells: slice, rows: slice) -> list[float]:
+            """The cells of one run for every key, key-major; the run's
+            temporaries go when it returns."""
+            width = row_b[rows] + 1
+            starts = np.cumsum(width) - width
+            # the flat (n_b, h) of each partition, h = 0..n_b along a row
+            bt = np.repeat(row_b[rows] * (m + 1) - starts, width) + np.arange(
+                starts[-1] + width[-1])
+            interference = {False: (np.repeat(row_fd[rows], width) + bl[bt])
+                            + bn[bt]}
             if receiver is Role.MMAP:
                 interference[True] = interference[False] + p_relay
-            w_f = np.array(pmf[n_f])[:, None]
-            # Terms indexed [n_b, state, k, h], per link
-            terms = {link: np.stack([(w_state * w_f) * w_b[:top, None, :top]
-                                     for _, w_state in link_states], axis=1)
-                     for link, link_states in states.items()}
+            w_f, w_b = np.repeat(row_w_f[rows], width), pmfs[bt]
+            # Terms indexed [partition, state], per link
+            terms = {link: np.stack([(w * w_f) * w_b for w in weights], 1)
+                     for link, weights in w_state.items()}
             live = {link: t != 0.0 for link, t in terms.items()}
+            firsts = np.cumsum(sizes[cells]) - sizes[cells]
             picked, counts = [], []
             for link, scheme, relay in keys:
-                ok = interference[relay][:, None] <= thresholds[link, scheme,
-                                                                relay]
+                ok = np.stack([interference[relay] <= t
+                               for t in thresholds[link, scheme, relay]], 1)
                 ok &= live[link]
                 picked.append(terms[link][ok])
-                counts.append(np.count_nonzero(ok.reshape(top, -1), axis=1))
+                counts.append(np.add.reduceat(ok.ravel(),
+                                              firsts * ok.shape[1]))
             values = np.concatenate(picked).tolist()
-            ends = np.cumsum(np.concatenate(counts)).tolist()
-            cells = [fsum(values[a:z]) for a, z in zip([0, *ends], ends)]
-            for i, key in enumerate(keys):
-                out[key][n_f, :top] = cells[i * top:(i + 1) * top]
-        return out
+            stops = np.cumsum(np.concatenate(counts)).tolist()
+            return [fsum(values[a:z]) for a, z in zip([0, *stops], stops)]
+
+        out = np.zeros((len(keys), m + 1, m + 1))
+        lo = 0
+        while lo < n_f.size:
+            hi = max(lo + 1, int(np.searchsorted(
+                ends, ends[lo] - sizes[lo] + _RUN_PARTITIONS, "right")))
+            cells = slice(lo, hi)
+            rows = slice(row_starts[lo], row_starts[hi - 1] + n_f[hi - 1] + 1)
+            out[:, n_f[cells], n_b[cells]] = np.reshape(
+                run_cells(cells, rows), (len(keys), -1))
+            lo = hi
+        return dict(zip(keys, out))
 
     def grid(self, link: str, scheme: str, relay: bool = False) -> np.ndarray:
         """S[n_f, n_b] of one key, valid for n_f + n_b <= N."""

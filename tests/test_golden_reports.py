@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -143,6 +144,28 @@ def test_recipe_reports_and_csv_unchanged(golden, name):
 @pytest.mark.parametrize("group", POINT_GROUPS)
 def test_point_analyses_unchanged(golden, group):
     assert point_cases(group) == golden[group]
+
+
+def _values(node, name):
+    """Every value of the field ``name`` in a golden tree."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == name:
+                yield value
+            else:
+                yield from _values(value, name)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _values(value, name)
+
+
+def test_b_r_exceeds_one_by_at_most_an_ulp(golden):
+    # Where every configuration's relay packet decodes, b_r is the exact
+    # sum of the rounded multinomial weights: 1 or one ulp above it.
+    b_r = [float.fromhex(v) for v in _values(golden, "b_r")]
+    assert len(b_r) == 421
+    assert all(0.0 <= v <= math.nextafter(1.0, 2.0) for v in b_r)
+    assert b_r.count(math.nextafter(1.0, 2.0)) == 39
 
 
 if __name__ == "__main__":

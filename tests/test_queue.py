@@ -480,13 +480,13 @@ class TestDeferredNonemptyPmf:
         table = SuccessTable(cfg)
         rep = aggregate_throughput(cfg, table)
         assert rep.regime == regime and len(calls) == reads
-        # The same numbers as solving from the full queue_statistics,
-        # which always evaluates the pmf.
+        # The same numbers as solve_queue and as the full
+        # queue_statistics, which always evaluates the pmf.
         stats = queue_statistics(cfg, table)
         assert len(calls) == reads + 1
         hexes = lambda obj: [float(x).hex() for x in dataclasses.astuple(obj)]
-        assert hexes(rep.queue) == hexes(queue_model._solve(cfg, stats))
         assert hexes(rep.queue) == hexes(solve_queue(cfg, table))
+        assert rep.queue.b_r == stats.b_r
         assert [rep.t_ud0, rep.t_ud1, rep.t_ur0, rep.t_ur1] == \
             [stats.t_ud0, stats.t_ud1, stats.t_ur0, stats.t_ur1]
 

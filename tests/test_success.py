@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from mmrelay import LinkBudget, ScenarioConfig, SuccessTable, load_config
+from mmrelay import success
 from mmrelay.geometry import LinkState
 from mmrelay.success import _binom_pmf
 
@@ -297,15 +298,43 @@ class TestArrayTable:
         with pytest.raises(ValueError):
             t.p("rd", "fd", 0, 0, relay=True)
 
-    def test_build_peak_memory(self):
-        # One n_f slab at a time; an (N+1)^4 layout reads several MB here.
+    @pytest.mark.parametrize("point", [
+        {"gamma_db": 9.99},
+        {"alpha": 0.0},
+        {"alpha": 5e-324},
+        {"d_ur_m": 10.0, "d_ud_m": 15.0},    # one state per link
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 30])
+    @pytest.mark.parametrize("run", [1, 7])
+    def test_runs_of_few_cells_same_floats(self, monkeypatch, run, n, point):
+        # A run of 1 partition is one cell; runs of 7 hold one or a few
+        # cells, and a cell of more partitions is a run of its own.
+        cfg = ScenarioConfig(n_ues=n, **point)
+        whole = SuccessTable(cfg)
+        monkeypatch.setattr(success, "_RUN_PARTITIONS", run)
+        cut = SuccessTable(cfg)
+        for key in KEYS:
+            assert cut.grid(*key).tobytes() == whole.grid(*key).tobytes(), key
+
+    @staticmethod
+    def _build_peak(n):
         tracemalloc.start()
         try:
-            SuccessTable(ScenarioConfig(n_ues=20))
+            SuccessTable(ScenarioConfig(n_ues=n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 1024 * 1024
+        return peak
+
+    def test_build_peak_memory(self):
+        # The temporaries are those of one run of at most _RUN_PARTITIONS
+        # partitions: about 0.6 MB here.
+        assert self._build_peak(20) < 2 * 1024 * 1024
+
+    def test_build_peak_memory_n30(self):
+        # About 0.8 MB; the whole listing of 46,376 partitions in one run
+        # reads about 4.2 MB.
+        assert self._build_peak(30) <= 3 * 1024 * 1024
 
 
 class TestBinomOverflow:
