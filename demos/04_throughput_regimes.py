@@ -7,10 +7,10 @@ service rate on top of the direct traffic.
 
 import numpy as np
 
-from mmrelay import ScenarioConfig, aggregate_throughput, solve_queue
+from mmrelay import ScenarioConfig, aggregate_throughput
 
 base = ScenarioConfig(n_ues=5, q_u=0.5, q_uf=0.5, q_ur=0.5, q_r=1.0)
-thr = solve_queue(base).q_r_min
+thr = aggregate_throughput(base).queue.q_r_min
 print(f"scenario: N = 5, q_u = 0.5, defaults; stability threshold "
       f"q_r_min = {thr:.4f}")
 print(f"\n{'q_r':>6} {'regime':>9} {'T_direct':>9} {'T_relayed':>10} {'T':>8}")

@@ -14,7 +14,6 @@ from .geometry import (
     Link,
     LinkBudget,
     LinkState,
-    Role,
     ScenarioConfig,
     beam_gain,
     los_probability,
@@ -26,7 +25,6 @@ from .queue_model import (
     QueueSolution,
     QueueStatistics,
     queue_statistics,
-    solve_queue,
 )
 from .simulator import ComparisonResult, MetricComparison, SimStats, compare, run
 from .success import SuccessTable
@@ -37,7 +35,6 @@ __all__ = [
     "Link",
     "LinkBudget",
     "LinkState",
-    "Role",
     "ScenarioConfig",
     "beam_gain",
     "los_probability",
@@ -47,7 +44,6 @@ __all__ = [
     "QueueSolution",
     "QueueStatistics",
     "queue_statistics",
-    "solve_queue",
     "ComparisonResult",
     "MetricComparison",
     "SimStats",

@@ -39,11 +39,6 @@ class LinkState(Enum):
     NLOS = "nlos"
 
 
-class Role(Enum):
-    RELAY = "relay"
-    MMAP = "mmap"
-
-
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _POSITIVE = (lambda v: v > 0.0, "be strictly positive")
 _BEAMWIDTH = (lambda v: 0.0 < v <= 360.0, "lie in (0, 360]")

@@ -43,10 +43,11 @@ with per-UE probability p_x and any f of the other UEs' counts,
 E_N[n_x * f(n_x - 1, ...)] = N * p_x * E_{N-1}[f],
 since n_x * W_N(n_x, ...) = N * p_x * W_{N-1}(n_x - 1, ...) for the
 multinomial weight W (one tagged UE in scheme x, N - 1 others).
-``solve_queue`` decides Loynes stability in one place (stable iff
+``_solve`` decides Loynes stability in one place (stable iff
 q_r > q_r_min) from the arrival pmfs and B_r, and evaluates the nonempty
 pmf and P(Q = 0) only on the stable side; ``throughput`` mixes the
-tagged rates by queue regime.
+tagged rates by queue regime and reports the solution as
+``ThroughputReport.queue``.
 
 Each output pmf cell or rate is one exactly rounded ``math.fsum`` over its
 weighted per-configuration terms, so no result depends on the row order
@@ -111,7 +112,13 @@ class QueueStatistics:
 
 @dataclass(frozen=True)
 class QueueSolution:
-    """Arrival/service rates, stability verdict and empty-queue probability.
+    """Arrival/service rates, stability verdict and empty-queue probability,
+    as ``aggregate_throughput(...).queue``.
+
+    The Loynes verdict is stable iff q_r > q_r_min; q_r_min is 0 when the
+    queue never receives anything and inf when no q_r can stabilize it.
+    P(Q = 0) is evaluated on the stable side only, from the nonempty
+    net-change probabilities; it is 0.0 when unstable.
 
     ``b_r`` is ``QueueStatistics.b_r`` and can exceed 1 by one ulp where
     every configuration's relay packet decodes; ``mu_r`` = q_r * b_r then
@@ -397,25 +404,14 @@ def queue_statistics(cfg: ScenarioConfig,
                            walk.t_ur0, walk.t_ur1)
 
 
-def solve_queue(cfg: ScenarioConfig, table: SuccessTable | None = None) -> QueueSolution:
-    """Full queue characterization at the configured q_r.
-
-    The Loynes verdict is stable iff q_r > q_r_min; q_r_min is 0 when the
-    queue never receives anything and inf when no q_r can stabilize it.
-    P(Q = 0) is evaluated on the stable side only, from the nonempty
-    net-change probabilities; it is 0.0 when unstable.
-    """
-    return _solve(cfg, _Walk(cfg, table))
-
-
 def _mean(pmf: np.ndarray) -> float:
     return math.fsum(k * v for k, v in enumerate(pmf))
 
 
-def _solve(cfg: ScenarioConfig, walk: _Walk) -> QueueSolution:
-    """``solve_queue``'s result from a queue walk; the nonempty pmf is
-    read on the stable side only."""
-    q_r = cfg.q_r
+def _solve(walk: _Walk) -> QueueSolution:
+    """The ``QueueSolution`` of a queue walk; the nonempty pmf is read on
+    the stable side only."""
+    q_r, n = walk.cfg.q_r, walk.cfg.n_ues
     lambda0 = _mean(walk.p_empty)
     a_r = _mean(walk.p_arrival_tx)
     b_r = walk.b_r
@@ -431,7 +427,7 @@ def _solve(cfg: ScenarioConfig, walk: _Walk) -> QueueSolution:
         return QueueSolution(lambda0, lambda1, a_r, b_r, mu_r, q_r_min,
                              p_empty_prob=0.0, stable=False)
     pn = walk.p_nonempty
-    num = math.fsum([pn[0]] + [-k * pn[k + 1] for k in range(1, cfg.n_ues + 1)])
+    num = math.fsum([pn[0]] + [-k * pn[k + 1] for k in range(1, n + 1)])
     # A few ulps above q_r_min the numerator rounds to <= 0; its exact
     # limit at the boundary is 0, the unstable-side value.
     p0 = num / (num + lambda0) if num > 0.0 else 0.0

@@ -615,6 +615,9 @@ class ComparisonResult:
         return all(r.passed for r in self.rows if r.passed is not None)
 
 
+_Z_LIMIT = 3.0  # a compared row passes when its |z| is at most this
+
+
 def _z(diff: float, se: float) -> float:
     """z-score of an empirical-minus-analytic ``diff``; without a positive
     standard error it is 0.0 within 1e-9 and inf beyond."""
@@ -623,9 +626,9 @@ def _z(diff: float, se: float) -> float:
     return 0.0 if abs(diff) <= 1e-9 else math.inf
 
 
-def compare(report: ThroughputReport, stats: SimStats,
-            z_limit: float = 3.0) -> ComparisonResult:
-    """Analytic-vs-empirical z-score table for one scenario point."""
+def compare(report: ThroughputReport, stats: SimStats) -> ComparisonResult:
+    """Analytic-vs-empirical z-score table for one scenario point; a row
+    passes when |z| <= 3 (``_Z_LIMIT``)."""
     queue = report.queue
     if queue.stable:
         p0 = queue.p_empty_prob
@@ -647,7 +650,7 @@ def compare(report: ThroughputReport, stats: SimStats,
             continue
         z = _z(emp - ana, se)
         rows.append(MetricComparison(name, ana, emp, se, z,
-                                     abs(z) <= z_limit))
+                                     abs(z) <= _Z_LIMIT))
     note = ""
     if not queue.stable and stats.queue_final < 10 and stats.drift_sim <= 0:
         note = ("analytic regime is unstable but the simulated queue stayed "

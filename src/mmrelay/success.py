@@ -10,9 +10,10 @@ probability for a given interferer profile.
 
 ``SuccessTable`` holds one array per (link, scheme, relay flag): S[n_f][n_b]
 for every n_f + n_b <= N, all built when the table is made. The seven
-arrays have two receivers, and one build fills every array of a
-receiver: the relay's ``ur`` fd/br, or the mmAP's ``ud`` fd/br with the
-relay silent and transmitting plus ``rd`` fd. The build lists the LOS
+arrays have two receivers, each named by the link its interferers use
+(``ur`` the relay, ``ud`` the mmAP), and one build fills every array of
+a receiver: the relay's ``ur`` fd/br, or the mmAP's ``ud`` fd/br with
+the relay silent and transmitting plus ``rd`` fd. The build lists the LOS
 partitions that exist, cell by cell: for each cell (n_f, n_b), k of the
 n_f FD and h of the n_b BR interferers in LOS, C(N + 4, 4) partitions in
 all. It walks the listing in runs of whole cells, so a run's temporaries
@@ -41,7 +42,7 @@ import math
 
 import numpy as np
 
-from .geometry import LinkBudget, LinkState, Role, ScenarioConfig
+from .geometry import LinkBudget, LinkState, ScenarioConfig
 
 
 def _binom_pmf(n: int, p: float) -> list[float]:
@@ -53,11 +54,11 @@ def _binom_pmf(n: int, p: float) -> list[float]:
             f"binomial weights of {n} trials overflow a float") from None
 
 
-# The keys each receiver's build fills: (link, scheme, relay transmitting).
+# Each receiver's keys (link, scheme, relay on), by its interferers' link.
 _KEYS = {
-    Role.RELAY: (("ur", "fd", False), ("ur", "br", False)),
-    Role.MMAP: (("ud", "fd", False), ("ud", "fd", True), ("ud", "br", False),
-                ("ud", "br", True), ("rd", "fd", False)),
+    "ur": (("ur", "fd", False), ("ur", "br", False)),
+    "ud": (("ud", "fd", False), ("ud", "fd", True), ("ud", "br", False),
+           ("ud", "br", True), ("rd", "fd", False)),
 }
 
 # Partitions per run of ``SuccessTable._build``; a run holds whole cells.
@@ -80,26 +81,26 @@ class SuccessTable:
         self.cfg = cfg
         self.budget = LinkBudget(cfg)
         self._grids: dict[tuple[str, str, bool], np.ndarray] = {}
-        for receiver in _KEYS:
-            self._grids.update(self._build(receiver, cfg.n_ues))
+        for ilink in _KEYS:
+            self._grids.update(self._build(ilink))
         # queue_model's traffic-free configuration blocks, by which
         # activity probabilities are nonzero
         self.blocks: dict = {}
 
-    def _build(self, receiver: Role,
-               m: int) -> dict[tuple[str, str, bool], np.ndarray]:
-        """S[n_f, n_b] of every key of ``receiver``, n_f + n_b <= m.
+    def _build(self, ilink: str) -> dict[tuple[str, str, bool], np.ndarray]:
+        """S[n_f, n_b] of every key of the receiver whose interferers use
+        ``ilink``, n_f + n_b <= m = N.
 
         The partitions (k, h) are listed cell by cell, n_f-major; a cell's
         rows are k = 0..n_f, and a row holds h = 0..n_b. The listing goes
         in runs of whole cells of at most ``_RUN_PARTITIONS`` partitions
         (a larger cell is a run of its own). A cell sums
         (w_state * w_f[k]) * w_b[h] over the partitions whose interference
-        is at most the budget's decode threshold for the cell's signal.
+        is at most the budget's decode threshold for the cell's signal;
+        a key with the relay transmitting adds the relay's beam to it.
         """
-        b = self.budget
-        keys = _KEYS[receiver]
-        ilink = "ur" if receiver is Role.RELAY else "ud"
+        b, m = self.budget, self.cfg.n_ues
+        keys = _KEYS[ilink]
         # Largest count first: an overflow is reported before any work.
         pmf = [_binom_pmf(n, b.p_los(ilink)) for n in range(m, -1, -1)][::-1]
         # (state, weight) of each link's desired signal, per link
@@ -151,7 +152,7 @@ class SuccessTable:
                 starts[-1] + width[-1])
             interference = {False: (np.repeat(row_fd[rows], width) + bl[bt])
                             + bn[bt]}
-            if receiver is Role.MMAP:
+            if any(relay for _, _, relay in keys):
                 interference[True] = interference[False] + p_relay
             w_f, w_b = np.repeat(row_w_f[rows], width), pmfs[bt]
             # Terms indexed [partition, state], per link
@@ -190,7 +191,7 @@ class SuccessTable:
             raise ValueError(
                 f"no success array for {key!r}: the relay interferes "
                 "only at the mmAP, never with its own packet; the keys "
-                f"are {[*_KEYS[Role.RELAY], *_KEYS[Role.MMAP]]}")
+                f"are {[*_KEYS['ur'], *_KEYS['ud']]}")
         return self._grids[key]
 
     def p(self, link: str, scheme: str, n_f: int, n_b: int,

@@ -18,8 +18,8 @@ comments and three optional sections::
     seed = 1
     mode = decoupled
 
-The metric columns are named as in ``ThroughputReport.metrics()``;
-``STANDARD_METRICS`` is the default subset.
+The metric columns are named as in ``ThroughputReport.metrics()``; a
+spec's ``outputs`` names each at most once, from ``STANDARD_METRICS``.
 
 ``run_sweep`` evaluates the analytical model at every grid point (axis 1
 outer, axis 2 inner), optionally simulates each point, and never aborts
@@ -67,6 +67,16 @@ class ConfigError(ValueError):
     """Configuration file problem, with the offending line number."""
 
 
+def _check_outputs(outputs: tuple[str, ...]) -> None:
+    """Reject an unknown metric or one named twice in ``outputs``."""
+    bad = [m for m in outputs if m not in STANDARD_METRICS]
+    if bad:
+        raise ValueError(f"unknown metric(s) {bad} in outputs")
+    repeated = [m for i, m in enumerate(outputs) if m in outputs[:i]]
+    if repeated:  # it would be two identical columns
+        raise ValueError(f"outputs names {repeated[0]!r} twice")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A base scenario plus swept parameters (a file gives at most two)
@@ -79,6 +89,9 @@ class SweepSpec:
     n_slots: int = 1_000_000
     seed: int = 0
     mode: str = "decoupled"
+
+    def __post_init__(self) -> None:
+        _check_outputs(self.outputs)
 
     def grid(self) -> list[dict]:
         """Field overrides per grid point, axis 1 outermost."""
@@ -93,8 +106,9 @@ def _parse_scalar(field: str, text: str, lineno: int):
             return int(text)
         return float(text)
     except ValueError:
-        raise ConfigError(
-            f"line {lineno}: value {text!r} for {field!r} is not numeric") from None
+        kind = "an integer" if field in _INT_FIELDS else "numeric"
+        raise ConfigError(f"line {lineno}: value {text!r} for {field!r} "
+                          f"is not {kind}") from None
 
 
 def _parse_values(field: str, text: str, lineno: int) -> tuple:
@@ -181,17 +195,9 @@ def load_config(path: str) -> SweepSpec:
                     br_line = lineno
             elif section == "sweep":
                 if key == "outputs":
-                    requested = tuple(p.strip() for p in value.split(","))
-                    bad = [m for m in requested if m not in STANDARD_METRICS]
-                    if bad:
-                        raise ConfigError(f"line {lineno}: unknown metric(s) "
-                                          f"{bad} in outputs")
-                    repeated = [m for i, m in enumerate(requested)
-                                if m in requested[:i]]
-                    if repeated:  # it would be two identical columns
-                        raise ConfigError(f"line {lineno}: outputs names "
-                                          f"{repeated[0]!r} twice")
-                    outputs = requested
+                    outputs = tuple(p.strip() for p in value.split(","))
+                    _check_field(key, outputs, lineno,
+                                 lambda _, names: _check_outputs(names))
                     continue
                 if key not in _SCENARIO_FIELDS:
                     raise ConfigError(f"line {lineno}: unknown sweep parameter "
@@ -319,6 +325,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
     appearance, and each group is evaluated with one success table; a
     point whose configuration is invalid gets its row's ``error`` only.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     grid = spec.grid()
     groups: dict[tuple | None, list] = {}
     for index, overrides in enumerate(grid):

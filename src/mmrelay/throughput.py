@@ -61,7 +61,7 @@ def aggregate_throughput(cfg: ScenarioConfig,
                          table: SuccessTable | None = None) -> ThroughputReport:
     """Network throughput report at the configured operating point."""
     walk = _Walk(cfg, table)
-    queue = _solve(cfg, walk)
+    queue = _solve(walk)
     n = cfg.n_ues
     # The relay transmits with probability w1: q_r while its queue is
     # nonempty, which is almost surely when unstable (p_empty_prob is 0.0).

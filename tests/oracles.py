@@ -29,18 +29,14 @@ import math
 
 import numpy as np
 
-from mmrelay.geometry import LinkBudget, LinkState, Role, ScenarioConfig
+from mmrelay.geometry import LinkBudget, LinkState, ScenarioConfig
 from mmrelay.success import SuccessTable
 
 
-def receiver(link: str) -> Role:
-    """The node that receives on ``link``."""
-    return Role.RELAY if link == "ur" else Role.MMAP
-
-
 def interferer_link(link: str) -> str:
-    """Link traversed by an interfering UE toward this link's receiver."""
-    return "ur" if receiver(link) is Role.RELAY else "ud"
+    """Link traversed by an interfering UE toward this link's receiver:
+    "ur" toward the relay, "ud" toward the mmAP (for "ud" and "rd")."""
+    return "ur" if link == "ur" else "ud"
 
 
 def sinr(budget: LinkBudget, signal: float, interference: float) -> float:
@@ -53,7 +49,7 @@ def sinr_linear(budget: LinkBudget, link: str, desired_state: LinkState,
                 k_b_nlos: int, relay_interfering: bool = False) -> float:
     """SINR for one reception given a fixed LOS partition of interferers."""
     b = budget
-    if relay_interfering and receiver(link) is not Role.MMAP:
+    if relay_interfering and link == "ur":
         raise ValueError("the relay can interfere only at the mmAP")
     if relay_interfering and link == "rd":
         raise ValueError("the relay does not interfere with its own packet")

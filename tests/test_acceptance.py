@@ -25,7 +25,6 @@ from mmrelay import (
     queue_statistics,
     run,
     run_sweep,
-    solve_queue,
 )
 
 from conftest import RECIPES, random_two_ue_cfg
@@ -211,13 +210,13 @@ def _boundary_scenarios(count=20):
             gamma_db=rng.uniform(5, 15), alpha=rng.uniform(0.05, 0.5),
             d_ur_m=rng.uniform(15, 80), d_ud_m=rng.uniform(20, 120),
             theta_rd_deg=rng.uniform(10, 150))
-        sol = solve_queue(cfg, SuccessTable(cfg))
+        sol = aggregate_throughput(cfg, SuccessTable(cfg)).queue
         thr = sol.q_r_min
         if not (0.05 < thr < 0.9) or sol.lambda0 < 0.02:
             continue
         below = cfg.replace(q_r=0.95 * thr)
         drift = (lambda s: s.lambda1 - s.mu_r)(
-            solve_queue(below, SuccessTable(below)))
+            aggregate_throughput(below, SuccessTable(below)).queue)
         if drift < 5e-4:  # growth must be resolvable within 1e6 slots
             continue
         out.append((cfg, thr))
@@ -232,7 +231,7 @@ def _criterion4_scenario(args):
     bounded = (stats_up.mean_queue_last_quarter
                < 10.0 * max(stats_up.mean_queue_first_quarter, 1e-12))
     below = cfg.replace(q_r=0.95 * thr)
-    sol = solve_queue(below, SuccessTable(below))
+    sol = aggregate_throughput(below, SuccessTable(below)).queue
     stats_down = run(below, n_slots, seed=seed + 1)
     growing = (stats_down.queue_final
                > 0.5 * (sol.lambda1 - sol.mu_r) * n_slots)
@@ -353,7 +352,7 @@ def test_criterion_6_identities():
         worst_sum = max(worst_sum,
                         abs(math.fsum(net.p_empty) - 1.0),
                         abs(math.fsum(net.p_nonempty) - 1.0))
-        sol = solve_queue(cfg, table)
+        sol = aggregate_throughput(cfg, table).queue
         if not sol.stable or sol.lambda0 == 0.0:
             continue
         stable_checked += 1
@@ -369,7 +368,7 @@ def test_criterion_6_identities():
     # throughput continuity across the stability boundary
     for n, q_u in ((3, 0.5), (5, 0.4), (8, 0.3)):
         cfg0 = ScenarioConfig(n_ues=n, q_u=q_u, q_uf=0.5, q_ur=0.5, q_r=1.0)
-        thr = solve_queue(cfg0, SuccessTable(cfg0)).q_r_min
+        thr = aggregate_throughput(cfg0, SuccessTable(cfg0)).queue.q_r_min
         if not (0 < thr < 1):
             continue
         cfg = cfg0.replace(q_r=thr * (1 + 1e-9))

@@ -47,6 +47,10 @@ class TestLoadConfig:
         ("[scenario]\nq_u = 0.5\nq_uf = 2.0\n", "line 3: q_uf must"),
         ("[scenario]\nq_uf = 0.5\ntheta_bw_br_deg = 10\ntheta_rd_deg = 40\n",
          "line 3: theta_bw_br_deg must be >= theta_rd_deg"),
+        ("[scenario]\nn_ues = 2.5\n",
+         "^line 2: value '2.5' for 'n_ues' is not an integer$"),
+        ("[sweep]\nn_ues = 1:3:0.5\n",
+         "^line 2: value '0.5' for 'n_ues' is not an integer$"),
     ])
     def test_field_error_names_its_own_line(self, tmp_path, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -155,9 +159,14 @@ class TestLoadConfig:
         import mmrelay.cli as cli
         path = _write(tmp_path, "[sweep]\nq_u = 0.1, 0.2\n"
                                 "outputs = t_total, t_ud, t_total\n")
-        message = "line 3: outputs names 't_total' twice"
+        rule = "outputs names 't_total' twice"
+        message = f"line 3: {rule}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(path)
+        # a spec built in code meets the same rule, without the line
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            SweepSpec(ScenarioConfig(n_ues=2), axes=(("q_u", (0.1, 0.2)),),
+                      outputs=("t_total", "t_ud", "t_total"))
         out = str(tmp_path / "out.csv")
         assert cli.main(["sweep", path, "-o", out]) == 2
         assert message in capsys.readouterr().err
@@ -218,6 +227,24 @@ class TestRunSweep:
         text = "[sweep]\nn_ues = 1:2\noutputs = t_total, q_r_min\n"
         spec = load_config(_write(tmp_path, text))
         assert sweep_columns(spec) == ["n_ues", "t_total", "q_r_min", "error"]
+        message = "unknown metric(s) ['t_totl'] in outputs"
+        with pytest.raises(ConfigError, match=f"^line 3: {re.escape(message)}$"):
+            load_config(_write(tmp_path, text.replace("t_total", "t_totl")))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(ScenarioConfig(n_ues=2), axes=(("q_u", (0.1, 0.2)),),
+                      outputs=("t_totl",))
+
+    @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
+    def test_bad_jobs_rejected_before_any_point(self, monkeypatch, jobs):
+        def unexpected(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sweeps, "_run_point", unexpected)
+        spec = load_config(str(RECIPES / "fig8_default.cfg"))
+        with pytest.raises(ValueError,
+                           match=f"^jobs must be an integer >= 1, got "
+                                 f"{re.escape(repr(jobs))}$"):
+            run_sweep(spec, jobs=jobs)
 
     def test_per_point_errors_recorded_not_fatal(self, tmp_path):
         # a fixed narrow BR beam is valid at theta_rd = 20 but cannot cover

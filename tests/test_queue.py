@@ -12,7 +12,6 @@ from mmrelay import (
     SuccessTable,
     aggregate_throughput,
     queue_statistics,
-    solve_queue,
 )
 
 import mmrelay.queue_model as queue_model
@@ -151,7 +150,7 @@ class TestNetChangeDistribution:
     def test_mean_identities(self, default_cfg):
         t = SuccessTable(default_cfg)
         net = queue_statistics(default_cfg, t)
-        sol = solve_queue(default_cfg, t)
+        sol = aggregate_throughput(default_cfg, t).queue
         mean_empty = math.fsum(k * v for k, v in enumerate(net.p_empty))
         mean_nonempty = math.fsum((i - 1) * v
                                   for i, v in enumerate(net.p_nonempty))
@@ -163,28 +162,29 @@ class TestNetChangeDistribution:
 class TestStability:
     def test_no_arrivals_threshold_zero(self):
         cfg = ScenarioConfig(n_ues=4, q_u=0.0)
-        assert solve_queue(cfg).q_r_min == 0.0
+        assert aggregate_throughput(cfg).queue.q_r_min == 0.0
 
     def test_monotone_in_traffic_when_alpha_zero(self):
         last = 0.0
         for q_u in (0.1, 0.3, 0.5, 0.7, 0.9):
             cfg = ScenarioConfig(n_ues=6, q_u=q_u, alpha=0.0)
-            thr = solve_queue(cfg).q_r_min
+            thr = aggregate_throughput(cfg).queue.q_r_min
             assert thr >= last - 1e-15
             last = thr
 
     def test_boundary_tie_reported_unstable(self, two_ue_cfg, two_ue_table):
-        thr = solve_queue(two_ue_cfg, two_ue_table).q_r_min
+        thr = aggregate_throughput(two_ue_cfg, two_ue_table).queue.q_r_min
         at_tie = two_ue_cfg.replace(q_r=thr)
-        assert not solve_queue(at_tie, SuccessTable(at_tie)).stable
+        assert not aggregate_throughput(at_tie,
+                                        SuccessTable(at_tie)).queue.stable
         above = two_ue_cfg.replace(q_r=min(thr * 1.01, 1.0))
-        assert solve_queue(above, SuccessTable(above)).stable
+        assert aggregate_throughput(above, SuccessTable(above)).queue.stable
 
     def test_lambda1_identity(self):
         rng = random.Random(23)
         for _ in range(5):
             cfg = random_two_ue_cfg(rng)
-            sol = solve_queue(cfg, SuccessTable(cfg))
+            sol = aggregate_throughput(cfg, SuccessTable(cfg)).queue
             assert sol.lambda1 == pytest.approx(
                 (1 - cfg.q_r) * sol.lambda0 + cfg.q_r * sol.a_r, abs=1e-15)
             assert sol.mu_r == pytest.approx(cfg.q_r * sol.b_r, abs=1e-15)
@@ -193,7 +193,7 @@ class TestStability:
 class TestEmptyProbability:
     def test_no_arrivals(self):
         cfg = ScenarioConfig(n_ues=3, q_u=0.0, q_r=0.5)
-        assert solve_queue(cfg).p_empty_prob == 1.0
+        assert aggregate_throughput(cfg).queue.p_empty_prob == 1.0
 
     def test_unstable_reports_zero(self):
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_uf=0.5, q_ur=0.5, q_r=0.3)
@@ -208,7 +208,7 @@ class TestEmptyProbability:
         while checked < 12:
             cfg = random_two_ue_cfg(rng)
             t = SuccessTable(cfg)
-            sol = solve_queue(cfg, t)
+            sol = aggregate_throughput(cfg, t).queue
             if not sol.stable:
                 continue
             drift = sol.mu_r - sol.lambda1
@@ -224,13 +224,13 @@ class TestEmptyProbability:
         forms = two_ue_closed_forms(cfg, t)
         num = forms["p_m1_1"] - forms["p1_1"] - 2 * forms["p2_1"]
         expected = num / (num + forms["lambda0"])
-        assert solve_queue(cfg, t).p_empty_prob == \
+        assert aggregate_throughput(cfg, t).queue.p_empty_prob == \
             pytest.approx(expected, abs=1e-12)
 
     def test_service_dominant_limit(self):
         # vanishing arrivals with a always-on relay: queue is almost surely empty
         cfg = ScenarioConfig(n_ues=2, q_u=1e-4, q_r=1.0)
-        assert solve_queue(cfg).p_empty_prob > 0.999
+        assert aggregate_throughput(cfg).queue.p_empty_prob > 0.999
 
 
 class TestTwoUeClosedForms:
@@ -264,7 +264,7 @@ class TestQueueSolutionSweep:
         rng = random.Random(31)
         for _ in range(8):
             cfg = random_two_ue_cfg(rng)
-            sol = solve_queue(cfg, SuccessTable(cfg))
+            sol = aggregate_throughput(cfg, SuccessTable(cfg)).queue
             assert 0.0 <= sol.b_r <= 1.0
             assert 0.0 <= sol.lambda0 <= cfg.n_ues
             assert 0.0 <= sol.a_r <= cfg.n_ues
@@ -275,7 +275,7 @@ class TestQueueSolutionSweep:
 
 
 class TestLoynesBoundary:
-    # One ulp or so above q_r_min: solve_queue calls these stable, and the
+    # One ulp or so above q_r_min: _solve calls these stable, and the
     # P(Q = 0) numerator rounds to <= 0 there.
     @pytest.mark.parametrize("n_ues, q_u, q_r", [
         (2, 0.3, 0.20498204675807422),
@@ -316,16 +316,16 @@ class TestSuccessArrayUse:
         built, arrays = [], []
         build = SuccessTable._build
 
-        def counted(self, receiver, m):
-            built.append(receiver.value)
-            out = build(self, receiver, m)
+        def counted(self, ilink):
+            built.append(ilink)
+            out = build(self, ilink)
             arrays.extend(out)
             return out
 
         monkeypatch.setattr(SuccessTable, "_build", counted)
         cfg = ScenarioConfig(n_ues=10, q_u=0.5, q_r=q_r)
         assert aggregate_throughput(cfg).regime == regime
-        assert sorted(built) == ["mmap", "relay"]
+        assert sorted(built) == ["ud", "ur"]
         assert sorted(arrays) == sorted([
             ("ur", "fd", False), ("ur", "br", False),
             ("ud", "fd", False), ("ud", "fd", True),
@@ -480,12 +480,10 @@ class TestDeferredNonemptyPmf:
         table = SuccessTable(cfg)
         rep = aggregate_throughput(cfg, table)
         assert rep.regime == regime and len(calls) == reads
-        # The same numbers as solve_queue and as the full
-        # queue_statistics, which always evaluates the pmf.
+        # The same numbers as the full queue_statistics, which always
+        # evaluates the pmf.
         stats = queue_statistics(cfg, table)
         assert len(calls) == reads + 1
-        hexes = lambda obj: [float(x).hex() for x in dataclasses.astuple(obj)]
-        assert hexes(rep.queue) == hexes(solve_queue(cfg, table))
         assert rep.queue.b_r == stats.b_r
         assert [rep.t_ud0, rep.t_ud1, rep.t_ur0, rep.t_ur1] == \
             [stats.t_ud0, stats.t_ud1, stats.t_ur0, stats.t_ur1]

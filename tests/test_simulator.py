@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mmrelay import ScenarioConfig, SuccessTable, aggregate_throughput, compare, run
 from mmrelay import simulator
-from mmrelay.queue_model import solve_queue
 from oracles import binomial_oracle, scan_chunk_oracle
 
 
@@ -90,10 +89,10 @@ class TestAgainstAnalytics:
 
     def test_drift_sign_matches_loynes(self):
         base = ScenarioConfig(n_ues=5, q_u=0.4, q_uf=0.5, q_ur=0.5)
-        thr = solve_queue(base, SuccessTable(base)).q_r_min
+        thr = aggregate_throughput(base, SuccessTable(base)).queue.q_r_min
         for factor, should_grow in ((0.8, True), (1.25, False)):
             cfg = base.replace(q_r=min(thr * factor, 1.0))
-            sol = solve_queue(cfg, SuccessTable(cfg))
+            sol = aggregate_throughput(cfg, SuccessTable(cfg)).queue
             stats = run(cfg, 300_000, seed=33)
             if should_grow:
                 assert not sol.stable
@@ -118,6 +117,24 @@ class TestCompare:
         result = compare(rep, synthetic)
         assert all(r.z == 0.0 for r in result.rows)
         assert result.all_passed
+
+    @pytest.mark.parametrize("t_sim, passed", [
+        (1.25, True), (math.nextafter(1.25, 2.0), False)])
+    def test_bound_is_z_three_inclusive(self, two_ue_cfg, t_sim, passed):
+        # (1.25 - 0.5) / 0.25 is exactly 3.0; one ulp more fails.
+        rep = aggregate_throughput(two_ue_cfg)
+        stats = run(two_ue_cfg, 200_000, seed=2)
+        q = rep.queue
+        lam = q.p_empty_prob * q.lambda0 + (1 - q.p_empty_prob) * q.lambda1
+        result = compare(
+            dataclasses.replace(rep, t_aggregate=0.5),
+            dataclasses.replace(stats, t_sim=t_sim, t_sim_se=0.25,
+                                lambda_sim=lam, mu_sim=q.mu_r,
+                                p_empty_sim=q.p_empty_prob))
+        row = next(r for r in result.rows if r.name == "t_total")
+        assert (row.z == 3.0) is passed
+        assert row.passed is passed
+        assert result.all_passed is passed
 
     def test_silent_network_trivially_passes(self):
         cfg = ScenarioConfig(n_ues=2, q_u=0.0)

@@ -10,7 +10,6 @@ from mmrelay import (
     SuccessTable,
     aggregate_throughput,
     queue_statistics,
-    solve_queue,
 )
 
 from conftest import random_two_ue_cfg
@@ -97,7 +96,7 @@ class TestPerUserRelayed:
         while checked < 10:
             cfg = random_two_ue_cfg(rng)
             t = SuccessTable(cfg)
-            sol = solve_queue(cfg, t)
+            sol = aggregate_throughput(cfg, t).queue
             if not sol.stable:
                 continue
             lam = (sol.p_empty_prob * sol.lambda0
@@ -123,7 +122,7 @@ class TestPerUserRelayed:
             cfg = ScenarioConfig(**point)
             t = SuccessTable(cfg)
             stats = queue_statistics(cfg, t)
-            sol = solve_queue(cfg, t)
+            sol = aggregate_throughput(cfg, t).queue
             n = cfg.n_ues
             assert n * (stats.t_fr + stats.t_ur0) == \
                 pytest.approx(sol.lambda0, rel=1e-12, abs=0.0)
@@ -185,7 +184,7 @@ class TestAggregateThroughput:
         # to the unstable-regime expression evaluated at the same point.
         cfg0 = ScenarioConfig(n_ues=5, q_u=0.4, q_uf=0.5, q_ur=0.5, q_r=1.0)
         t = SuccessTable(cfg0)
-        thr = solve_queue(cfg0, t).q_r_min
+        thr = aggregate_throughput(cfg0, t).queue.q_r_min
         cfg = cfg0.replace(q_r=thr * (1 + 1e-9))
         rep = aggregate_throughput(cfg, SuccessTable(cfg))
         assert rep.regime == "stable"
