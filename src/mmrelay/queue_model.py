@@ -49,15 +49,17 @@ pmf and P(Q = 0) only on the stable side; ``throughput`` mixes the
 tagged rates by queue regime and reports the solution as
 ``ThroughputReport.queue``.
 
-Each output pmf cell or rate is one exactly rounded ``math.fsum`` over its
-weighted per-configuration terms, so no result depends on the row order
-or on whether the block was built for this point or an earlier one.
-``_fsum`` adds the nonzero terms in descending order. Being correctly
-rounded, ``fsum`` gives the same float in any order; largest first keeps
-its list of partials short when the terms span 150-odd bits, as they do
-at N = 20-30. There a cold analysis takes about three quarters of its
-time with the row order; ascending order takes twice as long as
-descending.
+Each output pmf cell or rate is one exactly rounded sum of its weighted
+per-configuration terms, so no result depends on the row order or on
+whether the block was built for this point or an earlier one. ``_fsum``
+gives ``math.fsum`` the nonzero terms in descending order. Being
+correctly rounded, ``fsum`` gives the same float in any order; largest
+first keeps its list of partials short when the terms span 150-odd bits,
+as they do at N = 20-30 (ascending order takes twice as long). Most of
+those terms cannot change the float: at N = 30 a sum's terms span binary
+exponents -732 to -184, and about 85% lie more than 2**-80 below the
+largest. So ``_fsum`` adds a long sum's head and bounds the rest, and
+adds every term only where that bound leaves the rounding in doubt.
 """
 
 from __future__ import annotations
@@ -75,6 +77,12 @@ from .success import SuccessTable
 # peaks near 4 MB; a block whose 5,456 inputs are all distinct (N = 30
 # at gamma = 0 dB) is six runs and peaks near 6.3 MB.
 _BLOCK_ROWS = 1024
+
+# Nonzero terms from which ``_fsum`` may bracket a sum's tail. Below it,
+# or with more than half the terms in the head, the extra pass and the
+# second fsum cost about what the shorter sort and sum save; a walk at
+# N <= 15 has at most 816 rows, and few of its sums reach this size.
+_BRACKET_TERMS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -222,11 +230,30 @@ def _stored_pmfs(comb: np.ndarray, n_fr: np.ndarray, p_f: np.ndarray,
 
 
 def _fsum(terms: np.ndarray) -> float:
-    # The terms are >= 0 and zeros do not change an exact sum. fsum is
-    # correctly rounded, so the order cannot change the float; largest
-    # first keeps its partials list short (ascending takes about 2x as
-    # long as descending).
+    """The exactly rounded sum of nonnegative ``terms``.
+
+    Zeros do not change an exact sum, and fsum is correctly rounded, so
+    the order cannot change the float; largest first keeps its partials
+    list short (ascending takes about 2x as long as descending). A long
+    sum whose terms mostly lie more than 2**-80 below the largest is
+    bracketed instead: with cut = max * 2**-80, the m terms under the cut
+    add less than m * cut, and correct rounding is monotone, so
+    fl(head) <= fl(all) <= fl(head + nextafter(m * cut)). Where the two
+    bounds agree, that is the sum; otherwise (the head's sum sits on or
+    near a rounding boundary) every term is summed.
+    """
     kept = terms[terms != 0.0]
+    if kept.size >= _BRACKET_TERMS:
+        cut = kept.max() * 2.0**-80
+        in_head = kept >= cut
+        if 2 * np.count_nonzero(in_head) <= kept.size:
+            head = kept[in_head]
+            head.sort()
+            head = head[::-1].tolist()
+            low = math.fsum(head)
+            tail = math.nextafter((kept.size - len(head)) * cut, math.inf)
+            if math.fsum([*head, tail]) == low:
+                return low
     kept.sort()
     return math.fsum(kept[::-1].tolist())
 

@@ -77,10 +77,30 @@ def _check_outputs(outputs: tuple[str, ...]) -> None:
         raise ValueError(f"outputs names {repeated[0]!r} twice")
 
 
+def _check_axis(name: str, values=()) -> None:
+    """Reject a swept name that is no ``ScenarioConfig`` field, or a value
+    the axis repeats (one point would be evaluated twice); with no
+    values, only the name is checked."""
+    if name not in _SCENARIO_FIELDS:
+        raise ValueError(f"unknown sweep parameter {name!r}")
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"{name} repeats the value {v!r}")
+        seen.add(v)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A base scenario plus swept parameters (a file gives at most two)
-    and sim options."""
+    and sim options.
+
+    Made here or by ``load_config``, a spec is checked in one place: the
+    outputs, each axis's name and values (``_check_axis``), an axis named
+    twice, and the simulation arguments by ``simulator.check_argument``.
+    A value outside its field's domain, or a point whose fields conflict,
+    is an error in that point's row only.
+    """
 
     base: ScenarioConfig
     axes: tuple[tuple[str, tuple], ...] = ()
@@ -92,6 +112,13 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         _check_outputs(self.outputs)
+        names = [name for name, _ in self.axes]
+        for i, (name, values) in enumerate(self.axes):
+            _check_axis(name, values)
+            if name in names[:i]:
+                raise ValueError(f"the sweep names {name!r} twice")
+        for name in ("n_slots", "seed", "mode"):
+            simulator.check_argument(name, getattr(self, name))
 
     def grid(self) -> list[dict]:
         """Field overrides per grid point, axis 1 outermost."""
@@ -199,9 +226,7 @@ def load_config(path: str) -> SweepSpec:
                     _check_field(key, outputs, lineno,
                                  lambda _, names: _check_outputs(names))
                     continue
-                if key not in _SCENARIO_FIELDS:
-                    raise ConfigError(f"line {lineno}: unknown sweep parameter "
-                                      f"{key!r}")
+                _check_field(key, (), lineno, _check_axis)
                 if len(axes) == 2:
                     raise ConfigError(f"line {lineno}: at most two sweep axes "
                                       "are supported")
@@ -210,13 +235,9 @@ def load_config(path: str) -> SweepSpec:
                     raise ConfigError(f"line {lineno}: empty value list")
                 # Constraints that couple several fields are checked per
                 # grid point and recorded in the `error` column instead.
-                seen = set()
                 for v in vals:
                     _check_field(key, v, lineno)
-                    if v in seen:  # one point would be evaluated twice
-                        raise ConfigError(f"line {lineno}: {key} repeats "
-                                          f"the value {v!r}")
-                    seen.add(v)
+                _check_field(key, vals, lineno, _check_axis)
                 axes.append((key, vals))
             else:  # simulation
                 if key == "simulate":

@@ -234,6 +234,30 @@ class TestRunSweep:
             SweepSpec(ScenarioConfig(n_ues=2), axes=(("q_u", (0.1, 0.2)),),
                       outputs=("t_totl",))
 
+    @pytest.mark.parametrize("kwargs, message, line", [
+        ({"axes": (("q_u", (0.1, 0.1)), ("bogus", (1,)))},
+         "q_u repeats the value 0.1", "q_u = 0.1, 0.1"),
+        ({"axes": (("q_u", (0.1, 0.2)), ("bogus", (1,)))},
+         "unknown sweep parameter 'bogus'", "bogus = 1"),
+        ({"axes": (("q_u", (0.1,)), ("q_u", (0.2,)))},
+         "the sweep names 'q_u' twice", None),
+        ({"simulate": True, "n_slots": 0},
+         "n_slots must be an integer >= 1, got 0", None),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1", None),
+        ({"mode": "bogus"},
+         "mode must be 'decoupled' or 'physical', got 'bogus'", None),
+    ])
+    def test_spec_built_in_code_meets_the_file_rules(self, tmp_path, kwargs,
+                                                     message, line):
+        # Before, such a spec ran every point and wrote the error in each
+        # row, beside analytic values for the simulation arguments.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(ScenarioConfig(n_ues=2), **kwargs)
+        if line is not None:  # a file states the same rule on its line
+            with pytest.raises(ConfigError,
+                               match=f"^line 2: {re.escape(message)}$"):
+                load_config(_write(tmp_path, f"[sweep]\n{line}\n"))
+
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
     def test_bad_jobs_rejected_before_any_point(self, monkeypatch, jobs):
         def unexpected(*args):

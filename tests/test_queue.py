@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmrelay import (
     ScenarioConfig,
@@ -504,6 +505,25 @@ class TestWalkMemory:
         assert peak <= 6 * 1024 * 1024
 
 
+@st.composite
+def _sums(draw):
+    """1 to 6,000 nonnegative terms with exponents from lo to 0
+    (lo >= -1074), some of them zero; planted, a head [1, 2**-53 + d]
+    whose sum sits on (d = 0) or just off a rounding midpoint, over terms
+    below 2**-81."""
+    n = draw(st.integers(1, 6000) | st.integers(1024, 6000))  # half long
+    lo = draw(st.integers(-1074, 0))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.9]))
+    plant = draw(st.sampled_from([None, 0.0, 2.0**-105, -2.0**-105]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = np.ldexp(1.0 + rng.random(n), rng.integers(lo, 1, n))
+    terms[rng.random(n) < zeros] = 0.0
+    if plant is not None:
+        terms = np.concatenate([[1.0, 2.0**-53 + plant],
+                                np.ldexp(terms, -82)])
+    return rng.permutation(terms)
+
+
 class TestSumRule:
     def test_same_float_as_fsum_of_the_terms_as_given(self):
         # Nonnegative terms from 2**-1074 to 1, a quarter of them zero.
@@ -517,17 +537,56 @@ class TestSumRule:
             assert queue_model._fsum(case).hex() == expect.hex()
         assert queue_model._fsum(np.zeros(9)) == 0.0
 
-    def test_cold_n30_walk_same_floats_as_plain_fsum(self, monkeypatch):
-        # The descending order changes no field of a cold N = 30 walk.
-        cfg = ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5)
+    # perfbench's large_n points, where the walk's sums are long enough
+    # for the bracket
+    LARGE_N = [
+        dict(n_ues=20, q_u=0.1, q_uf=0.5, q_ur=0.5, q_r=1.0),
+        dict(n_ues=20, q_u=0.1, q_uf=0.5, q_ur=0.5, q_r=0.2),
+        dict(n_ues=25, q_u=0.1, q_uf=1.0, q_ur=0.5, q_r=0.2),
+        dict(n_ues=25, q_u=0.9, q_uf=0.5, q_ur=0.5, q_r=0.52),
+        dict(n_ues=30, q_u=0.1, q_uf=0.5, q_ur=0.5, q_r=1.0),
+        dict(n_ues=30, q_u=0.05, q_uf=0.3, q_ur=0.5, q_r=0.1),
+    ]
 
-        def hexes():
+    def test_cold_n30_walk_same_floats_as_plain_fsum(self, monkeypatch):
+        # The descending order and the bracket change no field of a cold
+        # N = 30 walk, nor of the large_n walks.
+        cfgs = [ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5),
+                *(ScenarioConfig(**point) for point in self.LARGE_N)]
+
+        def hexes(cfg):
             walk = queue_model._Walk(cfg, None)
             return [float(x).hex()
                     for f in dataclasses.fields(queue_model.QueueStatistics)
                     for x in np.atleast_1d(getattr(walk, f.name))]
 
-        ordered = hexes()
+        ordered = [hexes(cfg) for cfg in cfgs]
         monkeypatch.setattr(queue_model, "_fsum",
                             lambda t: math.fsum(t[t != 0.0].tolist()))
-        assert hexes() == ordered
+        assert [hexes(cfg) for cfg in cfgs] == ordered
+
+    @pytest.mark.parametrize("second, tail, want, calls", [
+        # fl(1 + 2**-53) is 1.0 (a tie, to even), but 3,000 terms under
+        # the cut 2**-80 push the exact sum past the midpoint
+        (2.0**-53, 2.0**-200, 1.0 + 2.0**-52, [2, 3, 3002]),
+        # further under the midpoint than the tail can reach: the bracket
+        # decides
+        (2.0**-54, 2.0**-200, 1.0, [2, 3]),
+        # 2**-70 under it, and no term of the tail reaches 2**-80, but
+        # together they add about 2**-69.4
+        (2.0**-53 - 2.0**-70, 2.0**-81, 1.0 + 2.0**-52, [2, 3, 3002]),
+    ])
+    def test_bracket_and_its_fallback(self, monkeypatch, second, tail, want,
+                                      calls):
+        terms = np.array([1.0, second] + [tail] * 3000)
+        fsum, seen = math.fsum, []
+        monkeypatch.setattr(math, "fsum",
+                            lambda xs: (seen.append(len(xs)), fsum(xs))[1])
+        assert queue_model._fsum(terms) == want == fsum(terms.tolist())
+        assert seen == calls    # head, head + bound, then every term
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sums())
+    def test_same_float_as_fsum_of_any_terms(self, terms):
+        assert queue_model._fsum(terms).hex() == \
+            math.fsum(terms.tolist()).hex()

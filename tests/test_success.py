@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mmrelay import LinkBudget, ScenarioConfig, SuccessTable, load_config
@@ -11,7 +12,7 @@ from mmrelay import success
 from mmrelay.geometry import LinkState
 from mmrelay.success import _binom_pmf
 
-from conftest import RECIPES
+from conftest import RECIPES, random_two_ue_cfg
 from oracles import (sinr, sinr_linear, success_probability_bruteforce,
                      success_table_oracle)
 
@@ -19,6 +20,11 @@ from oracles import (sinr, sinr_linear, success_probability_bruteforce,
 KEYS = [("ur", "fd", False), ("ur", "br", False), ("ud", "fd", False),
         ("ud", "fd", True), ("ud", "br", False), ("ud", "br", True),
         ("rd", "fd", False)]
+
+
+def _list_every_row(row_fd, *_):
+    """``success._rows_that_can_decode`` with no row dropped."""
+    return np.ones(row_fd.size, bool)
 
 
 class TestSinrLinear:
@@ -300,21 +306,89 @@ class TestArrayTable:
 
     @pytest.mark.parametrize("point", [
         {"gamma_db": 9.99},
-        {"alpha": 0.0},
+        {"alpha": 0.0},                      # every threshold +inf
         {"alpha": 5e-324},
         {"d_ur_m": 10.0, "d_ud_m": 15.0},    # one state per link
+        {"gamma_db": -100.0},                # every row listed
+        {"gamma_db": 60.0},                  # every threshold -1.0
     ])
     @pytest.mark.parametrize("n", [1, 2, 7, 15, 30])
     @pytest.mark.parametrize("run", [1, 7])
     def test_runs_of_few_cells_same_floats(self, monkeypatch, run, n, point):
         # A run of 1 partition is one cell; runs of 7 hold one or a few
-        # cells, and a cell of more partitions is a run of its own.
+        # cells, and a cell of more partitions is a run of its own. The
+        # row floor changes no float either: the reference lists every
+        # row, in runs of the default size.
         cfg = ScenarioConfig(n_ues=n, **point)
-        whole = SuccessTable(cfg)
+        with monkeypatch.context() as every_row:
+            every_row.setattr(success, "_rows_that_can_decode",
+                              _list_every_row)
+            whole = SuccessTable(cfg)
         monkeypatch.setattr(success, "_RUN_PARTITIONS", run)
         cut = SuccessTable(cfg)
         for key in KEYS:
             assert cut.grid(*key).tobytes() == whole.grid(*key).tobytes(), key
+
+    @pytest.mark.parametrize("n, point, relay, mmap", [
+        # the floor's gain at N = 30 must not vanish silently
+        (30, {}, (0.0, 0.15), (0.0, 0.40)),
+        (10, {"alpha": 0.0}, (1.0, 1.0), (1.0, 1.0)),
+        (10, {"gamma_db": -100.0}, (1.0, 1.0), (1.0, 1.0)),
+        (10, {"gamma_db": 60.0}, (0.0, 0.0), (0.0, 0.0)),
+    ])
+    def test_share_of_rows_listed(self, monkeypatch, n, point, relay, mmap):
+        shares = []
+        floor = success._rows_that_can_decode
+
+        def counted(*args):
+            listed = floor(*args)
+            shares.append(listed.mean())
+            return listed
+
+        monkeypatch.setattr(success, "_rows_that_can_decode", counted)
+        SuccessTable(ScenarioConfig(n_ues=n, **point))
+        assert list(success._KEYS) == ["ur", "ud"]    # the build order
+        for share, (low, high) in zip(shares, (relay, mmap), strict=True):
+            assert low <= share <= high
+
+    def test_threshold_on_a_row_floor_keeps_that_row(self, monkeypatch):
+        # A row's floor is the interference of its partition with every BR
+        # interferer at the lower power, so a threshold of exactly that
+        # float decodes the partition, and its row must stay listed.
+        cfg = ScenarioConfig(n_ues=7)
+        can_decode, floors = success._rows_that_can_decode, []
+
+        def record(row_fd, row_b, p_b_min, thresholds):
+            floors.extend((row_fd + row_b * p_b_min).tolist())
+            return can_decode(row_fd, row_b, p_b_min, thresholds)
+
+        monkeypatch.setattr(success, "_rows_that_can_decode", record)
+        SuccessTable(cfg)
+        for t in sorted(set(floors))[1::5]:
+            monkeypatch.setattr(LinkBudget, "threshold",
+                                lambda self, *key, t=t: t)
+            monkeypatch.setattr(success, "_rows_that_can_decode",
+                                can_decode)
+            floor = SuccessTable(cfg)
+            monkeypatch.setattr(success, "_rows_that_can_decode",
+                                _list_every_row)
+            every = SuccessTable(cfg)
+            for key in KEYS:
+                assert floor.grid(*key).tobytes() == \
+                    every.grid(*key).tobytes(), (t, key)
+
+    def test_random_radios_equal_scalar_oracle_exactly(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            cfg = random_two_ue_cfg(rng).replace(n_ues=6)
+            t = SuccessTable(cfg)
+            for link, scheme, relay in KEYS:
+                for n_f in range(7):
+                    for n_b in range(7 - n_f):
+                        want = success_table_oracle(t, link, scheme, n_f,
+                                                    n_b, relay)
+                        assert t.p(link, scheme, n_f, n_b, relay) == want, \
+                            (cfg, link, scheme, relay, n_f, n_b)
 
     @staticmethod
     def _build_peak(n):
@@ -332,8 +406,8 @@ class TestArrayTable:
         assert self._build_peak(20) < 2 * 1024 * 1024
 
     def test_build_peak_memory_n30(self):
-        # About 0.8 MB; the whole listing of 46,376 partitions in one run
-        # reads about 4.2 MB.
+        # About 0.7 MB; all 46,376 partitions listed in one run read
+        # about 4.2 MB.
         assert self._build_peak(30) <= 3 * 1024 * 1024
 
 
