@@ -23,7 +23,7 @@ import sys
 import traceback
 
 from . import simulator
-from .sweeps import ConfigError, format_value, load_config, sweep_to_csv
+from .sweeps import format_value, load_config, read_argument, sweep_to_csv
 from .throughput import aggregate_throughput
 
 EXIT_OK = 0
@@ -39,24 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= ``low``, else a usage error."""
-    def parse(text: str) -> int:
+def _argument(name: str):
+    """argparse type: ``read_argument(name, text)``; a broken rule is a
+    usage error in the rule's own words."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+            return read_argument(name, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--slots", type=_int_at_least(1), default=None,
+    p.add_argument("--slots", type=_argument("n_slots"), default=None,
                    help="number of simulated slots (overrides the file)")
-    p.add_argument("--seed", type=_int_at_least(0), default=None,
+    p.add_argument("--seed", type=_argument("seed"), default=None,
                    help="RNG seed (overrides the file)")
     p.add_argument("--mode", choices=simulator.MODES, default=None,
                    help="LOS sampling mode (overrides the file)")
@@ -80,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a sweep grid and write CSV")
     p.add_argument("config")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+    p.add_argument("--jobs", type=_argument("jobs"), default=1,
                    help="parallel worker processes")
     p.set_defaults(handler=cmd_sweep)
 
@@ -174,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"mmrelay: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"mmrelay: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except Exception as exc:  # an unexpected model fault, with its traceback

@@ -54,6 +54,14 @@ _FIELD_DOMAINS = {
 }
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """Reject, naming it, a value that is no integer >= ``low``; any
+    ``numbers.Integral`` but bool is an integer."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Every free parameter of the model.
@@ -89,6 +97,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             self.check_field(f.name, getattr(self, f.name))
+        # a numpy integer would make every count derived from N a numpy float
+        object.__setattr__(self, "n_ues", int(self.n_ues))
         # A BR beam must cover both receivers whenever BR transmissions can occur.
         if self.q_uf < 1.0 and self.theta_bw_br < self.theta_rd_deg:
             raise ValueError(
@@ -100,12 +110,11 @@ class ScenarioConfig:
     def check_field(name: str, value) -> None:
         """Reject, naming the field, a value outside ``name``'s own domain.
 
-        Numbers must be finite and not bool; cross-field constraints are
-        left to ``__post_init__``.
+        n_ues is an integer >= 1 (``check_integer``), other numbers finite
+        and not bool; cross-field constraints are left to ``__post_init__``.
         """
         if name == "n_ues":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"n_ues must be a positive integer, got {value!r}")
+            check_integer(name, value, 1)
             return
         if name == "theta_bw_br_deg" and value is None:
             return

@@ -59,17 +59,17 @@ calls ``Generator.binomial`` itself.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LinkBudget, LinkState, ScenarioConfig
+from .geometry import LinkBudget, LinkState, ScenarioConfig, check_integer
 from .throughput import ThroughputReport
 
 MODES = ("decoupled", "physical")
-# Least valid value of each integer argument of ``run``.
-_LOWEST = {"n_slots": 1, "seed": 0}
+# Least valid value of each integer argument of ``run`` and of
+# ``sweeps.run_sweep`` (jobs).
+_LOWEST = {"n_slots": 1, "seed": 0, "jobs": 1}
 
 # Slots processed per vectorized block. Part of the deterministic draw
 # order: changing it changes the random streams.
@@ -503,18 +503,16 @@ def _decoded(los, interference, thresholds: tuple[float, float]):
 
 
 def check_argument(name: str, value) -> None:
-    """Reject, naming the argument, a bad ``run`` argument: ``n_slots`` is
-    an integer >= 1, ``seed`` an integer >= 0 (bools rejected) and
-    ``mode`` one of ``MODES``."""
+    """Reject, naming the argument, a bad argument of ``run`` or of
+    ``sweeps.run_sweep``: ``n_slots`` and ``jobs`` are integers >= 1,
+    ``seed`` an integer >= 0 (``check_integer``) and ``mode`` one of
+    ``MODES``."""
     if name == "mode":
         if value not in MODES:
             raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, "
                              f"got {value!r}")
         return
-    low = _LOWEST[name]
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    check_integer(name, value, _LOWEST[name])
 
 
 def run(cfg: ScenarioConfig, n_slots: int, seed: int,
@@ -630,12 +628,8 @@ def compare(report: ThroughputReport, stats: SimStats) -> ComparisonResult:
     """Analytic-vs-empirical z-score table for one scenario point; a row
     passes when |z| <= 3 (``_Z_LIMIT``)."""
     queue = report.queue
-    if queue.stable:
-        p0 = queue.p_empty_prob
-        lam = p0 * queue.lambda0 + (1.0 - p0) * queue.lambda1
-    else:
-        p0 = 0.0
-        lam = queue.lambda1
+    p0 = queue.p_empty_prob  # 0.0 when unstable, so lam is lambda1
+    lam = p0 * queue.lambda0 + (1.0 - p0) * queue.lambda1
     targets = [
         ("t_total", report.t_aggregate, stats.t_sim, stats.t_sim_se),
         ("lambda", lam, stats.lambda_sim, stats.lambda_sim_se),

@@ -127,56 +127,64 @@ class SweepSpec:
                 for point in itertools.product(*(v for _, v in self.axes))]
 
 
-def _parse_scalar(field: str, text: str, lineno: int):
+def _parse_scalar(field: str, text: str):
     try:
         if field in _INT_FIELDS:
             return int(text)
         return float(text)
     except ValueError:
         kind = "an integer" if field in _INT_FIELDS else "numeric"
-        raise ConfigError(f"line {lineno}: value {text!r} for {field!r} "
-                          f"is not {kind}") from None
+        raise ValueError(f"value {text!r} for {field!r} is not {kind}") from None
 
 
-def _parse_values(field: str, text: str, lineno: int) -> tuple:
+def _parse_values(field: str, text: str) -> tuple:
     """A comma list or an inclusive start:stop[:step] range."""
     if "," in text:
-        return tuple(_parse_scalar(field, part.strip(), lineno)
+        return tuple(_parse_scalar(field, part.strip())
                      for part in text.split(","))
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise ConfigError(f"line {lineno}: bad range {text!r}, "
-                              "expected start:stop[:step]")
-        start = _parse_scalar(field, parts[0].strip(), lineno)
-        stop = _parse_scalar(field, parts[1].strip(), lineno)
-        step = (_parse_scalar(field, parts[2].strip(), lineno)
-                if len(parts) == 3 else (1 if field in _INT_FIELDS else 1.0))
-        if step <= 0 or stop < start:
-            raise ConfigError(f"line {lineno}: bad range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            raise ValueError(f"bad range {text!r}, expected start:stop[:step]")
+        # an omitted step is 1
+        start, stop, step = (_parse_scalar(field, part.strip())
+                             for part in (parts + ["1"])[:3])
+        # Checked before any value is built: a non-finite bound, step or
+        # count (inf, nan, or a quotient beyond float range) has no values.
+        steps = (stop - start) / step if step > 0 and stop >= start else math.nan
+        if not all(map(math.isfinite, (start, stop, step, steps))):
+            raise ValueError(f"bad range {text!r}")
+        count = int(math.floor(steps + 1e-9)) + 1
         vals = tuple(start + i * step for i in range(count))
         if field in _INT_FIELDS:
             return vals
         # round away accumulated step noise (0.1 * 6 -> 0.6000000000000001)
         # relative to each value's magnitude
         return tuple(float(f"{v:.15g}") for v in vals)
-    return (_parse_scalar(field, text, lineno),)
+    return (_parse_scalar(field, text),)
 
 
-def _parse_bool(text: str, lineno: int) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"line {lineno}: expected a boolean, got {text!r}")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _check_field(name: str, value, lineno: int,
-                 check=ScenarioConfig.check_field) -> None:
+def read_argument(name: str, text: str):
+    """A ``simulator.check_argument`` argument given as text: an integer
+    where the text is one (``mode`` stays text), checked by that rule."""
+    value = text
+    if name != "mode":
+        with contextlib.suppress(ValueError):
+            value = int(text)
+    simulator.check_argument(name, value)
+    return value
+
+
+@contextlib.contextmanager
+def _line(lineno: int | None):
+    """Report a ``ValueError`` raised while reading file line ``lineno``
+    as a ``ConfigError`` that names the line."""
     try:
-        check(name, value)
+        yield
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}") from None
 
@@ -195,68 +203,58 @@ def load_config(path: str) -> SweepSpec:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip().lower()
-                if section not in ("scenario", "sweep", "simulation"):
-                    raise ConfigError(f"line {lineno}: unknown section [{section}]")
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: malformed line {raw.strip()!r}, "
-                                  "expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not value:
-                raise ConfigError(f"line {lineno}: missing value for {key!r}")
-            first = key_lines.setdefault((section, key), lineno)
-            if first != lineno:  # the last one would silently win
-                raise ConfigError(f"line {lineno}: {key!r} is already set "
-                                  f"on line {first} in [{section}]")
-            if section == "scenario":
-                if key not in _SCENARIO_FIELDS:
-                    raise ConfigError(f"line {lineno}: unknown key {key!r} "
-                                      "in [scenario]")
-                scenario[key] = _parse_scalar(key, value, lineno)
-                _check_field(key, scenario[key], lineno)
-                if key == "theta_bw_br_deg":
-                    br_line = lineno
-            elif section == "sweep":
-                if key == "outputs":
-                    outputs = tuple(p.strip() for p in value.split(","))
-                    _check_field(key, outputs, lineno,
-                                 lambda _, names: _check_outputs(names))
+            with _line(lineno):
+                if line.startswith("[") and line.endswith("]"):
+                    section = line[1:-1].strip().lower()
+                    if section not in ("scenario", "sweep", "simulation"):
+                        raise ValueError(f"unknown section [{section}]")
                     continue
-                _check_field(key, (), lineno, _check_axis)
-                if len(axes) == 2:
-                    raise ConfigError(f"line {lineno}: at most two sweep axes "
-                                      "are supported")
-                vals = _parse_values(key, value, lineno)
-                if not vals:
-                    raise ConfigError(f"line {lineno}: empty value list")
-                # Constraints that couple several fields are checked per
-                # grid point and recorded in the `error` column instead.
-                for v in vals:
-                    _check_field(key, v, lineno)
-                _check_field(key, vals, lineno, _check_axis)
-                axes.append((key, vals))
-            else:  # simulation
-                if key == "simulate":
-                    sim["simulate"] = _parse_bool(value, lineno)
+                if "=" not in line:
+                    raise ValueError(f"malformed line {raw.strip()!r}, "
+                                     "expected key = value")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if not value:
+                    raise ValueError(f"missing value for {key!r}")
+                first = key_lines.setdefault((section, key), lineno)
+                if first != lineno:  # the last one would silently win
+                    raise ValueError(f"{key!r} is already set on line "
+                                     f"{first} in [{section}]")
+                if section == "scenario":
+                    if key not in _SCENARIO_FIELDS:
+                        raise ValueError(f"unknown key {key!r} in [scenario]")
+                    scenario[key] = _parse_scalar(key, value)
+                    ScenarioConfig.check_field(key, scenario[key])
+                    if key == "theta_bw_br_deg":
+                        br_line = lineno
+                elif section == "sweep":
+                    if key == "outputs":
+                        outputs = tuple(p.strip() for p in value.split(","))
+                        _check_outputs(outputs)
+                        continue
+                    _check_axis(key)
+                    if len(axes) == 2:
+                        raise ValueError("at most two sweep axes are supported")
+                    vals = _parse_values(key, value)
+                    # Constraints that couple several fields are checked per
+                    # grid point and recorded in the `error` column instead.
+                    for v in vals:
+                        ScenarioConfig.check_field(key, v)
+                    _check_axis(key, vals)
+                    axes.append((key, vals))
+                elif key == "simulate":  # [simulation] from here on
+                    if value.lower() not in _BOOLS:
+                        raise ValueError(f"expected a boolean, got {value!r}")
+                    sim[key] = _BOOLS[value.lower()]
                 elif key in ("n_slots", "seed", "mode"):
-                    if key != "mode":  # text that is no integer is named
-                        with contextlib.suppress(ValueError):
-                            value = int(value)
-                    _check_field(key, value, lineno, simulator.check_argument)
-                    sim[key] = value
+                    sim[key] = read_argument(key, value)
                 else:
-                    raise ConfigError(f"line {lineno}: unknown key {key!r} "
-                                      "in [simulation]")
-    try:
+                    raise ValueError(f"unknown key {key!r} in [simulation]")
+    # Every field was checked on its line; what is left is the BR beamwidth
+    # check, which fires only when theta_bw_br_deg is set.
+    with _line(br_line):
         base = ScenarioConfig(**scenario)
-    except ValueError as exc:
-        # Every field was checked on its line; what is left is the BR
-        # beamwidth check, which fires only when theta_bw_br_deg is set.
-        raise ConfigError(f"line {br_line}: {exc}") from None
     return SweepSpec(base=base, axes=tuple(axes), outputs=outputs, **sim)
 
 
@@ -284,7 +282,9 @@ def _point_seed(seed: int, index: int) -> int:
 
 def _run_point(spec: SweepSpec, index: int, overrides: dict,
                cfg: ScenarioConfig | None, table: SuccessTable | None) -> dict:
-    row = {name: overrides[name] for name, _ in spec.axes}
+    # a valid point's axis values as its config holds them (n_ues an int)
+    row = {name: value if cfg is None else getattr(cfg, name)
+           for name, value in overrides.items()}
     row["error"] = ""
     try:
         if cfg is None:  # an invalid point: this raises its error
@@ -346,8 +346,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
     appearance, and each group is evaluated with one success table; a
     point whose configuration is invalid gets its row's ``error`` only.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    simulator.check_argument("jobs", jobs)
     grid = spec.grid()
     groups: dict[tuple | None, list] = {}
     for index, overrides in enumerate(grid):

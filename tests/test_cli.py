@@ -4,11 +4,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mmrelay import ConfigError, ScenarioConfig, SuccessTable, load_config, \
     run_sweep
-from mmrelay import queue_model, simulator, sweeps
+from mmrelay import aggregate_throughput, queue_model, simulator, sweeps
 from mmrelay.sweeps import SweepSpec, _tasks, evaluate_point, \
     sweep_columns, write_csv
 from conftest import RECIPES
@@ -24,6 +25,23 @@ def _cli(*args):
     proc = subprocess.run([sys.executable, "-m", "mmrelay.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# (argument, value, the rule's message); a value is given to code as is
+# and to a file line or a flag as its text.
+_ARGUMENT_RULES = [
+    ("n_slots", 0, "n_slots must be an integer >= 1, got 0"),
+    ("n_slots", "abc", "n_slots must be an integer >= 1, got 'abc'"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("seed", "1.5", "seed must be an integer >= 0, got '1.5'"),
+    ("jobs", 0, "jobs must be an integer >= 1, got 0"),
+    ("jobs", "x", "jobs must be an integer >= 1, got 'x'"),
+    ("mode", "bogus", "mode must be 'decoupled' or 'physical', got 'bogus'"),
+    ("n_ues", 0, "n_ues must be an integer >= 1, got 0"),
+    ("n_ues", -3, "n_ues must be an integer >= 1, got -3"),
+]
+_FLAGS = {"n_slots": "--slots", "seed": "--seed", "jobs": "--jobs",
+          "mode": "--mode"}
 
 
 class TestLoadConfig:
@@ -93,18 +111,44 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"line 3: {message}"):
             load_config(_write(tmp_path, text))
 
-    @pytest.mark.parametrize("key, text", [
-        ("n_slots", "abc"), ("seed", "1.5"), ("mode", "bogus")])
-    def test_simulation_argument_has_one_message(self, tmp_path, two_ue_cfg,
-                                                 key, text):
-        # A file states simulator.run's rule and message, plus its line.
-        args = {"n_slots": 10, "seed": 0, "mode": "decoupled", key: text}
-        with pytest.raises(ValueError, match=f"^{key} must be .*, got "
-                                             f"{re.escape(repr(text))}$") as exc:
-            simulator.run(two_ue_cfg, **args)
-        with pytest.raises(ConfigError) as file_exc:
-            load_config(_write(tmp_path, f"[simulation]\n{key} = {text}\n"))
-        assert str(file_exc.value) == f"line 2: {exc.value}"
+    @pytest.mark.parametrize("key, value, rule", _ARGUMENT_RULES,
+                             ids=[f"{k}-{v}" for k, v, _ in _ARGUMENT_RULES])
+    def test_simulation_argument_has_one_message(self, tmp_path, capsys,
+                                                 two_ue_cfg, key, value, rule):
+        # Code states the rule bare, a file adds its line, a flag its name.
+        import mmrelay.cli as cli
+
+        def fails(call, *args, **kwargs):
+            with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+                call(*args, **kwargs)
+
+        if key == "n_ues":
+            fails(ScenarioConfig, n_ues=value)
+            section = "scenario"
+        elif key == "jobs":
+            fails(run_sweep, SweepSpec(two_ue_cfg), jobs=value)
+            section = None  # no file line sets jobs
+        else:
+            fails(simulator.run, two_ue_cfg,
+                  **{"n_slots": 10, "seed": 0, "mode": "decoupled", key: value})
+            fails(SweepSpec, two_ue_cfg, **{key: value})
+            section = "simulation"
+        if section is not None:
+            with pytest.raises(ConfigError,
+                               match=f"^line 2: {re.escape(rule)}$"):
+                load_config(_write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        flag = _FLAGS.get(key)
+        if flag is None:
+            return
+        path = _write(tmp_path, "[scenario]\nn_ues = 2\n")
+        command = (["sweep", path, "-o", str(tmp_path / "out.csv")]
+                   if key == "jobs" else ["simulate", path])
+        assert cli.main([*command, flag, str(value)]) == 1
+        err = capsys.readouterr().err
+        if key == "mode":  # argparse choices, so that --help lists the modes
+            assert f"error: argument {flag}: invalid choice: 'bogus'" in err
+        else:
+            assert err.endswith(f"error: argument {flag}: {rule}\n")
 
     def test_unknown_mode_names_both_modes(self, tmp_path):
         text = "[simulation]\nmode = bogus\n"
@@ -122,6 +166,17 @@ class TestLoadConfig:
     def test_range_step_noise_cleaned(self, tmp_path, line, values):
         spec = load_config(_write(tmp_path, f"[sweep]\n{line}\n"))
         assert spec.axes == ((line.split(" = ")[0], values),)
+
+    @pytest.mark.parametrize("text", [
+        "q_u = 0:inf", "gamma_db = 0:1e300:1e-300", "q_u = nan:1",
+        "q_u = 0.1:0.5:nan"])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, text):
+        # Checked before expansion: no traceback, and the line is named.
+        import mmrelay.cli as cli
+        path = _write(tmp_path, f"[sweep]\n{text}\n")
+        assert cli.main(["analyze", path]) == 2
+        assert capsys.readouterr().err == (
+            f"mmrelay: line 2: bad range '{text.split(' = ')[1]}'\n")
 
     @pytest.mark.parametrize("line, value", [
         ("q_u = 0.1, 0.1", "0.1"),
@@ -269,6 +324,25 @@ class TestRunSweep:
                            match=f"^jobs must be an integer >= 1, got "
                                  f"{re.escape(repr(jobs))}$"):
             run_sweep(spec, jobs=jobs)
+
+    def test_numpy_integers_are_integers(self):
+        # A numpy integer is the int it equals: no row error, and no numpy
+        # float in a row or a report.
+        def typed(values):
+            return [(type(v), v) for v in values]
+
+        def sweep(values, jobs):
+            spec = SweepSpec(ScenarioConfig(), axes=(("n_ues", values),))
+            return [typed(row.values()) for row in run_sweep(spec, jobs=jobs)]
+
+        assert (sweep(tuple(np.arange(1, 4)), np.int64(1))
+                == sweep((1, 2, 3), 1))
+        for n in (1, 5):
+            cfg = ScenarioConfig(n_ues=np.int64(n))
+            assert type(cfg.n_ues) is int and cfg == ScenarioConfig(n_ues=n)
+            assert (typed(aggregate_throughput(cfg).metrics().values())
+                    == typed(aggregate_throughput(ScenarioConfig(n_ues=n))
+                             .metrics().values()))
 
     def test_per_point_errors_recorded_not_fatal(self, tmp_path):
         # a fixed narrow BR beam is valid at theta_rd = 20 but cannot cover
