@@ -7,7 +7,7 @@ sits at access-point height, which keeps its link to the mmAP in LOS.
 
 import math
 
-from mmrelay import LinkBudget, LinkState, ScenarioConfig, relay_mmap_distance
+from mmrelay import LinkBudget, ScenarioConfig, relay_mmap_distance
 
 cfg = ScenarioConfig()
 budget = LinkBudget(cfg)
@@ -29,12 +29,13 @@ print(f"{'link':6} {'scheme':7} {'p_los':>6} {'P_rx LOS':>12} {'P_rx NLOS':>12} 
 for link in ("ur", "ud", "rd"):
     schemes = ("fd",) if link == "rd" else ("fd", "br")
     for scheme in schemes:
-        p_l = budget.power(link, scheme, LinkState.LOS)
-        p_n = budget.power(link, scheme, LinkState.NLOS)
+        p_l, p_n = budget.powers(link, scheme)
         snr_l = 10 * math.log10(p_l / budget.noise_w)
         snr_n = 10 * math.log10(p_n / budget.noise_w)
         print(f"{link:6} {scheme:7} {budget.p_los(link):6.3f} "
               f"{p_l:12.3e} {p_n:12.3e} {snr_l:11.1f} {snr_n:12.1f}")
+print(f"\nthe relay's term at the mmAP while it transmits: its LOS FD beam, "
+      f"{budget.relay_interference_w:.3e} W, scaled by alpha = {cfg.alpha}")
 
 print("\nhow the angle stretches the relay-mmAP hop")
 for theta in (5, 15, 30, 60, 90, 120, 150, 175):

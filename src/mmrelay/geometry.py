@@ -263,7 +263,8 @@ def _float_to_bits(value: float) -> int:
 
 
 class LinkBudget:
-    """Precomputed per-link received powers, radio constants and decode rule.
+    """What a receiver hears: received powers, radio constants and the
+    decode rule, read by both the success build and the simulator.
 
     Links are 'ur' (UE->relay), 'ud' (UE->mmAP) and 'rd' (relay->mmAP);
     schemes are 'fd' (narrow beam to one receiver) and 'br' (wide beam
@@ -271,14 +272,19 @@ class LinkBudget:
     The relay sits at mmAP height, which keeps its link to the mmAP
     unobstructed (p_los = 1). Receivers form one narrow beam per decoded
     stream, so every reception uses the FD beamwidth on the receive side.
+    ``powers(link, scheme)`` gives a transmission's received watts as a
+    (LOS, NLOS) pair. While the relay transmits, the mmAP hears its LOS FD
+    beam, FD gain at both ends: ``relay_interference_w`` watts, scaled by
+    alpha like any interferer on the same receive beam.
 
     The budget owns the decode rule. A reception with signal power s and
     interference I (watts at the receiver, before leakage) decodes when
     s / (noise_w + alpha * I) >= gamma_linear in float64. Each rounding
     step of that test is monotone in I, so for I >= 0 it holds exactly
-    when I <= ``threshold(link, scheme, state)``: the largest float (+inf
-    included) that passes for that signal, or -1.0 when even I = 0 fails.
-    Both the success tables and the simulator decide by that comparison.
+    when I <= its threshold: the largest float (+inf included) that passes
+    for that signal, or -1.0 when even I = 0 fails.
+    ``thresholds(link, scheme)`` pairs them like the powers; the success
+    tables and the simulator both decide by that comparison.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -292,7 +298,7 @@ class LinkBudget:
             "rd": Link(d_rd, cfg.h_ap_m, cfg.h_ap_m, 1.0),
         }
         self.alpha = cfg.alpha
-        self._power: dict[tuple[str, str, LinkState], float] = {}
+        self._powers: dict[tuple[str, str], tuple[float, float]] = {}
         try:
             self.gain_fd = beam_gain(cfg.theta_bw_fd_deg)
             self.gain_br = beam_gain(cfg.theta_bw_br)
@@ -301,10 +307,9 @@ class LinkBudget:
             self.gamma_linear = 10.0 ** (cfg.gamma_db / 10.0)
             for name, link in self.links.items():
                 for scheme, g_tx in (("fd", self.gain_fd), ("br", self.gain_br)):
-                    for state in LinkState:
-                        self._power[name, scheme, state] = received_power_w(
-                            link, state, g_tx, self.gain_rx, cfg.p_t_dbm,
-                            cfg.f_c_ghz)
+                    self._powers[name, scheme] = tuple(received_power_w(
+                        link, state, g_tx, self.gain_rx, cfg.p_t_dbm,
+                        cfg.f_c_ghz) for state in LinkState)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"link budget out of float range ({exc}); check "
                              "the dB fields, beamwidths, heights, distances "
@@ -313,15 +318,18 @@ class LinkBudget:
         # NaN (inf/inf, 0/0), which no threshold test can catch later.
         for key, value in (("noise_w", self.noise_w),
                            ("gamma_linear", self.gamma_linear),
-                           *self._power.items()):
+                           *(((*key, state), power)
+                             for key, pair in self._powers.items()
+                             for state, power in zip(LinkState, pair))):
             if not math.isfinite(value):
                 raise ValueError(f"link budget out of float range: {key} is "
                                  f"{value!r}")
         if self.noise_w == 0.0:
             raise ValueError(f"noise floor underflows to 0 W at "
                              f"p_n_dbm={cfg.p_n_dbm!r}")
-        self._threshold = {key: self._decode_threshold(s)
-                           for key, s in self._power.items()}
+        self.relay_interference_w = self._powers["rd", "fd"][0]
+        self._thresholds = {key: tuple(map(self._decode_threshold, pair))
+                            for key, pair in self._powers.items()}
 
     def _decodes(self, signal: float, interference: float) -> bool:
         return signal / (self.noise_w + self.alpha * interference) \
@@ -360,13 +368,13 @@ class LinkBudget:
                 hi = mid
         return _bits_to_float(lo)
 
-    def power(self, link: str, scheme: str, state: LinkState) -> float:
-        """Received watts for a transmission of `scheme` on `link` in `state`."""
-        return self._power[link, scheme, state]
+    def powers(self, link: str, scheme: str) -> tuple[float, float]:
+        """(LOS, NLOS) received watts of ``scheme`` on ``link``."""
+        return self._powers[link, scheme]
 
-    def threshold(self, link: str, scheme: str, state: LinkState) -> float:
-        """Largest interference at which that transmission decodes (above)."""
-        return self._threshold[link, scheme, state]
+    def thresholds(self, link: str, scheme: str) -> tuple[float, float]:
+        """(LOS, NLOS) decode thresholds of ``scheme`` on ``link`` (above)."""
+        return self._thresholds[link, scheme]
 
     def p_los(self, link: str) -> float:
         return self.links[link].p_los

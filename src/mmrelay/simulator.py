@@ -23,9 +23,10 @@ The modes differ only in LOS sampling: each returns the same five
 (desired LOS state, interference) pairs per chunk, and both share one set
 of outcome rules (``_outcomes``: the decode tests, the relay's beam at
 the mmAP and the per-slot tallies). The simulator adds up each reception's
-interference itself, from the received powers, and decides it by the
-link budget's decode rule: interference at most the signal's
-``LinkBudget.threshold``, which is SINR >= gamma in float64.
+interference itself, from the link budget's (LOS, NLOS) received powers
+and its ``relay_interference_w``, and decides it by the budget's decode
+rule: interference at most the threshold of the signal's state, which is
+SINR >= gamma in float64.
 
 Random-number streams are split per purpose (transmission choices,
 per-link LOS draws, per-reception draws) so switching modes never
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LinkBudget, LinkState, ScenarioConfig, check_integer
+from .geometry import LinkBudget, ScenarioConfig, check_integer
 from .throughput import ThroughputReport
 
 MODES = ("decoupled", "physical")
@@ -339,35 +340,24 @@ class _Binomial:
 class _Powers:
     """Per-run constants: the link budget and the binomial samplers.
 
-    The budget gives the received powers, which the simulator adds up into
-    interference itself, and the decode thresholds that judge each
-    reception. The samplers, each covering n <= N, draw the transmission
-    counts (``tx``, ``fd``, ``fr`` for q_u, q_uf, q_ur) and, in decoupled
-    mode only, the LOS interferer counts (``los_ur``, ``los_ud``). Equal
-    probabilities share one table, so a run builds at most five.
+    The budget gives the LOS probabilities, the received powers, which the
+    simulator adds up into interference itself, and the decode thresholds
+    that judge each reception. The samplers, each covering n <= N, draw
+    the transmission counts (``tx``, ``fd``, ``fr`` for q_u, q_uf, q_ur)
+    and, in decoupled mode only, the LOS interferer counts (``los_ur``,
+    ``los_ud``). Equal probabilities share one table, so a run builds at
+    most five.
     """
 
     def __init__(self, cfg: ScenarioConfig, mode: str):
         self.budget = b = LinkBudget(cfg)
-        self.plos_ur = b.p_los("ur")
-        self.plos_ud = b.p_los("ud")
         probs = (cfg.q_u, cfg.q_uf, cfg.q_ur)
         if mode == "decoupled":
-            probs += (self.plos_ur, self.plos_ud)
+            probs += (b.p_los("ur"), b.p_los("ud"))
         tables = {p: _Binomial(cfg.n_ues, p) for p in dict.fromkeys(probs)}
         self.tx, self.fd, self.fr, *los = (tables[p] for p in probs)
         if los:
             self.los_ur, self.los_ud = los
-
-    def powers(self, link: str, scheme: str) -> tuple[float, float]:
-        """(LOS, NLOS) received watts of ``scheme`` on ``link``."""
-        return (self.budget.power(link, scheme, LinkState.LOS),
-                self.budget.power(link, scheme, LinkState.NLOS))
-
-    def thresholds(self, link: str, scheme: str) -> tuple[float, float]:
-        """(LOS, NLOS) decode thresholds of ``scheme`` on ``link``."""
-        return (self.budget.threshold(link, scheme, LinkState.LOS),
-                self.budget.threshold(link, scheme, LinkState.NLOS))
 
 
 def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
@@ -413,8 +403,9 @@ def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
                      n_fr, n_fd, n_b, slots):
     """The five receptions of a chunk, fresh LOS draws per reception."""
     slots_fr, slots_b, slots_fd = slots
-    fr, br_r = pw.powers("ur", "fd"), pw.powers("ur", "br")
-    fd, br_d = pw.powers("ud", "fd"), pw.powers("ud", "br")
+    b = pw.budget
+    fr, br_r = b.powers("ur", "fd"), b.powers("ur", "br")
+    fd, br_d = b.powers("ud", "fd"), b.powers("ud", "br")
     kb_n = n_b[slots_b] - 1
     # FD packets at the relay: interfered by the other FD-to-relay
     # transmissions and every broadcast.
@@ -435,16 +426,17 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers,
     """The five receptions of a chunk, one LOS draw per link per slot."""
     slots_fr, slots_b, slots_fd = slots
     c = n_fr.size
+    b = pw.budget
     # Links toward the relay exist for FD-to-relay and BR transmitters.
-    los_fr_r = gen.random(slots_fr.size) < pw.plos_ur
-    p_fr_r = np.where(los_fr_r, *pw.powers("ur", "fd"))
-    los_b_r = gen.random(slots_b.size) < pw.plos_ur
-    p_b_r = np.where(los_b_r, *pw.powers("ur", "br"))
+    los_fr_r = gen.random(slots_fr.size) < b.p_los("ur")
+    p_fr_r = np.where(los_fr_r, *b.powers("ur", "fd"))
+    los_b_r = gen.random(slots_b.size) < b.p_los("ur")
+    p_b_r = np.where(los_b_r, *b.powers("ur", "br"))
     # Links toward the mmAP exist for FD-to-mmAP and BR transmitters.
-    los_fd_d = gen.random(slots_fd.size) < pw.plos_ud
-    p_fd_d = np.where(los_fd_d, *pw.powers("ud", "fd"))
-    los_b_d = gen.random(slots_b.size) < pw.plos_ud
-    p_b_d = np.where(los_b_d, *pw.powers("ud", "br"))
+    los_fd_d = gen.random(slots_fd.size) < b.p_los("ud")
+    p_fd_d = np.where(los_fd_d, *b.powers("ud", "fd"))
+    los_b_d = gen.random(slots_b.size) < b.p_los("ud")
+    p_b_d = np.where(los_b_d, *b.powers("ud", "br"))
 
     total_r = (np.bincount(slots_fr, weights=p_fr_r, minlength=c)
                + np.bincount(slots_b, weights=p_b_r, minlength=c))
@@ -463,18 +455,17 @@ def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
     Each reception is a (desired LOS state, interference) pair, in the
     order of the chunk functions: FD and BR at the relay, BR and FD at the
     mmAP, then the relay at the mmAP. With the relay transmitting (suffix
-    t) its beam adds its LOS power to the BR and FD interference at the
-    mmAP. The queue stores decoded FD->relay packets and BR packets decoded
-    at the relay and lost at the mmAP; direct deliveries are the FD and BR
-    packets decoded at the mmAP.
+    t) the budget's ``relay_interference_w`` adds to the BR and FD
+    interference at the mmAP. The queue stores decoded FD->relay packets and
+    BR packets decoded at the relay and lost at the mmAP; direct deliveries
+    are the FD and BR packets decoded at the mmAP.
     """
     slots_fr, slots_b, slots_fd = slots
-    thr = pw.thresholds
+    thr, p_relay = pw.budget.thresholds, pw.budget.relay_interference_w
     arr_fr = np.bincount(slots_fr[_decoded(*fd_r, thr("ur", "fd"))],
                          minlength=c)
     ok_br_r = _decoded(*br_at_r, thr("ur", "br"))
     (los_bd, i_bd), (los_fd, i_fd) = br_at_d, fd_d
-    p_relay = pw.powers("rd", "fd")[0]
     arr, direct = [], []
     for relay_on in (False, True):
         if relay_on:  # in place: the chunk functions return fresh arrays
@@ -491,7 +482,7 @@ def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
 def _decoded(los, interference, thresholds: tuple[float, float]):
     """Decode indicator of receptions: interference at most the threshold.
 
-    ``thresholds`` are the signal's (LOS, NLOS) ``LinkBudget.threshold``;
+    ``thresholds`` are the signal's (LOS, NLOS) ``LinkBudget.thresholds``;
     ``los`` picks one per reception (True: all in LOS). Bitwise, since
     ``np.where`` over a random mask is several times slower.
     """

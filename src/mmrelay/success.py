@@ -25,13 +25,15 @@ relay's rows and 32% of the mmAP's; at alpha = 0 it lists every row. It
 walks the listing in runs of whole cells, so a run's temporaries are
 bounded by ``_RUN_PARTITIONS`` whatever N is, and each run costs a fixed
 number of numpy calls. A run forms each partition's interference
-once, plus one copy with the relay's beam added at the mmAP. A partition
-decodes when its interference is at most ``LinkBudget.threshold`` of the
-signal, which equals the division test SINR >= gamma in float64. Per key
-the run takes out the nonzero terms of the partitions that decode, in
-listing order, so each cell's terms are one slice; one ``tolist`` per run
-gives them to one exactly rounded ``math.fsum`` per listed cell; a cell
-with no listed row is 0.0, fsum of nothing. Dropping zero terms cannot
+once, plus one copy with ``LinkBudget.relay_interference_w`` added at
+the mmAP. The budget gives every power and threshold as a (LOS, NLOS)
+pair, and a partition decodes when its interference is at most the
+threshold of its signal's state, which equals the division test
+SINR >= gamma in float64. Per key the run takes out the nonzero terms of
+the partitions that decode, in listing order, so each cell's terms are
+one slice; one ``tolist`` per run gives them to one exactly rounded
+``math.fsum`` per listed cell; a cell with no listed row is 0.0, fsum of
+nothing. Dropping zero terms cannot
 change a sum of nonnegative terms, and fsum's result does not depend on
 the order of its terms, so a cell is the same number whatever the
 table's N or the run it falls in.
@@ -49,7 +51,7 @@ import math
 
 import numpy as np
 
-from .geometry import LinkBudget, LinkState, ScenarioConfig
+from .geometry import LinkBudget, ScenarioConfig
 
 
 def _binom_pmf(n: int, p: float) -> list[float]:
@@ -129,28 +131,23 @@ class SuccessTable:
         partitions (a larger cell is a run of its own). A cell sums
         (w_state * w_f[k]) * w_b[h] over the partitions whose interference
         is at most the budget's decode threshold for the cell's signal;
-        a key with the relay transmitting adds the relay's beam to it.
+        a key with the relay transmitting adds the relay's term to it.
         """
         b, m = self.budget, self.cfg.n_ues
         keys = _KEYS[ilink]
         # Largest count first: an overflow is reported before any work.
         pmf = [_binom_pmf(n, b.p_los(ilink)) for n in range(m, -1, -1)][::-1]
-        # (state, weight) of each link's desired signal, per link
-        states = {link: [(state, w) for state, w in
-                         ((LinkState.LOS, b.p_los(link)),
-                          (LinkState.NLOS, 1.0 - b.p_los(link))) if w != 0.0]
-                  for link, _, _ in keys}
-        w_state = {link: [w for _, w in link_states]
-                   for link, link_states in states.items()}
-        # decode thresholds per key, one per state
+        # Each link's (LOS, NLOS) weights of its desired signal; a state of
+        # weight zero is dropped, from the weights and from the thresholds
+        weights = {link: (b.p_los(link), 1.0 - b.p_los(link))
+                   for link, _, _ in keys}
+        w_state = {link: [w for w in ws if w != 0.0]
+                   for link, ws in weights.items()}
         thresholds = {(link, scheme, relay): [
-            b.threshold(link, scheme, state) for state, _ in states[link]]
-            for link, scheme, relay in keys}
-        p_fl = b.power(ilink, "fd", LinkState.LOS)
-        p_fn = b.power(ilink, "fd", LinkState.NLOS)
-        p_bl = b.power(ilink, "br", LinkState.LOS)
-        p_bn = b.power(ilink, "br", LinkState.NLOS)
-        p_relay = b.power("rd", "fd", LinkState.LOS)
+            t for t, w in zip(b.thresholds(link, scheme), weights[link])
+            if w != 0.0] for link, scheme, relay in keys}
+        (p_fl, p_fn), (p_bl, p_bn) = b.powers(ilink, "fd"), b.powers(ilink, "br")
+        p_relay = b.relay_interference_w
         # Flat tables over (n, j), read at j <= n only: the weight of j of
         # n interferers in LOS, and the parts of a partition's interference
         # k*p_fl + (n_f-k)*p_fn + h*p_bl + (n_b-h)*p_bn, each formed as
@@ -233,11 +230,3 @@ class SuccessTable:
                 "only at the mmAP, never with its own packet; the keys "
                 f"are {[*_KEYS['ur'], *_KEYS['ud']]}")
         return self._grids[key]
-
-    def p(self, link: str, scheme: str, n_f: int, n_b: int,
-          relay: bool = False) -> float:
-        """Success probability for raw interferer counts."""
-        if not (n_f >= 0 and n_b >= 0 and n_f + n_b <= self.cfg.n_ues):
-            raise ValueError(f"interferer counts ({n_f}, {n_b}) must be >= 0 "
-                             f"with a sum of at most N = {self.cfg.n_ues}")
-        return float(self.grid(link, scheme, relay)[n_f, n_b])

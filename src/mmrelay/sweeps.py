@@ -45,7 +45,6 @@ import csv
 import io
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,9 +149,14 @@ def _parse_values(field: str, text: str) -> tuple:
         start, stop, step = (_parse_scalar(field, part.strip())
                              for part in (parts + ["1"])[:3])
         # Checked before any value is built: a non-finite bound, step or
-        # count (inf, nan, or a quotient beyond float range) has no values.
-        steps = (stop - start) / step if step > 0 and stop >= start else math.nan
-        if not all(map(math.isfinite, (start, stop, step, steps))):
+        # count (inf, nan, or a quotient or an integer beyond float range)
+        # has no values.
+        try:
+            steps = (stop - start) / step if step > 0 and stop >= start else math.nan
+            finite = all(map(math.isfinite, (start, stop, step, steps)))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"bad range {text!r}")
         count = int(math.floor(steps + 1e-9)) + 1
         vals = tuple(start + i * step for i in range(count))
@@ -358,6 +362,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
         groups.setdefault(key, []).append((index, overrides, cfg))
     tasks = [(spec, points) for points in _tasks(list(groups.values()), jobs)]
     if len(tasks) > 1 and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             done = list(pool.map(_run_task, tasks))
     else:

@@ -10,7 +10,7 @@ pmfs, one configuration at a time, with the library's numpy powers and
 term order, so the block built over all rows must reproduce it exactly.
 ``sinr_linear`` is the decode rule in its division form,
 s / (noise + alpha * I) >= gamma, which the library replaces by
-comparing I with ``LinkBudget.threshold``; the success oracles decide by
+comparing I with ``LinkBudget.thresholds``; the success oracles decide by
 the division. The success-table oracle is a scalar loop over the binomial
 LOS partitions; the array table must reproduce its floats exactly. The
 queue-scan oracle is the simulator's slot-by-slot queue update, which the
@@ -53,15 +53,26 @@ def sinr_linear(budget: LinkBudget, link: str, desired_state: LinkState,
         raise ValueError("the relay can interfere only at the mmAP")
     if relay_interfering and link == "rd":
         raise ValueError("the relay does not interfere with its own packet")
-    signal = b.power(link, scheme, desired_state)
+    los, nlos = b.powers(link, scheme)
+    signal = los if desired_state is LinkState.LOS else nlos
     ilink = interferer_link(link)
-    interference = (k_f_los * b.power(ilink, "fd", LinkState.LOS)
-                    + k_f_nlos * b.power(ilink, "fd", LinkState.NLOS)
-                    + k_b_los * b.power(ilink, "br", LinkState.LOS)
-                    + k_b_nlos * b.power(ilink, "br", LinkState.NLOS))
+    (p_fl, p_fn), (p_bl, p_bn) = b.powers(ilink, "fd"), b.powers(ilink, "br")
+    interference = (k_f_los * p_fl + k_f_nlos * p_fn
+                    + k_b_los * p_bl + k_b_nlos * p_bn)
     if relay_interfering:
-        interference += b.power("rd", "fd", LinkState.LOS)
+        interference += b.relay_interference_w
     return sinr(b, signal, interference)
+
+
+def cell(table, link: str, scheme: str, n_f: int, n_b: int,
+         relay: bool = False) -> float:
+    """S[n_f, n_b] of one key of ``table``, for counts n_f, n_b >= 0 with
+    n_f + n_b <= N; other counts are refused, so that a negative one
+    cannot wrap around the array."""
+    if not (n_f >= 0 and n_b >= 0 and n_f + n_b <= table.cfg.n_ues):
+        raise ValueError(f"interferer counts ({n_f}, {n_b}) must be >= 0 "
+                         f"with a sum of at most N = {table.cfg.n_ues}")
+    return float(table.grid(link, scheme, relay)[n_f, n_b])
 
 
 def success_probability_bruteforce(cfg: ScenarioConfig, link: str, scheme: str,
@@ -156,10 +167,10 @@ def arrival_pmf_bruteforce(cfg: ScenarioConfig, table, relay_tx: bool) -> list[f
         accept = []
         for d in decisions:
             if d == "fr":
-                accept.append(table.p("ur", "fd", n_fr - 1, n_b))
+                accept.append(cell(table, "ur", "fd", n_fr - 1, n_b))
             elif d == "br":
-                p_r = table.p("ur", "br", n_fr, n_b - 1)
-                p_d = table.p("ud", "br", n_fd, n_b - 1, relay_tx)
+                p_r = cell(table, "ur", "br", n_fr, n_b - 1)
+                p_d = cell(table, "ud", "br", n_fd, n_b - 1, relay_tx)
                 accept.append(p_r * (1.0 - p_d))
         for outcome in itertools.product((0, 1), repeat=len(accept)):
             wo = w
@@ -212,13 +223,13 @@ def per_user_throughput_bruteforce(cfg: ScenarioConfig, table,
         n_fd = others.count("fd")
         n_b = others.count("br")
         # tagged user FD to the mmAP
-        direct += w * probs["fd"] * table.p("ud", "fd", n_fd, n_b, relay_interfering)
+        direct += w * probs["fd"] * cell(table, "ud", "fd", n_fd, n_b, relay_interfering)
         # tagged user FD to the relay
-        relayed += w * probs["fr"] * table.p("ur", "fd", n_fr, n_b)
+        relayed += w * probs["fr"] * cell(table, "ur", "fd", n_fr, n_b)
         # tagged user BR: mmAP copy counts as direct, relay copy stored on
         # mmAP failure
-        p_d = table.p("ud", "br", n_fd, n_b, relay_interfering)
-        p_r = table.p("ur", "br", n_fr, n_b)
+        p_d = cell(table, "ud", "br", n_fd, n_b, relay_interfering)
+        p_r = cell(table, "ur", "br", n_fr, n_b)
         direct += w * probs["br"] * p_d
         relayed += w * probs["br"] * p_r * (1.0 - p_d)
     return direct, relayed
@@ -379,7 +390,9 @@ def two_ue_terms(cfg: ScenarioConfig, table: SuccessTable | None = None,
     qur, qud, qr = cfg.q_ur, cfg.q_ud, cfg.q_r
     qun = 1.0 - qu
 
-    p = table.p
+    def p(link, scheme, n_f, n_b, relay=False):
+        return cell(table, link, scheme, n_f, n_b, relay)
+
     pf_ur_0 = p("ur", "fd", 0, 0)
     pf_ur_1f = p("ur", "fd", 1, 0)
     pf_ur_1b = p("ur", "fd", 0, 1)

@@ -68,7 +68,7 @@ def test_criterion_1_appendix_equivalence():
         for n_f in range(7):
             for n_b in range(7 - n_f):
                 for link, scheme, relay in combos:
-                    got = table.p(link, scheme, n_f, n_b, relay)
+                    got = table.grid(link, scheme, relay)[n_f, n_b]
                     want = success_probability_bruteforce(
                         cfg, link, scheme, n_f, n_b, relay)
                     worst = max(worst, abs(got - want))

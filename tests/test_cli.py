@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import re
@@ -69,10 +70,25 @@ class TestLoadConfig:
          "^line 2: value '2.5' for 'n_ues' is not an integer$"),
         ("[sweep]\nn_ues = 1:3:0.5\n",
          "^line 2: value '0.5' for 'n_ues' is not an integer$"),
+        ("[sweep]\nq_u = 0:1:0.5:2\n",
+         "^line 2: bad range '0:1:0.5:2', expected start:stop\\[:step\\]$"),
+        ("[scenario]\nn_ues = 2\n[bogus]\n",
+         "^line 3: unknown section \\[bogus\\]$"),
+        ("[scenario]\nq_u =\n", "^line 2: missing value for 'q_u'$"),
+        ("[simulation]\nsimulate = maybe\n",
+         "^line 2: expected a boolean, got 'maybe'$"),
+        ("[simulation]\nslots = 5\n",
+         "^line 2: unknown key 'slots' in \\[simulation\\]$"),
     ])
-    def test_field_error_names_its_own_line(self, tmp_path, text, message):
+    def test_field_error_names_its_own_line(self, tmp_path, capsys, text,
+                                            message):
+        import mmrelay.cli as cli
+        path = _write(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
-            load_config(_write(tmp_path, text))
+            load_config(path)
+        assert cli.main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert re.match(message, err.removeprefix("mmrelay: ")), err
 
     def test_unknown_key(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nbogus = 1\n")
@@ -169,7 +185,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("text", [
         "q_u = 0:inf", "gamma_db = 0:1e300:1e-300", "q_u = nan:1",
-        "q_u = 0.1:0.5:nan"])
+        "q_u = 0.1:0.5:nan",
+        pytest.param("n_ues = 1:1" + "0" * 400, id="n_ues = 1:1e400")])
     def test_non_finite_range_rejected(self, tmp_path, capsys, text):
         # Checked before expansion: no traceback, and the line is named.
         import mmrelay.cli as cli
@@ -471,9 +488,21 @@ class TestSweepReuse:
 
         spec = load_config(_write(tmp_path, "[sweep]\nalpha = 0.1, 0.2, 0.3\n"))
         serial = run_sweep(spec)
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
         assert run_sweep(spec, jobs=8) == serial
         assert workers == [3]
+
+    def test_cold_start_imports_no_process_pool(self):
+        # Only run_sweep with jobs > 1 starts workers, so only it imports
+        # the pool.
+        code = ("import sys, mmrelay.cli\n"
+                f"mmrelay.cli.load_config({str(RECIPES / 'fig3.cfg')!r})\n"
+                "print(sorted({'concurrent.futures.process', "
+                "'multiprocessing'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     def test_groups_split_only_below_the_job_count(self):
         groups = [[1, 2, 3], [4, 5]]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,25 @@ class TestReceivedPower:
         assert p_los >= p_nlos
 
 
+class TestRejections:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: relay_mmap_distance(30, 50, 180.5),
+         "theta_rd_deg must lie in [0, 180], got 180.5"),
+        (lambda: relay_mmap_distance(30, 50, -1.0),
+         "theta_rd_deg must lie in [0, 180], got -1.0"),
+        (lambda: Link(0.0, 1.5, 10.0, 0.5),
+         "link distance must be positive, got 0.0"),
+        (lambda: Link(50.0, 1.5, 10.0, 1.5),
+         "p_los must lie in [0, 1], got 1.5"),
+        (lambda: received_power_w(Link(50.0, 1.5, 10.0, 0.5), LinkState.LOS,
+                                  -1.0, 72.0, 24.0, 30.0),
+         "antenna gains must be non-negative"),
+    ], ids=["angle-above", "angle-below", "distance", "p_los", "gain"])
+    def test_rejection_names_its_rule(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 class TestScenarioConfig:
     def test_defaults_are_valid(self):
         cfg = ScenarioConfig()
@@ -246,8 +266,12 @@ class TestLinkBudget:
         b = LinkBudget(default_cfg)
         for link in ("ur", "ud", "rd"):
             for scheme in ("fd", "br"):
-                assert b.power(link, scheme, LinkState.LOS) >= \
-                    b.power(link, scheme, LinkState.NLOS)
+                los, nlos = b.powers(link, scheme)
+                assert los >= nlos
+
+    def test_relay_term_is_its_los_fd_beam(self, default_cfg):
+        b = LinkBudget(default_cfg)
+        assert b.relay_interference_w == b.powers("rd", "fd")[0]
 
 
 # Valid values other than the defaults, for every ScenarioConfig field.

@@ -117,7 +117,7 @@ class TestServiceSuccess:
     def test_silent_network_gives_clean_channel(self, default_cfg):
         cfg = default_cfg.replace(q_u=0.0)
         t = SuccessTable(cfg)
-        assert queue_statistics(cfg, t).b_r == t.p("rd", "fd", 0, 0)
+        assert queue_statistics(cfg, t).b_r == t.grid("rd", "fd")[0, 0]
 
     def test_alpha_zero_independent_of_traffic(self):
         quiet = ScenarioConfig(n_ues=8, q_u=0.1, alpha=0.0)
@@ -144,7 +144,7 @@ class TestNetChangeDistribution:
         cfg = ScenarioConfig(n_ues=3, q_u=0.0, q_r=1.0)
         t = SuccessTable(cfg)
         net = queue_statistics(cfg, t)
-        p_dep = t.p("rd", "fd", 0, 0)
+        p_dep = t.grid("rd", "fd")[0, 0]
         assert net.p_nonempty[0] == pytest.approx(p_dep, abs=1e-15)
         assert net.p_nonempty[1] == pytest.approx(1.0 - p_dep, abs=1e-15)
 
@@ -255,8 +255,8 @@ class TestTwoUeClosedForms:
         forms = two_ue_closed_forms(cfg, t)
         for name in ("lambda0", "a_r", "p1_0", "p2_0", "p1_1", "p2_1"):
             assert forms[name] == 0.0
-        assert forms["b_r"] == t.p("rd", "fd", 0, 0)
-        assert forms["p_m1_1"] == pytest.approx(0.8 * t.p("rd", "fd", 0, 0),
+        assert forms["b_r"] == t.grid("rd", "fd")[0, 0]
+        assert forms["p_m1_1"] == pytest.approx(0.8 * t.grid("rd", "fd")[0, 0],
                                                 abs=1e-15)
 
 

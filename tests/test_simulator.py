@@ -49,7 +49,7 @@ class TestTrivialScenarios:
         cfg = ScenarioConfig(n_ues=1, q_u=0.3, q_uf=1.0, q_ur=0.0)
         t = SuccessTable(cfg)
         stats = run(cfg, 1_000_000, seed=4)
-        expected = 0.3 * t.p("ud", "fd", 0, 0)
+        expected = 0.3 * t.grid("ud", "fd")[0, 0]
         assert abs(stats.t_sim - expected) <= 3 * stats.t_sim_se
 
     def test_low_threshold_ceiling(self):
@@ -135,6 +135,20 @@ class TestCompare:
         assert (row.z == 3.0) is passed
         assert row.passed is passed
         assert result.all_passed is passed
+
+    @pytest.mark.parametrize("queue_final, drift_sim, noted", [
+        (9, 0.0, True), (10, 0.0, False), (0, 1e-9, False)])
+    def test_unstable_analysis_with_bounded_queue_is_noted(
+            self, queue_final, drift_sim, noted):
+        cfg = ScenarioConfig(n_ues=5, q_u=0.4, q_r=0.1)
+        rep = aggregate_throughput(cfg)
+        assert not rep.queue.stable
+        stats = dataclasses.replace(run(cfg, 20_000, seed=3),
+                                    queue_final=queue_final,
+                                    drift_sim=drift_sim)
+        assert compare(rep, stats).regime_note == (
+            "analytic regime is unstable but the simulated queue stayed "
+            "bounded; treat comparison as regime-sensitive" if noted else "")
 
     def test_silent_network_trivially_passes(self):
         cfg = ScenarioConfig(n_ues=2, q_u=0.0)
@@ -362,8 +376,8 @@ class TestReceptionEndToEnd:
         assert _bits(fast) == _bits(slow)
 
     def test_edge_points_reach_the_edge(self):
-        assert simulator._Powers(
-            ScenarioConfig(n_ues=6, d_ur_m=15.0), "decoupled").plos_ur == 1.0
+        assert simulator._Powers(ScenarioConfig(n_ues=6, d_ur_m=15.0),
+                                 "decoupled").budget.p_los("ur") == 1.0
         assert simulator._Powers(
             ScenarioConfig(n_ues=70, q_u=0.5), "decoupled").tx.native
 

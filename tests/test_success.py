@@ -13,7 +13,7 @@ from mmrelay.geometry import LinkState
 from mmrelay.success import _binom_pmf
 
 from conftest import RECIPES, random_two_ue_cfg
-from oracles import (sinr, sinr_linear, success_probability_bruteforce,
+from oracles import (cell, sinr, sinr_linear, success_probability_bruteforce,
                      success_table_oracle)
 
 # Every (link, scheme, relay flag) the analysis reads.
@@ -31,7 +31,7 @@ class TestSinrLinear:
     def test_no_interferers_is_snr(self, default_cfg):
         t = SuccessTable(default_cfg)
         value = sinr_linear(t.budget, "ud", LinkState.LOS, "fd", 0, 0, 0, 0)
-        expected = t.budget.power("ud", "fd", LinkState.LOS) / t.budget.noise_w
+        expected = t.budget.powers("ud", "fd")[0] / t.budget.noise_w
         assert value == pytest.approx(expected, rel=1e-15)
 
     def test_alpha_zero_cancels_everything(self):
@@ -46,8 +46,8 @@ class TestSinrLinear:
         t = SuccessTable(default_cfg)
         b = t.budget
         value = sinr_linear(b, "ud", LinkState.LOS, "fd", 0, 0, 1, 0)
-        expected = b.power("ud", "fd", LinkState.LOS) / (
-            b.noise_w + 0.1 * b.power("ud", "br", LinkState.LOS))
+        expected = b.powers("ud", "fd")[0] / (
+            b.noise_w + 0.1 * b.powers("ud", "br")[0])
         assert value == pytest.approx(expected, rel=1e-15)
 
     def test_relay_cannot_interfere_at_relay(self, default_cfg):
@@ -72,9 +72,11 @@ def _recipe_budgets():
 
 
 def _signals(b):
-    return [(key, b.power(*key)) for key in
-            ((link, scheme, state) for link in ("ur", "ud", "rd")
-             for scheme in ("fd", "br") for state in LinkState)]
+    """(key, signal, threshold) of every (link, scheme, state) of ``b``."""
+    return [((link, scheme, state), signal, thr)
+            for link in ("ur", "ud", "rd") for scheme in ("fd", "br")
+            for state, signal, thr in zip(LinkState, b.powers(link, scheme),
+                                          b.thresholds(link, scheme))]
 
 
 def _decodes(b, signal, interference):
@@ -87,8 +89,7 @@ class TestDecodeThresholds:
         assert len(budgets) > 20   # 29 in the shipped recipes
         rng = random.Random(7)
         for b in budgets:
-            for key, signal in _signals(b):
-                thr = b.threshold(*key)
+            for key, signal, thr in _signals(b):
                 assert thr == -1.0 or thr >= 0.0, key
                 if thr == -1.0:
                     assert not _decodes(b, signal, 0.0), key
@@ -109,19 +110,19 @@ class TestDecodeThresholds:
 
     def test_alpha_zero_gives_inf(self):
         b = LinkBudget(ScenarioConfig(alpha=0.0))
-        signal = b.power("ud", "fd", LinkState.LOS)
+        signal = b.powers("ud", "fd")[0]
         assert _decodes(b, signal, 0.0)
-        assert b.threshold("ud", "fd", LinkState.LOS) == math.inf
+        assert b.thresholds("ud", "fd")[0] == math.inf
         assert _decodes(b, signal, sys.float_info.max)
 
     def test_signal_failing_without_interference_gives_minus_one(self):
         # gamma is 5 ulps above this signal's SNR; 1 ulp lower it passes.
         b = LinkBudget(ScenarioConfig(gamma_db=43.39593648733957))
-        signal = b.power("ud", "fd", LinkState.LOS)
+        signal = b.powers("ud", "fd")[0]
         assert not _decodes(b, signal, 0.0)
-        assert b.threshold("ud", "fd", LinkState.LOS) == -1.0
+        assert b.thresholds("ud", "fd")[0] == -1.0
         b = LinkBudget(ScenarioConfig(gamma_db=43.39593648733956))
-        thr = b.threshold("ud", "fd", LinkState.LOS)
+        thr = b.thresholds("ud", "fd")[0]
         assert 0.0 <= thr < 1e-24
         assert _decodes(b, signal, thr)
         assert not _decodes(b, signal, math.nextafter(thr, math.inf))
@@ -131,10 +132,9 @@ class TestDecodeThresholds:
         # At 5e-324 the seed (s / gamma - noise) / alpha overflows to inf,
         # so the search runs over the whole float range.
         b = LinkBudget(ScenarioConfig(alpha=alpha))
-        for key, signal in _signals(b):
+        for key, signal, thr in _signals(b):
             seed = (signal / b.gamma_linear - b.noise_w) / alpha
             assert (seed == math.inf) == (alpha == 5e-324)
-            thr = b.threshold(*key)
             assert _decodes(b, signal, thr), key
             assert not _decodes(b, signal, math.nextafter(thr, math.inf))
 
@@ -153,12 +153,11 @@ class TestDecodeThresholds:
             calls.clear()
             t = SuccessTable(cfg.replace(n_ues=4))
             assert 0 < len(calls) <= 12 * 66
-            assert max(calls.count(s) for _, s in _signals(t.budget)) <= 66
+            assert max(calls.count(s) for _, s, _ in _signals(t.budget)) <= 66
             made = len(calls)
             for key in KEYS:
                 t.grid(*key)
-            for key, _ in _signals(t.budget):
-                t.budget.threshold(*key)
+            _signals(t.budget)   # reads every power and threshold
             assert len(calls) == made
 
 
@@ -166,19 +165,19 @@ class TestSuccessProbability:
     def test_relay_link_degenerate(self, default_cfg):
         # relay->mmAP has p_los = 1: the result is a pure indicator
         t = SuccessTable(default_cfg)
-        assert t.p("rd", "fd", 0, 0) in (0.0, 1.0)
+        assert t.grid("rd", "fd")[0, 0] in (0.0, 1.0)
 
     def test_tiny_threshold_always_succeeds(self):
         cfg = ScenarioConfig(gamma_db=-100.0)
         t = SuccessTable(cfg)
-        assert t.p("ud", "fd", 4, 3, relay=True) == 1.0
+        assert t.grid("ud", "fd", True)[4, 3] == 1.0
 
     def test_reference_single_fd_interferer(self, default_cfg):
         # frozen from the 2^2-state enumeration oracle at the default point
         t = SuccessTable(default_cfg)
         oracle = success_probability_bruteforce(default_cfg, "ud", "fd", 1, 0)
-        assert t.p("ud", "fd", 1, 0) == pytest.approx(oracle, abs=1e-15)
-        assert t.p("ud", "fd", 1, 0) == pytest.approx(0.24961641157343264,
+        assert t.grid("ud", "fd")[1, 0] == pytest.approx(oracle, abs=1e-15)
+        assert t.grid("ud", "fd")[1, 0] == pytest.approx(0.24961641157343264,
                                                       abs=1e-12)
 
     @pytest.mark.parametrize("link,scheme,relay", [
@@ -197,7 +196,7 @@ class TestSuccessProbability:
             for n_f, n_b in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 3)):
                 expected = success_probability_bruteforce(
                     cfg, link, scheme, n_f, n_b, relay)
-                got = t.p(link, scheme, n_f, n_b, relay)
+                got = t.grid(link, scheme, relay)[n_f, n_b]
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_more_interferers_never_help(self, default_cfg):
@@ -205,9 +204,9 @@ class TestSuccessProbability:
         for link, scheme in (("ur", "fd"), ("ud", "br")):
             for n_f in range(4):
                 for n_b in range(4):
-                    base = t.p(link, scheme, n_f, n_b)
-                    assert t.p(link, scheme, n_f + 1, n_b) <= base + 1e-15
-                    assert t.p(link, scheme, n_f, n_b + 1) <= base + 1e-15
+                    base = t.grid(link, scheme)[n_f, n_b]
+                    assert t.grid(link, scheme)[n_f + 1, n_b] <= base + 1e-15
+                    assert t.grid(link, scheme)[n_f, n_b + 1] <= base + 1e-15
 
     def test_non_increasing_in_threshold_and_alpha(self):
         profiles = [("ud", "fd", 2, 1), ("ur", "br", 1, 2)]
@@ -215,14 +214,14 @@ class TestSuccessProbability:
         for gamma in (-5.0, 5.0, 15.0, 25.0, 35.0):
             t = SuccessTable(ScenarioConfig(gamma_db=gamma))
             for p in profiles:
-                v = t.p(*p)
+                v = cell(t, *p)
                 assert v <= last[p] + 1e-15
                 last[p] = v
         last = {p: 1.0 for p in profiles}
         for alpha in (0.0, 0.1, 0.3, 0.6, 1.0):
             t = SuccessTable(ScenarioConfig(alpha=alpha))
             for p in profiles:
-                v = t.p(*p)
+                v = cell(t, *p)
                 assert v <= last[p] + 1e-15
                 last[p] = v
 
@@ -230,8 +229,8 @@ class TestSuccessProbability:
         t = SuccessTable(default_cfg)
         for scheme in ("fd", "br"):
             for n_f, n_b in ((0, 0), (1, 1), (3, 2)):
-                assert t.p("ud", scheme, n_f, n_b, relay=True) <= \
-                    t.p("ud", scheme, n_f, n_b, relay=False) + 1e-15
+                assert t.grid("ud", scheme, True)[n_f, n_b] <= \
+                    t.grid("ud", scheme, False)[n_f, n_b] + 1e-15
 
 
 class TestCache:
@@ -239,21 +238,20 @@ class TestCache:
         warmed = SuccessTable(default_cfg)
         keys = [("ud", "fd", 2, 1, False), ("ur", "br", 1, 2, False),
                 ("ud", "br", 0, 3, True)]
-        first = [warmed.p(l, s, f, b, r) for l, s, f, b, r in keys]
-        again = [warmed.p(l, s, f, b, r) for l, s, f, b, r in keys]
+        first = [warmed.grid(l, s, r)[f, b] for l, s, f, b, r in keys]
+        again = [warmed.grid(l, s, r)[f, b] for l, s, f, b, r in keys]
         fresh = SuccessTable(default_cfg)
         assert first == again
-        assert first == [fresh.p(l, s, f, b, r) for l, s, f, b, r in keys]
+        assert first == [fresh.grid(l, s, r)[f, b] for l, s, f, b, r in keys]
 
     def test_concurrent_readers_agree(self, default_cfg):
         table = SuccessTable(default_cfg)
         results = [[] for _ in range(8)]
-        keys = [("ud", "fd", n_f, n_b, False)
-                for n_f in range(5) for n_b in range(5)]
+        cells = [(n_f, n_b) for n_f in range(5) for n_b in range(5)]
 
         def worker(out):
-            for k in keys:
-                out.append(table.p(*k))
+            for n_f, n_b in cells:
+                out.append(table.grid("ud", "fd", False)[n_f, n_b])
 
         threads = [threading.Thread(target=worker, args=(r,)) for r in results]
         for th in threads:
@@ -282,27 +280,27 @@ class TestArrayTable:
             for n_f in range(n + 1):
                 for n_b in range(n + 1 - n_f):
                     want = success_table_oracle(t, link, scheme, n_f, n_b, relay)
-                    assert t.p(link, scheme, n_f, n_b, relay) == want, \
+                    assert t.grid(link, scheme, relay)[n_f, n_b] == want, \
                         (link, scheme, relay, n_f, n_b)
 
     def test_counts_beyond_n_rejected(self):
         t = SuccessTable(ScenarioConfig(n_ues=3))
         assert len(t.grid("ud", "br", True)) == 4
-        assert t.p("ud", "br", 2, 1, True) == \
+        assert t.grid("ud", "br", True)[2, 1] == \
             success_table_oracle(t, "ud", "br", 2, 1, True)
         with pytest.raises(ValueError, match="N = 3"):
-            t.p("ud", "br", 2, 2, True)
+            cell(t, "ud", "br", 2, 2, True)
         with pytest.raises(ValueError, match="N = 3"):
-            t.p("rd", "fd", 4, 0)
+            cell(t, "rd", "fd", 4, 0)
 
     def test_invalid_requests_rejected(self, default_cfg):
         t = SuccessTable(default_cfg)
         with pytest.raises(ValueError):
-            t.p("ud", "fd", -1, 0)
+            cell(t, "ud", "fd", -1, 0)
         with pytest.raises(ValueError):
-            t.p("ur", "fd", 0, 0, relay=True)
+            t.grid("ur", "fd", True)
         with pytest.raises(ValueError):
-            t.p("rd", "fd", 0, 0, relay=True)
+            t.grid("rd", "fd", True)
 
     @pytest.mark.parametrize("point", [
         {"gamma_db": 9.99},
@@ -365,8 +363,8 @@ class TestArrayTable:
         monkeypatch.setattr(success, "_rows_that_can_decode", record)
         SuccessTable(cfg)
         for t in sorted(set(floors))[1::5]:
-            monkeypatch.setattr(LinkBudget, "threshold",
-                                lambda self, *key, t=t: t)
+            monkeypatch.setattr(LinkBudget, "thresholds",
+                                lambda self, *key, t=t: (t, t))
             monkeypatch.setattr(success, "_rows_that_can_decode",
                                 can_decode)
             floor = SuccessTable(cfg)
@@ -387,7 +385,7 @@ class TestArrayTable:
                     for n_b in range(7 - n_f):
                         want = success_table_oracle(t, link, scheme, n_f,
                                                     n_b, relay)
-                        assert t.p(link, scheme, n_f, n_b, relay) == want, \
+                        assert t.grid(link, scheme, relay)[n_f, n_b] == want, \
                             (cfg, link, scheme, relay, n_f, n_b)
 
     @staticmethod

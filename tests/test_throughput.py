@@ -25,7 +25,7 @@ class TestPerUserDirect:
     def test_single_fd_user_collapses(self):
         cfg = ScenarioConfig(n_ues=1, q_u=0.7, q_uf=1.0, q_ur=0.0)
         t = SuccessTable(cfg)
-        expected = 0.7 * t.p("ud", "fd", 0, 0)
+        expected = 0.7 * t.grid("ud", "fd")[0, 0]
         assert aggregate_throughput(cfg, t).t_ud0 == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("relay", [False, True])
@@ -141,7 +141,7 @@ class TestAggregateThroughput:
         cfg = ScenarioConfig(n_ues=1, q_u=0.4, q_uf=1.0, q_ur=0.0)
         t = SuccessTable(cfg)
         rep = aggregate_throughput(cfg, t)
-        assert rep.t_aggregate == pytest.approx(0.4 * t.p("ud", "fd", 0, 0),
+        assert rep.t_aggregate == pytest.approx(0.4 * t.grid("ud", "fd")[0, 0],
                                                 abs=1e-12)
         assert rep.queue.p_empty_prob == 1.0
 
