@@ -316,13 +316,14 @@ class LinkBudget:
                              "and f_c_ghz") from None
         # An infinite or NaN power or a zero noise floor would make SINR
         # NaN (inf/inf, 0/0), which no threshold test can catch later.
-        for key, value in (("noise_w", self.noise_w),
-                           ("gamma_linear", self.gamma_linear),
-                           *(((*key, state), power)
-                             for key, pair in self._powers.items()
-                             for state, power in zip(LinkState, pair))):
+        for name, value in (("noise_w", self.noise_w),
+                            ("gamma_linear", self.gamma_linear),
+                            *((f"{link} {scheme} {state.name} received power",
+                               power)
+                              for (link, scheme), pair in self._powers.items()
+                              for state, power in zip(LinkState, pair))):
             if not math.isfinite(value):
-                raise ValueError(f"link budget out of float range: {key} is "
+                raise ValueError(f"link budget out of float range: {name} is "
                                  f"{value!r}")
         if self.noise_w == 0.0:
             raise ValueError(f"noise floor underflows to 0 W at "

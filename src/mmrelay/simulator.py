@@ -19,9 +19,9 @@ Two LOS-sampling modes expose the analysis's decoupling convention:
 * ``physical`` - one LOS draw per directed link per slot, shared by all
   receptions, which quantifies the correlation the analysis ignores.
 
-The modes differ only in LOS sampling: each returns the same five
-(desired LOS state, interference) pairs per chunk, and both share one set
-of outcome rules (``_outcomes``: the decode tests, the relay's beam at
+The modes differ only in LOS sampling: each forms the same five
+(desired LOS state, interference) pairs per block of a chunk, and both
+share one set of outcome rules (``_outcomes``: the decode tests, the relay's beam at
 the mmAP and the per-slot tallies). The simulator adds up each reception's
 interference itself, from the link budget's (LOS, NLOS) received powers
 and its ``relay_interference_w``, and decides it by the budget's decode
@@ -33,11 +33,19 @@ per-link LOS draws, per-reception draws) so switching modes never
 perturbs the transmission pattern. Identical (cfg, n_slots, seed, mode)
 arguments yield bit-identical statistics.
 
-Slots are processed in chunks: the draws and receptions of a chunk are
-vectorized, and so is the relay-queue scan over it (``_scan_chunk``),
-which finds the empty-queue slots with one sort and pointer doubling
-instead of stepping slot by slot; its statistics are integer sums, equal
-to a slot-by-slot update bit for bit.
+Slots are processed in chunks, and a chunk in two phases. First every
+random value of the chunk is drawn, in the contract's order, and only
+compact results are kept: LOS masks, and in decoupled mode LOS counts.
+Then the chunk is decoded in blocks of whole slots holding at most
+``_RECEPTION_BLOCK`` transmissions, so that a block's arrays stay in
+cache: per block the interference of each reception, the outcome rules
+and the block's slice of the per-slot outcomes. The relay-queue scan
+over the chunk (``_scan_chunk``) is vectorized too: it finds the
+empty-queue slots with one sort and pointer doubling instead of stepping
+slot by slot. Each slot's interference is summed in transmission order
+whatever the block size, the rest is elementwise or an integer count,
+and the scan's statistics are integer sums, so every statistic equals
+that of a slot-by-slot update bit for bit.
 
 Every binomial count (transmitters, FD choices, relay aims and, in
 decoupled mode, LOS interferers) comes from ``_Binomial``, an exact
@@ -84,8 +92,13 @@ _TARGET_BATCHES = 50
 # the memory and sampled no faster.
 _GUIDE_BITS = 10
 _GUIDE_CELL_BITS = 15
-# Binomial draws per sampler block: its arrays stay in cache.
+# Binomial draws per sampler block, and doubles per piece of a LOS mask:
+# the arrays stay in cache.
 _SAMPLE_BLOCK = 1 << 15
+# Transmissions per reception block: a chunk is decoded in runs of whole
+# slots holding at most this many (a heavier slot is a block of its own).
+# Not part of the draw order: any size gives the same statistics.
+_RECEPTION_BLOCK = 1 << 15
 
 
 def _first_at(keys, w, n, level, start):
@@ -226,10 +239,10 @@ def _invert(px, u):
 
 
 class _Binomial:
-    """``gen.binomial(n, p)`` for int64 arrays with 0 <= n <= n_max, exactly.
+    """``gen.binomial(n, p)`` for integer arrays with 0 <= n <= n_max, exactly.
 
     Same values, same ``random()`` draws, same generator state after the
-    call. ``px[n]`` is numpy's inversion row for n and ``bound[n]`` its
+    call; the counts come in ``n``'s dtype. ``px[n]`` is numpy's inversion row for n and ``bound[n]`` its
     cut-off. X(u) >= k exactly when u >= T[n, k], and u >= T[n, bound + 1]
     is the restart region. Bucket b of row n covers u in [b, b + 1) / nb;
     ``base`` is X at its start and ``thr`` the one threshold inside it (2.0
@@ -302,10 +315,11 @@ class _Binomial:
         return x, slow
 
     def __call__(self, gen: np.random.Generator, n):
+        """The counts, in ``n``'s dtype."""
         if self.native:
-            return gen.binomial(n, self.p)
+            return gen.binomial(n, self.p).astype(n.dtype, copy=False)
         # Cache-sized blocks; drawing block after block keeps the stream.
-        out = np.empty(n.size, dtype=np.int64)
+        out = np.empty(n.size, dtype=n.dtype)
         for lo in range(0, n.size, _SAMPLE_BLOCK):
             part = n[lo:lo + _SAMPLE_BLOCK]
             x = self._draw(gen, part)
@@ -367,98 +381,204 @@ def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
     The counts are int32, and so are the per-reception counts gathered
     from them, which keeps a chunk's live arrays small.
     """
-    n_tx = pw.tx(gen, np.full(c, cfg.n_ues))
+    n_tx = pw.tx(gen, np.full(c, cfg.n_ues, dtype=np.int32))
     n_f = pw.fd(gen, n_tx)
     n_fr = pw.fr(gen, n_f)
     coin = gen.random(c) < cfg.q_r
-    n_fr, n_fd, n_b = np.array([n_fr, n_f - n_fr, n_tx - n_f], dtype=np.int32)
-    return n_fr, n_fd, n_b, coin
+    return n_fr, n_f - n_fr, n_tx - n_f, coin
+
+
+def _los_mask(gen: np.random.Generator, size: int, p: float):
+    """``gen.random(size) < p``, drawn in pieces of ``_SAMPLE_BLOCK``
+    doubles: consecutive draws continue one stream, so this is the same
+    mask without a chunk-sized array of doubles."""
+    mask = np.empty(size, dtype=bool)
+    u = np.empty(min(size, _SAMPLE_BLOCK))
+    for lo in range(0, size, _SAMPLE_BLOCK):
+        part = u[:min(_SAMPLE_BLOCK, size - lo)]
+        gen.random(out=part)
+        np.less(part, p, out=mask[lo:lo + part.size])
+    return mask
+
+
+def _blocks(n_tx):
+    """A chunk's reception blocks, in slot order, as slot slices: runs of
+    whole slots holding at most ``_RECEPTION_BLOCK`` of the ``n_tx``
+    transmissions per slot, or one heavier slot."""
+    c = n_tx.size
+    ends = np.zeros(c + 1, dtype=np.int64)
+    np.cumsum(n_tx, out=ends[1:])
+    s0 = 0
+    while s0 < c:
+        s1 = int(ends.searchsorted(int(ends[s0]) + _RECEPTION_BLOCK, "right"))
+        s1 = max(s1 - 1, s0 + 1)
+        yield slice(s0, s1)
+        s0 = s1
+
+
+def _slots(n_fr, n_fd, n_b):
+    """The slot of each FD->relay, BR and FD->mmAP transmission (int32),
+    in slot order."""
+    idx = np.arange(n_fr.size, dtype=np.int32)
+    return tuple(np.repeat(idx, n) for n in (n_fr, n_b, n_fd))
+
+
+def _decode_blocks(pw: _Powers, n_fr, n_fd, n_b, slots, receptions):
+    """(arr_s, arr_t, dir_s, dir_t, rd_ok) per slot of a chunk whose draws
+    are done, one block at a time (``_blocks``).
+
+    ``slots`` are the chunk's ``_slots``. ``receptions(block, spans,
+    local)`` gives a block's five receptions from its slot slice, the
+    slices of its FD->relay, BR and FD->mmAP transmissions among the
+    chunk's, and those transmissions' slots numbered from the block's
+    first slot; ``_outcomes`` decides them.
+    """
+    c = n_fr.size
+    out = (*(np.empty(c, dtype=np.int64) for _ in range(4)),
+           np.empty(c, dtype=bool))
+    for block in _blocks(n_fr + n_fd + n_b):
+        # int32 bounds: other keys would convert the whole slot array
+        bounds = np.array((block.start, block.stop), dtype=np.int32)
+        spans = [slice(*s.searchsorted(bounds).tolist()) for s in slots]
+        local = tuple(s[span] - block.start for s, span in zip(slots, spans))
+        cb = block.stop - block.start
+        for o, v in zip(out, _outcomes(pw, cb, local,
+                                       *receptions(block, spans, local))):
+            o[block] = v
+    return out
+
+
+# The link of each of the five receptions, in the order of ``_outcomes``.
+_LINKS = ("ur", "ur", "ud", "ud", "ud")
+
+
+def _interferers(n_fr, n_fd, n_b, slots):
+    """Per reception, in the order of ``_outcomes``: its (FD, BR)
+    interferer counts, one per transmission (the relay's: one per slot),
+    gathered from the per-slot counts of a chunk or a block by their
+    ``_slots``. Built one reception at a time, so that a chunk's draws
+    hold at most two receptions' counts."""
+    slots_fr, slots_b, slots_fd = slots
+    # FD packets at the relay: interfered by the other FD-to-relay
+    # transmissions and every broadcast.
+    yield (n_fr - 1).take(slots_fr), n_b.take(slots_fr)
+    kb = (n_b - 1).take(slots_b)
+    yield n_fr.take(slots_b), kb
+    yield n_fd.take(slots_b), kb
+    del kb
+    yield (n_fd - 1).take(slots_fd), n_b.take(slots_fd)
+    # The relay's head-of-queue packet.
+    yield n_fd, n_b
 
 
 def _fresh_reception(gen: np.random.Generator, los: _Binomial, kf_n, kb_n,
-                     fd: tuple[float, float], br: tuple[float, float],
                      draw_desired: bool = True):
-    """(desired LOS state, interference) of receptions with fresh LOS draws.
+    """Draws of receptions with fresh LOS draws: (desired LOS mask, LOS
+    counts among the ``kf_n`` FD interferers, among the ``kb_n`` BR ones).
 
-    ``los`` samples LOS counts at the link's p_los; ``fd`` and ``br`` are
-    the interferers' (LOS, NLOS) powers. Without ``draw_desired`` the
-    desired link is always in LOS (the relay's) and draws nothing. Draw
-    order: desired state, then the ``kf_n`` FD interferers, then the
-    ``kb_n`` BR ones.
+    ``los`` samples LOS counts at the link's p_los. Without
+    ``draw_desired`` the desired link is always in LOS (the relay's),
+    draws nothing and its mask is True. Draw order: desired state, then
+    the FD counts, then the BR ones. The interference is formed later,
+    one block at a time (``_interference``).
     """
-    desired = gen.random(kf_n.size) < los.p if draw_desired else True
-    # LOS count * LOS power + NLOS count * NLOS power, FD then BR, added
-    # in place and left to right: at most four arrays are live at once.
-    k = los(gen, kf_n)
-    interf = k * fd[0]
-    interf += np.subtract(kf_n, k, out=k) * fd[1]
-    del k
-    k = los(gen, kb_n)
-    interf += k * br[0]
-    interf += np.subtract(kb_n, k, out=k) * br[1]
-    return desired, interf
+    desired = _los_mask(gen, kf_n.size, los.p) if draw_desired else True
+    return desired, los(gen, kf_n), los(gen, kb_n)
 
 
-def _chunk_decoupled(gen: np.random.Generator, pw: _Powers,
-                     n_fr, n_fd, n_b, slots):
-    """The five receptions of a chunk, fresh LOS draws per reception."""
-    slots_fr, slots_b, slots_fd = slots
+def _interference(k_f, kf_n, k_b, kb_n, fd: tuple[float, float],
+                  br: tuple[float, float]):
+    """LOS count * LOS power + NLOS count * NLOS power of the FD, then the
+    BR interferers, added left to right; ``fd`` and ``br`` are the
+    interferers' (LOS, NLOS) powers."""
+    interf = k_f * fd[0]
+    interf += (kf_n - k_f) * fd[1]
+    interf += k_b * br[0]
+    interf += (kb_n - k_b) * br[1]
+    return interf
+
+
+def _chunk_decoupled(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
+    """Per-slot outcomes of a chunk, fresh LOS draws per reception.
+
+    Draws first: reception after reception, its desired-state mask and
+    its LOS interferer counts (``_fresh_reception``), over the whole
+    chunk. Only those are kept; a block gathers its interferer counts
+    again and forms its interference from them.
+    """
     b = pw.budget
-    fr, br_r = b.powers("ur", "fd"), b.powers("ur", "br")
-    fd, br_d = b.powers("ud", "fd"), b.powers("ud", "br")
-    kb_n = n_b[slots_b] - 1
-    # FD packets at the relay: interfered by the other FD-to-relay
-    # transmissions and every broadcast.
-    fd_r = _fresh_reception(gen, pw.los_ur, n_fr[slots_fr] - 1,
-                            n_b[slots_fr], fr, br_r)
-    br_at_r = _fresh_reception(gen, pw.los_ur, n_fr[slots_b], kb_n, fr, br_r)
-    br_at_d = _fresh_reception(gen, pw.los_ud, n_fd[slots_b], kb_n, fd, br_d)
-    fd_d = _fresh_reception(gen, pw.los_ud, n_fd[slots_fd] - 1,
-                            n_b[slots_fd], fd, br_d)
-    # The relay's head-of-queue packet (always in LOS).
-    rd = _fresh_reception(gen, pw.los_ud, n_fd, n_b, fd, br_d,
-                          draw_desired=False)
-    return fd_r, br_at_r, br_at_d, fd_d, rd
+    samplers = {"ur": pw.los_ur, "ud": pw.los_ud}
+    slots = _slots(n_fr, n_fd, n_b)
+    counts = _interferers(n_fr, n_fd, n_b, slots)
+    draws = []
+    for i, link in enumerate(_LINKS):
+        kf_n, kb_n = next(counts)
+        # the last reception, the relay's, is always in LOS
+        draws.append(_fresh_reception(gen, samplers[link], kf_n, kb_n, i < 4))
+        del kf_n, kb_n  # before the next reception's counts are built
+    powers = [(b.powers(link, "fd"), b.powers(link, "br")) for link in _LINKS]
+
+    def receptions(block, spans, local):
+        fr, br, fd = spans
+        return [(desired if desired is True else desired[span],
+                 _interference(k_f[span], kf_n, k_b[span], kb_n, *pair))
+                for span, (desired, k_f, k_b), (kf_n, kb_n), pair
+                in zip((fr, br, br, fd, block), draws,
+                       _interferers(n_fr[block], n_fd[block], n_b[block],
+                                    local),
+                       powers)]
+
+    return _decode_blocks(pw, n_fr, n_fd, n_b, slots, receptions)
 
 
-def _chunk_physical(gen: np.random.Generator, pw: _Powers,
-                    n_fr, n_fd, n_b, slots):
-    """The five receptions of a chunk, one LOS draw per link per slot."""
-    slots_fr, slots_b, slots_fd = slots
-    c = n_fr.size
+def _chunk_physical(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
+    """Per-slot outcomes of a chunk, one LOS draw per link per slot.
+
+    Draws first: the LOS masks of the links toward the relay (FD-to-relay,
+    then BR transmitters) and toward the mmAP (FD-to-mmAP, then BR). Per
+    block, each transmission's received power is the 2-entry gather of
+    its link's (NLOS, LOS) pair by its mask, and a reception's
+    interference is its slot's total at the receiver less its own power.
+    """
     b = pw.budget
-    # Links toward the relay exist for FD-to-relay and BR transmitters.
-    los_fr_r = gen.random(slots_fr.size) < b.p_los("ur")
-    p_fr_r = np.where(los_fr_r, *b.powers("ur", "fd"))
-    los_b_r = gen.random(slots_b.size) < b.p_los("ur")
-    p_b_r = np.where(los_b_r, *b.powers("ur", "br"))
-    # Links toward the mmAP exist for FD-to-mmAP and BR transmitters.
-    los_fd_d = gen.random(slots_fd.size) < b.p_los("ud")
-    p_fd_d = np.where(los_fd_d, *b.powers("ud", "fd"))
-    los_b_d = gen.random(slots_b.size) < b.p_los("ud")
-    p_b_d = np.where(los_b_d, *b.powers("ud", "br"))
+    links = (("ur", "fd"), ("ur", "br"), ("ud", "fd"), ("ud", "br"))
+    masks = [_los_mask(gen, int(n.sum()), b.p_los(link))
+             for n, (link, _) in zip((n_fr, n_b, n_fd, n_b), links)]
+    pairs = [np.array(b.powers(*link)[::-1]) for link in links]
 
-    total_r = (np.bincount(slots_fr, weights=p_fr_r, minlength=c)
-               + np.bincount(slots_b, weights=p_b_r, minlength=c))
-    total_d = (np.bincount(slots_fd, weights=p_fd_d, minlength=c)
-               + np.bincount(slots_b, weights=p_b_d, minlength=c))
-    return ((los_fr_r, total_r[slots_fr] - p_fr_r),
-            (los_b_r, total_r[slots_b] - p_b_r),
-            (los_b_d, total_d[slots_b] - p_b_d),
-            (los_fd_d, total_d[slots_fd] - p_fd_d),
-            (True, total_d))
+    def receptions(block, spans, local):
+        slots_fr, slots_b, slots_fd = local
+        cb = block.stop - block.start
+        los = [m[span] for m, span in zip(masks, (*spans, spans[1]))]
+        p_fr_r, p_b_r, p_fd_d, p_b_d = (pair.take(m.view(np.uint8))
+                                        for pair, m in zip(pairs, los))
+        total_r = (np.bincount(slots_fr, weights=p_fr_r, minlength=cb)
+                   + np.bincount(slots_b, weights=p_b_r, minlength=cb))
+        total_d = (np.bincount(slots_fd, weights=p_fd_d, minlength=cb)
+                   + np.bincount(slots_b, weights=p_b_d, minlength=cb))
+        los_fr_r, los_b_r, los_fd_d, los_b_d = los
+        return ((los_fr_r, total_r[slots_fr] - p_fr_r),
+                (los_b_r, total_r[slots_b] - p_b_r),
+                (los_b_d, total_d[slots_b] - p_b_d),
+                (los_fd_d, total_d[slots_fd] - p_fd_d),
+                (True, total_d))
+
+    return _decode_blocks(pw, n_fr, n_fd, n_b, _slots(n_fr, n_fd, n_b),
+                          receptions)
 
 
 def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
-    """(arr_s, arr_t, dir_s, dir_t, rd_ok) per slot from the receptions.
+    """(arr_s, arr_t, dir_s, dir_t, rd_ok) per slot of one block of ``c``
+    slots from its receptions.
 
     Each reception is a (desired LOS state, interference) pair, in the
-    order of the chunk functions: FD and BR at the relay, BR and FD at the
-    mmAP, then the relay at the mmAP. With the relay transmitting (suffix
-    t) the budget's ``relay_interference_w`` adds to the BR and FD
-    interference at the mmAP. The queue stores decoded FD->relay packets and
-    BR packets decoded at the relay and lost at the mmAP; direct deliveries
-    are the FD and BR packets decoded at the mmAP.
+    order FD and BR at the relay, BR and FD at the mmAP, then the relay
+    at the mmAP; ``slots`` are the FD->relay, BR and FD->mmAP
+    transmissions' slots in the block. With the relay transmitting
+    (suffix t) the budget's ``relay_interference_w`` adds to the BR and
+    FD interference at the mmAP. The queue stores decoded FD->relay
+    packets and BR packets decoded at the relay and lost at the mmAP;
+    direct deliveries are the FD and BR packets decoded at the mmAP.
     """
     slots_fr, slots_b, slots_fd = slots
     thr, p_relay = pw.budget.thresholds, pw.budget.relay_interference_w
@@ -468,7 +588,7 @@ def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
     (los_bd, i_bd), (los_fd, i_fd) = br_at_d, fd_d
     arr, direct = [], []
     for relay_on in (False, True):
-        if relay_on:  # in place: the chunk functions return fresh arrays
+        if relay_on:  # in place: the interference arrays are the block's own
             i_bd += p_relay
             i_fd += p_relay
         ok_br_d = _decoded(los_bd, i_bd, thr("ud", "br"))
@@ -480,7 +600,8 @@ def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
 
 
 def _decoded(los, interference, thresholds: tuple[float, float]):
-    """Decode indicator of receptions: interference at most the threshold.
+    """Decode indicator of one block's receptions: interference at most
+    the threshold.
 
     ``thresholds`` are the signal's (LOS, NLOS) ``LinkBudget.thresholds``;
     ``los`` picks one per reception (True: all in LOS). Bitwise, since
@@ -533,10 +654,7 @@ def run(cfg: ScenarioConfig, n_slots: int, seed: int,
     while t0 < n_slots:
         c = min(_CHUNK, n_slots - t0)
         n_fr, n_fd, n_b, coin = _draw_counts(gen_choices, cfg, pw, c)
-        idx = np.arange(c, dtype=np.int32)
-        slots = (np.repeat(idx, n_fr), np.repeat(idx, n_b), np.repeat(idx, n_fd))
-        arr_s, arr_t, dir_s, dir_t, rd_ok = _outcomes(
-            pw, c, slots, *chunk(gen, pw, n_fr, n_fd, n_b, slots))
+        arr_s, arr_t, dir_s, dir_t, rd_ok = chunk(gen, pw, n_fr, n_fd, n_b)
         q = _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
                         warm, blen, nb, early_end, late_start, bat, qacc)
         t0 += c

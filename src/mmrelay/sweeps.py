@@ -57,6 +57,11 @@ from .throughput import aggregate_throughput
 _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
 _INT_FIELDS = {"n_ues"}
 
+# Most points a sweep grid may have, the product of its axes' lengths. A
+# file's range or list is counted before any value is built, so a range
+# such as 0:1e6:1e-6 (10**12 values) is an error, not an allocation.
+MAX_GRID_POINTS = 100_000
+
 STANDARD_METRICS = ("regime", "q_r_min", "lambda0", "lambda1", "mu_r",
                     "p_empty", "t_ud", "t_ur", "t_total")
 SIM_METRICS = ("t_sim", "t_sim_se", "t_sim_z")
@@ -74,6 +79,13 @@ def _check_outputs(outputs: tuple[str, ...]) -> None:
     repeated = [m for i, m in enumerate(outputs) if m in outputs[:i]]
     if repeated:  # it would be two identical columns
         raise ValueError(f"outputs names {repeated[0]!r} twice")
+
+
+def _check_grid_size(points: int, what: str) -> None:
+    """Reject a grid of more than ``MAX_GRID_POINTS`` points."""
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{what} would make a grid of {points} points, more "
+                         f"than the limit of {MAX_GRID_POINTS}")
 
 
 def _check_axis(name: str, values=()) -> None:
@@ -96,7 +108,8 @@ class SweepSpec:
 
     Made here or by ``load_config``, a spec is checked in one place: the
     outputs, each axis's name and values (``_check_axis``), an axis named
-    twice, and the simulation arguments by ``simulator.check_argument``.
+    twice, the grid's size (``MAX_GRID_POINTS``) and the simulation
+    arguments by ``simulator.check_argument``.
     A value outside its field's domain, or a point whose fields conflict,
     is an error in that point's row only.
     """
@@ -116,6 +129,7 @@ class SweepSpec:
             _check_axis(name, values)
             if name in names[:i]:
                 raise ValueError(f"the sweep names {name!r} twice")
+        _check_grid_size(math.prod(len(v) for _, v in self.axes), "the sweep")
         for name in ("n_slots", "seed", "mode"):
             simulator.check_argument(name, getattr(self, name))
 
@@ -136,11 +150,15 @@ def _parse_scalar(field: str, text: str):
         raise ValueError(f"value {text!r} for {field!r} is not {kind}") from None
 
 
-def _parse_values(field: str, text: str) -> tuple:
-    """A comma list or an inclusive start:stop[:step] range."""
+def _parse_values(field: str, text: str, points: int) -> tuple:
+    """A comma list or an inclusive start:stop[:step] range, on a grid
+    whose other axes make ``points`` points: their product with the count
+    is checked before any value is built."""
+    what = f"{field} = {text}"
     if "," in text:
-        return tuple(_parse_scalar(field, part.strip())
-                     for part in text.split(","))
+        parts = text.split(",")
+        _check_grid_size(points * len(parts), what)
+        return tuple(_parse_scalar(field, part.strip()) for part in parts)
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -159,6 +177,7 @@ def _parse_values(field: str, text: str) -> tuple:
         if not finite:
             raise ValueError(f"bad range {text!r}")
         count = int(math.floor(steps + 1e-9)) + 1
+        _check_grid_size(points * count, what)
         vals = tuple(start + i * step for i in range(count))
         if field in _INT_FIELDS:
             return vals
@@ -240,7 +259,8 @@ def load_config(path: str) -> SweepSpec:
                     _check_axis(key)
                     if len(axes) == 2:
                         raise ValueError("at most two sweep axes are supported")
-                    vals = _parse_values(key, value)
+                    vals = _parse_values(
+                        key, value, math.prod(len(v) for _, v in axes))
                     # Constraints that couple several fields are checked per
                     # grid point and recorded in the `error` column instead.
                     for v in vals:

@@ -4,6 +4,7 @@ import io
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,51 @@ class TestLoadConfig:
         assert cli.main(["analyze", path]) == 2
         assert capsys.readouterr().err == (
             f"mmrelay: line 2: bad range '{text.split(' = ')[1]}'\n")
+
+    def test_oversized_range_rejected_before_expansion(self, tmp_path,
+                                                       capsys):
+        # 10**12 + 1 values: counted, never built.
+        import mmrelay.cli as cli
+        path = _write(tmp_path, "[sweep]\ngamma_db = 0:1e6:1e-6\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["analyze", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1024 * 1024
+        assert capsys.readouterr().err == (
+            "mmrelay: line 2: gamma_db = 0:1e6:1e-6 would make a grid of "
+            f"1000000000001 points, more than the limit of "
+            f"{sweeps.MAX_GRID_POINTS}\n")
+
+    @pytest.mark.parametrize("lines, error", [
+        (("q_u = 0:1:0.2",), None),
+        (("q_u = 0:1:0.1",), "line 2: q_u = 0:1:0.1 would make a grid of 11"),
+        (("q_u = 0.1, 0.2", "alpha = 0:1:0.5"), None),
+        (("q_u = 0.1, 0.2", "alpha = 0:1:0.25"),
+         "line 3: alpha = 0:1:0.25 would make a grid of 10"),
+        (("alpha = 0:1:0.5", "q_u = 0.1, 0.2, 0.3"),
+         "line 3: q_u = 0.1, 0.2, 0.3 would make a grid of 9"),
+    ])
+    def test_grid_size_limit(self, tmp_path, monkeypatch, lines, error):
+        monkeypatch.setattr(sweeps, "MAX_GRID_POINTS", 6)
+        path = _write(tmp_path, "\n".join(("[sweep]", *lines, "")))
+        if error is None:
+            assert len(load_config(path).grid()) == 6
+            return
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{error} points, more than the limit of 6"
+
+    def test_grid_size_limit_on_a_spec(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "MAX_GRID_POINTS", 6)
+        axes = (("q_u", (0.1, 0.2, 0.3)), ("alpha", (0.0, 0.5)))
+        assert len(SweepSpec(ScenarioConfig(), axes).grid()) == 6
+        with pytest.raises(ValueError, match="^the sweep would make a grid "
+                                             "of 9 points"):
+            SweepSpec(ScenarioConfig(), (axes[0], ("alpha", (0.0, 0.5, 1.0))))
 
     @pytest.mark.parametrize("line, value", [
         ("q_u = 0.1, 0.1", "0.1"),
@@ -548,6 +594,14 @@ class TestCliProcess:
         code, _, err = _cli("analyze", _write(tmp_path, "[scenario]\nq_u = 1.5\n"))
         assert code == 2
         assert "q_u" in err
+
+    def test_link_budget_overflow_names_the_power(self, tmp_path, capsys):
+        import mmrelay.cli as cli
+        path = _write(tmp_path, "[scenario]\ntheta_bw_fd_deg = 1e-160\n")
+        assert cli.main(["analyze", path]) == 2
+        assert capsys.readouterr().err == (
+            "mmrelay: link budget out of float range: ur fd LOS received "
+            "power is inf\n")
 
     def test_any_model_exception_exit_code(self, tmp_path, monkeypatch,
                                            capsys):

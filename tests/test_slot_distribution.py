@@ -54,12 +54,8 @@ def _slot_outcomes(cfg, n_slots, seed):
     for lo in range(0, n_slots, simulator._CHUNK):
         c = min(simulator._CHUNK, n_slots - lo)
         n_fr, n_fd, n_b, coin = simulator._draw_counts(gen_choices, cfg, pw, c)
-        idx = np.arange(c, dtype=np.int32)
-        slots = (np.repeat(idx, n_fr), np.repeat(idx, n_b),
-                 np.repeat(idx, n_fd))
-        parts.append((coin, *simulator._outcomes(
-            pw, c, slots,
-            *simulator._chunk_decoupled(gen, pw, n_fr, n_fd, n_b, slots))))
+        parts.append((coin,
+                      *simulator._chunk_decoupled(gen, pw, n_fr, n_fd, n_b)))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
