@@ -40,12 +40,16 @@ Then the chunk is decoded in blocks of whole slots holding at most
 ``_RECEPTION_BLOCK`` transmissions, so that a block's arrays stay in
 cache: per block the interference of each reception, the outcome rules
 and the block's slice of the per-slot outcomes. The relay-queue scan
-over the chunk (``_scan_chunk``) is vectorized too: it finds the
-empty-queue slots with one sort and pointer doubling instead of stepping
-slot by slot. Each slot's interference is summed in transmission order
-whatever the block size, the rest is elementwise or an integer count,
-and the scan's statistics are integer sums, so every statistic equals
-that of a slot-by-slot update bit for bit.
+over the chunk (``_scan_chunk``) does not step slot by slot either: only
+a slot with arrivals while the queue is empty starts a busy period, so
+one sort and one search find where each such period would end, and a
+walk over the busy periods actually reached, one step each and at most
+n / 2 for n slots, marks the empty-queue slots; a chunk that starts
+empty and has no such slot is not searched. Each slot's interference is
+summed in transmission order whatever the block size, the rest is
+elementwise or an integer count, and the scan's statistics are integer
+sums, so every statistic equals that of a slot-by-slot update bit for
+bit.
 
 Every binomial count (transmitters, FD choices, relay aims and, in
 decoupled mode, LOS interferers) comes from ``_Binomial``, an exact
@@ -101,16 +105,80 @@ _SAMPLE_BLOCK = 1 << 15
 _RECEPTION_BLOCK = 1 << 15
 
 
-def _first_at(keys, w, n, level, start):
-    """First s >= ``start`` with P_s - min P == ``level``, else n.
+def _next_empty(q, busy, arr_s, arr_t, rd_ok, coin):
+    """(first, after): the chunk's first empty slot with ``q`` packets
+    carried in, and the next empty slot after each ``busy`` slot taken as
+    empty; n stands for "none in this chunk".
 
-    ``keys`` are the sorted ``(P_s - min P) * w + s`` for s = 0..n, with
-    w > n + 1; ``level`` and ``start`` broadcast together.
+    While the queue is nonempty a slot's net change x is at least -1, so
+    from an empty slot tau with Y = arr_s[tau] > 0 arrivals the queue next
+    empties at the first s >= tau + 2 where the prefix sum P of x is
+    P[tau + 1] - Y, and a carried-in queue at the first s >= 1 where P is
+    -q. The keys (P_s - min P + 1) << bits | s, s = 0..n, are sorted once,
+    and each query packs its level and start slot the same way (level 0,
+    below every key's, for a level under min P). The sorted queries find
+    their keys in one ``searchsorted``, and a query's start slot is its low
+    bits, so no ``argsort`` maps them back. A key stays below 2**63 while
+    (max P - min P + 2) << bits does; with at most N arrivals per slot that
+    is N * n < 2**(63 - bits) - 2, so N < 2**30 at ``_CHUNK`` slots
+    (bits = 17).
     """
-    base = level * w
-    key = base + start
-    found = keys[np.minimum(np.searchsorted(keys, key), n)]
-    return np.where((found >= key) & (found < base + w), found - base, n)
+    n = arr_s.shape[0]
+    p = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(coin, arr_t - rd_ok, arr_s), out=p[1:])
+    base = p.min() - 1
+    bits = (n + 2).bit_length()
+    low = (1 << bits) - 1
+    keys = p - base
+    keys <<= bits
+    keys |= np.arange(n + 1)
+    keys.sort()
+
+    level = p[busy + 1] - arr_s[busy]
+    start = busy + 2
+    if q:
+        level = np.append(level, -q)
+        start = np.append(start, 1)
+    query = np.maximum(level - base, 0)
+    query <<= bits
+    query |= start
+    query.sort()
+    found = keys[np.minimum(keys.searchsorted(query), n)]
+    hit = (found >= query) & (found >> bits == query >> bits)
+    # indexed by start slot: 1 for the carried-in queue, tau + 2 for tau
+    table = np.empty(n + 2, dtype=np.int64)
+    table[query & low] = np.where(hit, found & low, n)
+    return (int(table[1]) if q else 0), table[busy + 2]
+
+
+def _empty_slots(n, is_busy, busy, first, after):
+    """Mask of the chunk's empty slots, walked from the first one.
+
+    An empty slot without arrivals is followed by another empty slot, so
+    the empty slots are runs, each from ``first`` or from the ``after`` of
+    a busy slot reached to the first busy slot at or after it (through the
+    chunk's end if there is none). ``rank`` numbers each slot's first busy
+    slot at or after it among ``busy``; the walk takes one step per busy
+    period reached, at most n / 2, since each takes two slots or more.
+    """
+    m = busy.size
+    rank = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(is_busy, out=rank[1:])
+    # rank[n] == m ends the walk; a memoryview reads Python ints without
+    # converting the whole array as ``tolist`` would
+    step = memoryview(rank[after])
+    j, reached = int(rank[first]), []
+    while j < m:
+        reached.append(j)
+        j = step[j]
+    reached = np.array(reached, dtype=np.intp)
+    # run k is [starts[k], ends[k]); a start of n marks nothing
+    starts = np.append(first, after[reached])
+    ends = np.append(busy[reached] + 1, n)
+    diff = np.zeros(n + 1, dtype=np.int8)
+    diff[starts] = 1
+    diff[ends] -= 1
+    return np.cumsum(diff[:n], dtype=np.int8) > 0
 
 
 def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
@@ -122,43 +190,22 @@ def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
     sum_q_late, enqueued_total, departed_total] (the last two over the
     whole run, warm-up included).
 
-    The regime changes only at empty slots. While the queue is nonempty a
-    slot's net change x is at least -1, so from an empty slot tau with
-    Y = arr_s[tau] > 0 arrivals the queue next empties at the first
-    s >= tau + 2 where the prefix sum P of x returns to P[tau + 1] - Y.
-    One sort of the keys (P_s, s) answers that for every tau at once, and
-    pointer doubling over these next-empty pointers marks the empty slots
-    reachable from the chunk start. Every accumulated value is an integer
-    sum, so the floats equal those of a slot-by-slot update while the
-    sums stay below 2**53.
+    The regime changes only at empty slots. A busy slot, one with
+    arr_s > 0, starts a busy period when it finds the queue empty, and no
+    other slot does. ``_next_empty`` finds where each possible busy period
+    would end, and ``_empty_slots`` walks the periods reached from the
+    chunk start. Without busy slots or a carried-in queue every slot is
+    empty, and nothing is searched. Every accumulated value is an integer
+    sum, so the floats equal those of a slot-by-slot update while the sums
+    stay below 2**53.
     """
     n = arr_s.shape[0]
-    x = np.where(coin, arr_t - rd_ok, arr_s)
-    p = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(x, out=p[1:])
-    p_min = p.min()
-    w = n + 2
-    keys = np.sort((p - p_min) * w + np.arange(n + 1))
-
-    # Next empty slot after each slot taken as empty; n stands for "none
-    # in this chunk" and points to itself.
-    tau = np.arange(n)
-    nxt = np.empty(n + 1, dtype=np.int64)
-    nxt[:n] = np.where(arr_s == 0, tau + 1,
-                       _first_at(keys, w, n, p[1:] - arr_s - p_min, tau + 2))
-    nxt[n] = n
-    first = 0 if q == 0 else int(_first_at(keys, w, n, -q - p_min, 1))
-
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[first] = True
-    jump = nxt
-    while True:
-        hit = jump[reach]
-        if reach[hit].all():
-            break
-        reach[hit] = True
-        jump = jump[jump]
-    empty = reach[:n]
+    is_busy = arr_s > 0
+    busy = np.flatnonzero(is_busy)
+    first, after = 0, busy
+    if busy.size or q:
+        first, after = _next_empty(q, busy, arr_s, arr_t, rd_ok, coin)
+    empty = _empty_slots(n, is_busy, busy, first, after)
 
     serve = coin & ~empty
     dep = serve & rd_ok
@@ -173,9 +220,14 @@ def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
     lo = min(max(warm - t0, 0), n)
     hi = min(max(warm + nb * blen - t0, 0), n)
     if lo < hi:
-        b = (np.arange(lo, hi) + (t0 - warm)) // blen
+        # the batches [b0, b0 + edges.size) meet the chunk; edges are
+        # their first slots in [lo, hi), counted from lo
+        b0 = (lo + t0 - warm) // blen
+        edges = np.arange(b0, (hi - 1 + t0 - warm) // blen + 1) * blen
+        edges += warm - t0 - lo
+        edges[0] = 0
         for col, v in enumerate((d, dep, a, ~empty, empty)):
-            bat[:, col] += np.bincount(b, weights=v[lo:hi], minlength=nb)
+            bat[b0:b0 + edges.size, col] += np.add.reduceat(v[lo:hi], edges)
         measured = qpath[lo:hi]
         qacc[0] += measured.sum()
         qacc[1] = max(qacc[1], measured.max())
@@ -440,7 +492,10 @@ def _decode_blocks(pw: _Powers, n_fr, n_fd, n_b, slots, receptions):
         # int32 bounds: other keys would convert the whole slot array
         bounds = np.array((block.start, block.stop), dtype=np.int32)
         spans = [slice(*s.searchsorted(bounds).tolist()) for s in slots]
-        local = tuple(s[span] - block.start for s, span in zip(slots, spans))
+        # intp: bincount, take and fancy indexing convert any other index
+        # dtype on every call
+        local = tuple(np.subtract(s[span], block.start, dtype=np.intp)
+                      for s, span in zip(slots, spans))
         cb = block.stop - block.start
         for o, v in zip(out, _outcomes(pw, cb, local,
                                        *receptions(block, spans, local))):

@@ -14,6 +14,10 @@ from mmrelay import simulator
 from oracles import binomial_oracle, scan_chunk_oracle
 
 
+_LIGHT = ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9)
+_HEAVY = ScenarioConfig(n_ues=30, q_u=0.9, q_r=0.9)
+
+
 class TestDeterminism:
     def test_identical_args_identical_stats(self):
         cfg = ScenarioConfig(n_ues=3, q_u=0.5)
@@ -205,22 +209,106 @@ def _chunks(draw):
             warm, blen, nb, early_end, late_start)
 
 
+def _scan_against_oracle(chunk, prior=0):
+    """The oracle's (q, bat, qacc) on one chunk, after checking that
+    ``_scan_chunk`` gives the same; the accumulators start at ``prior``,
+    as if holding counts from earlier chunks."""
+    nb = chunk[10]
+    results = []
+    for scan in (scan_chunk_oracle, simulator._scan_chunk):
+        bat = np.full((nb, 5), float(prior))
+        qacc = np.full(6, float(prior))
+        q = scan(*chunk, bat, qacc)
+        results.append((q, bat, qacc))
+    (q_o, bat_o, qacc_o), (q_v, bat_v, qacc_v) = results
+    assert q_v == q_o
+    assert np.array_equal(bat_v, bat_o)
+    assert np.array_equal(qacc_v, qacc_o)
+    return results[0]
+
+
+def _full_chunk(kind):
+    """A ``_CHUNK``-slot chunk of one kind, as the second chunk of a run
+    whose batches cover it, with batch and quarter edges inside it."""
+    n = simulator._CHUNK
+    rng = np.random.default_rng(23)
+    arr_s = rng.poisson(0.4, n)
+    arr_t = rng.poisson(0.3, n)
+    dir_s = rng.integers(0, 4, n)
+    dir_t = rng.integers(0, 4, n)
+    rd_ok = rng.random(n) < 0.8
+    coin = rng.random(n) < 0.9
+    q = 0
+    if kind in ("idle", "idle-carried"):
+        arr_s[:] = 0
+        q = 40 if kind == "idle-carried" else 0
+    elif kind == "never-empties":
+        arr_t = rng.poisson(1.0, n)  # the queue drifts up from 1,000
+        q = 1000
+    elif kind in ("empties-at-end", "last-slot-empty"):
+        # one departure per slot, and no arrival while the queue is nonempty
+        coin[:] = True
+        rd_ok[:] = True
+        arr_t[:] = 0
+        arr_s[-1] = 2
+        q = n if kind == "empties-at-end" else n - 1
+    elif kind == "all-busy":
+        arr_s += 1
+    t0 = n
+    return (q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
+            6000, 2502, 50, t0 + 20_000, t0 + 40_000)
+
+
+def _run_chunks(cfg, n_slots, mode, monkeypatch):
+    """The chunk arguments of every ``_scan_chunk`` call of one run."""
+    calls = []
+    scan = simulator._scan_chunk
+
+    def record(*args):
+        calls.append(args[:13])
+        return scan(*args)
+
+    monkeypatch.setattr(simulator, "_scan_chunk", record)
+    run(cfg, n_slots, seed=8, mode=mode)
+    monkeypatch.undo()
+    return calls
+
+
 class TestScanChunk:
     @settings(max_examples=300, deadline=None)
     @given(_chunks(), st.integers(0, 5))
     def test_equals_slot_by_slot_oracle(self, chunk, prior):
-        # accumulators already holding integer counts from earlier chunks
-        nb = chunk[10]
-        results = []
-        for scan in (scan_chunk_oracle, simulator._scan_chunk):
-            bat = np.full((nb, 5), float(prior))
-            qacc = np.full(6, float(prior))
-            q = scan(*chunk, bat, qacc)
-            results.append((q, bat, qacc))
-        (q_o, bat_o, qacc_o), (q_v, bat_v, qacc_v) = results
-        assert q_v == q_o
-        assert np.array_equal(bat_v, bat_o)
-        assert np.array_equal(qacc_v, qacc_o)
+        _scan_against_oracle(chunk, prior)
+
+    # the empty slots each kind must give, and its final queue (None: any)
+    @pytest.mark.parametrize("kind, empties, q_end", [
+        ("idle", simulator._CHUNK, 0),            # no search at all
+        ("idle-carried", None, 0),                # the carried query only
+        ("never-empties", 0, None),
+        ("empties-at-end", 0, 0),
+        ("last-slot-empty", 1, 2),
+        ("all-busy", None, None),
+    ])
+    def test_full_chunk_equals_oracle(self, kind, empties, q_end):
+        chunk = _full_chunk(kind)
+        q, bat, _ = _scan_against_oracle(chunk, prior=3)
+        n_empty = bat[:, 4].sum() - 3 * bat.shape[0]
+        if empties is not None:
+            assert n_empty == empties
+        else:
+            assert 0 < n_empty < simulator._CHUNK
+        assert q_end is None or q == q_end
+        if kind == "never-empties":
+            assert q > 1000
+
+    @pytest.mark.parametrize("cfg, mode", [(_LIGHT, "decoupled"),
+                                           (_HEAVY, "physical")],
+                             ids=["light", "heavy"])
+    def test_run_chunks_equal_oracle(self, cfg, mode, monkeypatch):
+        # the second chunk of a run, with the queue it carries in
+        chunk = _run_chunks(cfg, 2 * simulator._CHUNK, mode, monkeypatch)[1]
+        assert chunk[2].size == simulator._CHUNK
+        _scan_against_oracle(chunk)
 
 
 def _bits(stats) -> dict:
@@ -239,8 +327,12 @@ class TestScanEndToEnd:
         (ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9), 100_000, "physical"),
         (ScenarioConfig(n_ues=3, q_u=0.5), 1, "decoupled"),
         (ScenarioConfig(n_ues=5, q_u=0.0, q_r=1.0), 20_000, "decoupled"),
+        # a handful of busy slots per chunk
+        (_HEAVY, simulator._CHUNK + 5_000, "physical"),
+        # about 1,700 busy periods per chunk
+        (ScenarioConfig(n_ues=1, q_u=0.1), 2 * simulator._CHUNK, "decoupled"),
     ], ids=["unstable-3-chunks", "light-decoupled", "light-physical",
-            "one-slot", "silent"])
+            "one-slot", "silent", "heavy", "sparse"])
     def test_stats_bit_identical(self, cfg, n_slots, mode, monkeypatch):
         fast = run(cfg, n_slots, seed=8, mode=mode)
         monkeypatch.setattr(simulator, "_scan_chunk", scan_chunk_oracle)
@@ -381,10 +473,6 @@ class TestReceptionEndToEnd:
                                  "decoupled").budget.p_los("ur") == 1.0
         assert simulator._Powers(
             ScenarioConfig(n_ues=70, q_u=0.5), "decoupled").tx.native
-
-
-_LIGHT = ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9)
-_HEAVY = ScenarioConfig(n_ues=30, q_u=0.9, q_r=0.9)
 
 
 class TestReceptionBlocks:
