@@ -51,15 +51,24 @@ tagged rates by queue regime and reports the solution as
 
 Each output pmf cell or rate is one exactly rounded sum of its weighted
 per-configuration terms, so no result depends on the row order or on
-whether the block was built for this point or an earlier one. ``_fsum``
-gives ``math.fsum`` the nonzero terms in descending order. Being
-correctly rounded, ``fsum`` gives the same float in any order; largest
-first keeps its list of partials short when the terms span 150-odd bits,
-as they do at N = 20-30 (ascending order takes twice as long). Most of
-those terms cannot change the float: at N = 30 a sum's terms span binary
-exponents -732 to -184, and about 85% lie more than 2**-80 below the
-largest. So ``_fsum`` adds a long sum's head and bounds the rest, and
-adds every term only where that bound leaves the rounding in doubt.
+whether the block was built for this point or an earlier one. Each sum
+is one row of terms, and ``_row_sums`` adds a walk's rows.
+``math.fsum`` gets the nonzero terms in descending order, through a
+``memoryview`` rather than a list. Being correctly rounded, ``fsum``
+gives the same float in any order; largest first keeps its list of
+partials short when the terms span 150-odd bits, as they do at
+N = 20-30 (ascending order takes twice as long). Rows shorter than
+``_BRACKET_TERMS`` (with every activity probability nonzero, every sum
+at N <= 10, and all but the nonempty pmf's at N <= 16) are built,
+sorted and filtered in one batch, which saves about seven numpy calls
+per sum. Wider rows go one at a time through ``_fsum``, for two
+reasons. Most of their terms cannot change the float: at N = 30 a sum's
+terms span binary exponents -732 to -184, and about 85% lie more than
+2**-80 below the largest, so ``_fsum`` adds a long sum's head and bounds
+the rest, and adds every term only where that bound leaves the rounding
+in doubt. And one row at a time keeps the walk's memory at one row of
+terms: batching each family's rows at N = 30 took a cold analysis's
+peak from 5.2 to 13.3 MB.
 """
 
 from __future__ import annotations
@@ -234,10 +243,12 @@ def _fsum(terms: np.ndarray) -> float:
 
     Zeros do not change an exact sum, and fsum is correctly rounded, so
     the order cannot change the float; largest first keeps its partials
-    list short (ascending takes about 2x as long as descending). A long
-    sum whose terms mostly lie more than 2**-80 below the largest is
-    bracketed instead: with cut = max * 2**-80, the m terms under the cut
-    add less than m * cut, and correct rounding is monotone, so
+    list short (ascending takes about 2x as long as descending). fsum
+    reads the sorted terms through a ``memoryview``, which yields each
+    float without building a list. A long sum whose terms mostly lie
+    more than 2**-80 below the largest is bracketed instead: with
+    cut = max * 2**-80, the m terms under the cut add less than m * cut,
+    and correct rounding is monotone, so
     fl(head) <= fl(all) <= fl(head + nextafter(m * cut)). Where the two
     bounds agree, that is the sum; otherwise (the head's sum sits on or
     near a rounding boundary) every term is summed.
@@ -249,13 +260,38 @@ def _fsum(terms: np.ndarray) -> float:
         if 2 * np.count_nonzero(in_head) <= kept.size:
             head = kept[in_head]
             head.sort()
-            head = head[::-1].tolist()
-            low = math.fsum(head)
-            tail = math.nextafter((kept.size - len(head)) * cut, math.inf)
-            if math.fsum([*head, tail]) == low:
+            head = head[::-1]
+            low = math.fsum(memoryview(head))
+            tail = math.nextafter((kept.size - head.size) * cut, math.inf)
+            if math.fsum(memoryview(np.append(head, tail))) == low:
                 return low
     kept.sort()
-    return math.fsum(kept[::-1].tolist())
+    return math.fsum(memoryview(kept[::-1]))
+
+
+def _row_sums(families, width: int) -> list[float]:
+    """``_fsum`` of every row of ``width`` nonnegative terms, family by
+    family; a family is a pair (rows, count), and ``rows(a, b)`` returns
+    its rows a..b - 1 as a 2-D array.
+
+    Rows shorter than ``_BRACKET_TERMS`` cannot be bracketed, so their
+    sums need only a sort and an fsum: they are built at once, sorted
+    with one 2-D sort, and their nonzero terms taken out with one mask,
+    in descending order row by row; fsum reads each row's slice of one
+    ``memoryview``. Wider rows go one at a time through ``_fsum``, so the
+    walk holds one row of terms at a time, not all of them.
+    """
+    if width >= _BRACKET_TERMS:
+        return [_fsum(rows(i, i + 1)[0])
+                for rows, count in families for i in range(count)]
+    terms = np.concatenate([rows(0, count) for rows, count in families])
+    terms.sort(axis=1)
+    terms = terms[:, ::-1]
+    keep = terms != 0.0
+    values = memoryview(terms[keep])
+    stops = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    fsum = math.fsum
+    return [fsum(values[a:z]) for a, z in zip([0, *stops], stops)]
 
 
 @dataclass(frozen=True)
@@ -381,16 +417,25 @@ class _Walk:
         blk = _config_block(table, _active(*probs)).head(n)
         w = _weights(blk, n, *probs)
         self.cfg, self.blk, self.w = cfg, blk, w
-        self.p_empty, self.p_arrival_tx = [
-            np.array([_fsum(w * v_s[k + 1]) for k in range(n + 1)])
-            for v_s in blk.v]
-        self.b_r = _fsum(w * blk.p_dep)
-        self.t_ud0, self.t_ud1 = [
-            (_fsum(w * blk.n_fd * g) + _fsum(w * blk.n_b * m)) / n
-            for g, m in zip(blk.ud_fd, blk.at_mmap)]
-        self.t_fr = _fsum(w * blk.n_fr * blk.p_f) / n
-        self.t_ur0, self.t_ur1 = [_fsum(w * blk.n_b * store) / n
-                                  for store in blk.stores]
+        # One row of terms per sum: P(k arrivals | c), k = 0..n, with the
+        # relay silent and transmitting; then (w * count) * factor for b_r
+        # (count 1) and the rates
+        n_fr, n_fd, n_b = blk.n_fr, blk.n_fd, blk.n_b
+        (g0, g1), (m0, m1), (s0, s1) = blk.ud_fd, blk.at_mmap, blk.stores
+        counts = np.array([np.ones_like(n_b), n_fd, n_b, n_fd, n_b, n_fr,
+                           n_b, n_b])
+        factors = np.array([blk.p_dep, g0, m0, g1, m1, blk.p_f, s0, s1])
+        sums = _row_sums([
+            *((lambda a, b, v_s=v_s: w * v_s[a + 1:b + 1], n + 1)
+              for v_s in blk.v),
+            (lambda a, b: (w * counts[a:b]) * factors[a:b], len(factors))],
+            w.size)
+        top = 2 * (n + 1)
+        self.p_empty = np.array(sums[:n + 1])
+        self.p_arrival_tx = np.array(sums[n + 1:top])
+        self.b_r, ud0_fd, ud0_b, ud1_fd, ud1_b, fr, ur0, ur1 = sums[top:]
+        self.t_ud0, self.t_ud1 = (ud0_fd + ud0_b) / n, (ud1_fd + ud1_b) / n
+        self.t_fr, self.t_ur0, self.t_ur1 = fr / n, ur0 / n, ur1 / n
 
     @property
     def p_nonempty(self) -> np.ndarray:
@@ -398,11 +443,15 @@ class _Walk:
         blk, w, q_r = self.blk, self.w, self.cfg.q_r
         v0, v1 = blk.v
         w_s, w_t = w * (1.0 - q_r), w * q_r
-        # net = arrivals - 1{departure}
-        return np.array([
-            _fsum(np.concatenate([w_s * v0[k], (w_t * v1[k + 1]) * blk.p_dep,
-                                  (w_t * v1[k]) * blk.q_dep]))
-            for k in range(self.cfg.n_ues + 2)])
+
+        def rows(a, b):
+            # net = arrivals - 1{departure}
+            return np.concatenate([w_s * v0[a:b],
+                                   (w_t * v1[a + 1:b + 1]) * blk.p_dep,
+                                   (w_t * v1[a:b]) * blk.q_dep], axis=1)
+
+        return np.array(_row_sums([(rows, self.cfg.n_ues + 2)],
+                                  3 * w.size))
 
 
 def queue_statistics(cfg: ScenarioConfig,

@@ -160,13 +160,20 @@ def _empty_slots(n, is_busy, busy, first, after):
     chunk's end if there is none). ``rank`` numbers each slot's first busy
     slot at or after it among ``busy``; the walk takes one step per busy
     period reached, at most n / 2, since each takes two slots or more.
+    Every step must advance: ``after[j]`` is at least busy[j] + 2, or n,
+    so rank[after[j]] > j. A step that does not is a fault in
+    ``_next_empty`` and raises here, where the walk would loop forever.
     """
     m = busy.size
     rank = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(is_busy, out=rank[1:])
+    step = rank[after]
+    if (step <= np.arange(m)).any():
+        raise RuntimeError("a busy period ends at or before the slot that "
+                           "starts it")
     # rank[n] == m ends the walk; a memoryview reads Python ints without
     # converting the whole array as ``tolist`` would
-    step = memoryview(rank[after])
+    step = memoryview(step)
     j, reached = int(rank[first]), []
     while j < m:
         reached.append(j)

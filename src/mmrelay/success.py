@@ -31,12 +31,12 @@ pair, and a partition decodes when its interference is at most the
 threshold of its signal's state, which equals the division test
 SINR >= gamma in float64. Per key the run takes out the nonzero terms of
 the partitions that decode, in listing order, so each cell's terms are
-one slice; one ``tolist`` per run gives them to one exactly rounded
-``math.fsum`` per listed cell; a cell with no listed row is 0.0, fsum of
-nothing. Dropping zero terms cannot
-change a sum of nonnegative terms, and fsum's result does not depend on
-the order of its terms, so a cell is the same number whatever the
-table's N or the run it falls in.
+one slice; one exactly rounded ``math.fsum`` per listed cell reads its
+slice of one ``memoryview`` of the run's terms, with no Python list
+built; a cell with no listed row is 0.0, fsum of nothing. Dropping zero
+terms cannot change a sum of nonnegative terms, and fsum's result does
+not depend on the order of its terms, so a cell is the same number
+whatever the table's N or the run it falls in.
 
 Interference accounting: an FD transmission aimed at the other receiver
 contributes nothing; a BR transmission interferes at both receivers; the
@@ -71,9 +71,9 @@ _KEYS = {
 }
 
 # Listed partitions per run of ``SuccessTable._build``; a run holds whole
-# cells. Most of a run's memory is its decoding terms as Python floats: at
-# alpha = 0, where every row is listed and every term decodes, building a
-# table at N = 30 peaks near 2.3 MB, and near 0.7 MB on the default radio.
+# cells, so its temporaries are bounded whatever N is: at alpha = 0, where
+# every row is listed and every term decodes, building a table at N = 30
+# peaks near 1.2 MB, and near 0.6 MB on the default radio.
 _RUN_PARTITIONS = 1 << 12
 
 
@@ -205,7 +205,7 @@ class SuccessTable:
                 picked.append(terms[link][ok])
                 counts.append(np.add.reduceat(ok.ravel(),
                                               firsts * ok.shape[1]))
-            values = np.concatenate(picked).tolist()
+            values = memoryview(np.concatenate(picked))
             stops = np.cumsum(np.concatenate(counts)).tolist()
             return [fsum(values[a:z]) for a, z in zip([0, *stops], stops)]
 

@@ -506,15 +506,21 @@ class TestWalkMemory:
 
 
 @st.composite
-def _sums(draw):
+def _sums(draw, width=None):
     """1 to 6,000 nonnegative terms with exponents from lo to 0
     (lo >= -1074), some of them zero; planted, a head [1, 2**-53 + d]
     whose sum sits on (d = 0) or just off a rounding midpoint, over terms
-    below 2**-81."""
-    n = draw(st.integers(1, 6000) | st.integers(1024, 6000))  # half long
+    below 2**-81. Given ``width``, exactly that many terms (a planted
+    head needs 3)."""
+    n = width or draw(st.integers(1, 6000)
+                      | st.integers(1024, 6000))  # half long
     lo = draw(st.integers(-1074, 0))
     zeros = draw(st.sampled_from([0.0, 0.1, 0.9]))
     plant = draw(st.sampled_from([None, 0.0, 2.0**-105, -2.0**-105]))
+    if width is not None and width < 3:
+        plant = None
+    if width is not None and plant is not None:
+        n -= 2
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     terms = np.ldexp(1.0 + rng.random(n), rng.integers(lo, 1, n))
     terms[rng.random(n) < zeros] = 0.0
@@ -522,6 +528,21 @@ def _sums(draw):
         terms = np.concatenate([[1.0, 2.0**-53 + plant],
                                 np.ldexp(terms, -82)])
     return rng.permutation(terms)
+
+
+@st.composite
+def _sum_rows(draw):
+    """A matrix of 2 to 8 rows of one width, below or at least
+    ``_BRACKET_TERMS``: an all-zero row, a one-term row, and rows of
+    ``_sums`` (planted heads among them), in any order."""
+    width = draw(st.integers(1, queue_model._BRACKET_TERMS - 1)
+                 | st.integers(queue_model._BRACKET_TERMS, 3000))
+    one = np.zeros(width)
+    one[draw(st.integers(0, width - 1))] = draw(
+        st.floats(2.0**-1074, 1.0, allow_subnormal=True))
+    rows = [np.zeros(width), one, *(draw(_sums(width))
+                                     for _ in range(draw(st.integers(0, 6))))]
+    return np.array(draw(st.permutations(rows)))
 
 
 class TestSumRule:
@@ -590,3 +611,14 @@ class TestSumRule:
     def test_same_float_as_fsum_of_any_terms(self, terms):
         assert queue_model._fsum(terms).hex() == \
             math.fsum(terms.tolist()).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sum_rows(), st.integers(0, 8))
+    def test_row_sums_same_floats_as_fsum_of_each_row(self, terms, split):
+        # the rows as one family and as two, split at any row
+        want = [math.fsum(row.tolist()).hex() for row in terms]
+        for families in ([terms], [terms[:split], terms[split:]]):
+            sums = queue_model._row_sums(
+                [(lambda a, b, f=f: f[a:b], len(f)) for f in families],
+                terms.shape[1])
+            assert [x.hex() for x in sums] == want

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -309,6 +310,36 @@ class TestScanChunk:
         chunk = _run_chunks(cfg, 2 * simulator._CHUNK, mode, monkeypatch)[1]
         assert chunk[2].size == simulator._CHUNK
         _scan_against_oracle(chunk)
+
+    def test_busy_period_that_does_not_end_after_its_slot_raises(
+            self, monkeypatch):
+        # A fault in _next_empty that ends slot 0's busy period at slot 0
+        # must fail the scan at once; the walk would otherwise loop
+        # forever, so an alarm turns a hang into a failure.
+        find = simulator._next_empty
+
+        def faulty(q, busy, *args):
+            first, after = find(q, busy, *args)
+            after = after.copy()
+            after[0] = busy[0]
+            return first, after
+
+        def hang(signum, frame):
+            raise TimeoutError("the busy-period walk did not stop")
+
+        monkeypatch.setattr(simulator, "_next_empty", faulty)
+        n = 8
+        ones, zeros = np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64)
+        chunk = (0, 0, zeros + 1, zeros, zeros, zeros, ones, ones,
+                 0, n, 1, 0, n)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(1)
+        try:
+            with pytest.raises(RuntimeError, match="at or before"):
+                simulator._scan_chunk(*chunk, np.zeros((1, 5)), np.zeros(6))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def _bits(stats) -> dict:
