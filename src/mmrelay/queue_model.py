@@ -66,9 +66,9 @@ reasons. Most of their terms cannot change the float: at N = 30 a sum's
 terms span binary exponents -732 to -184, and about 85% lie more than
 2**-80 below the largest, so ``_fsum`` adds a long sum's head and bounds
 the rest, and adds every term only where that bound leaves the rounding
-in doubt. And one row at a time keeps the walk's memory at one row of
-terms: batching each family's rows at N = 30 took a cold analysis's
-peak from 5.2 to 13.3 MB.
+in doubt or a term is negative. And one row at a time keeps the walk's
+memory at one row of terms: batching each family's rows at N = 30 took
+a cold analysis's peak from 5.2 to 13.3 MB.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def _stored_pmfs(comb: np.ndarray, n_fr: np.ndarray, p_f: np.ndarray,
 
 
 def _fsum(terms: np.ndarray) -> float:
-    """The exactly rounded sum of nonnegative ``terms``.
+    """The exactly rounded sum of ``terms``.
 
     Zeros do not change an exact sum, and fsum is correctly rounded, so
     the order cannot change the float; largest first keeps its partials
@@ -251,13 +251,16 @@ def _fsum(terms: np.ndarray) -> float:
     and correct rounding is monotone, so
     fl(head) <= fl(all) <= fl(head + nextafter(m * cut)). Where the two
     bounds agree, that is the sum; otherwise (the head's sum sits on or
-    near a rounding boundary) every term is summed.
+    near a rounding boundary) every term is summed. The lower bound needs
+    every term positive, so a sum with a negative term is never
+    bracketed: the nonempty pmf's q_dep = 1 - p_dep is about -2**-52
+    where p_dep rounds one ulp past 1, and its terms then lie below 0.
     """
     kept = terms[terms != 0.0]
     if kept.size >= _BRACKET_TERMS:
         cut = kept.max() * 2.0**-80
         in_head = kept >= cut
-        if 2 * np.count_nonzero(in_head) <= kept.size:
+        if 2 * np.count_nonzero(in_head) <= kept.size and kept.min() > 0.0:
             head = kept[in_head]
             head.sort()
             head = head[::-1]
@@ -270,7 +273,7 @@ def _fsum(terms: np.ndarray) -> float:
 
 
 def _row_sums(families, width: int) -> list[float]:
-    """``_fsum`` of every row of ``width`` nonnegative terms, family by
+    """``_fsum`` of every row of ``width`` terms, family by
     family; a family is a pair (rows, count), and ``rows(a, b)`` returns
     its rows a..b - 1 as a 2-D array.
 

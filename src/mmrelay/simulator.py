@@ -36,20 +36,23 @@ arguments yield bit-identical statistics.
 Slots are processed in chunks, and a chunk in two phases. First every
 random value of the chunk is drawn, in the contract's order, and only
 compact results are kept: LOS masks, and in decoupled mode LOS counts.
-Then the chunk is decoded in blocks of whole slots holding at most
-``_RECEPTION_BLOCK`` transmissions, so that a block's arrays stay in
-cache: per block the interference of each reception, the outcome rules
-and the block's slice of the per-slot outcomes. The relay-queue scan
-over the chunk (``_scan_chunk``) does not step slot by slot either: only
-a slot with arrivals while the queue is empty starts a busy period, so
-one sort and one search find where each such period would end, and a
-walk over the busy periods actually reached, one step each and at most
-n / 2 for n slots, marks the empty-queue slots; a chunk that starts
-empty and has no such slot is not searched. Each slot's interference is
-summed in transmission order whatever the block size, the rest is
-elementwise or an integer count, and the scan's statistics are integer
-sums, so every statistic equals that of a slot-by-slot update bit for
-bit.
+Every count is held in the narrowest signed integer type that holds
+-1..N (``_count_dtype``: int8 up to N = 127), and every transmission's
+slot in uint16, so a decoupled chunk keeps 3 bytes per reception (a mask
+byte and two counts). Then the chunk is decoded in blocks of whole slots
+holding at most ``_RECEPTION_BLOCK`` transmissions, so that a block's
+arrays stay in cache: per block the interference of each reception,
+the outcome rules and the block's slice of the per-slot outcomes. The
+relay-queue scan over the chunk (``_scan_chunk``) does not step slot by
+slot either: only a slot with arrivals while the queue is empty starts
+a busy period, so one sort and one search find where each such period
+would end, and a walk over the busy periods actually reached, one step
+each and at most n / 2 for n slots, marks the empty-queue slots; a
+chunk that starts empty and has no such slot is not searched. Each
+slot's interference is summed in transmission order whatever the block
+size, the rest is elementwise or an integer count, and the scan's
+statistics are integer sums, so every statistic equals that of a
+slot-by-slot update bit for bit.
 
 Every binomial count (transmitters, FD choices, relay aims and, in
 decoupled mode, LOS interferers) comes from ``_Binomial``, an exact
@@ -365,7 +368,8 @@ class _Binomial:
     def _lookup(self, n, u):
         """(X per (n, u) pair, indices of the pairs inverted directly)."""
         idx = (u * self.nb).astype(np.intp)
-        idx += n * self.nb
+        # in intp: n may be too narrow for n * nb
+        idx += np.multiply(n, self.nb, dtype=np.intp)
         x = self.base[idx]
         x += u >= self.thr[idx]
         slow = np.flatnonzero(x < 0)
@@ -433,14 +437,21 @@ class _Powers:
             self.los_ur, self.los_ud = los
 
 
+def _count_dtype(n_ues: int) -> np.dtype:
+    """The narrowest signed integer type holding -1..``n_ues``: int8 up to
+    N = 127. Every count of a chunk fits, a count less one included."""
+    return np.min_scalar_type(-n_ues - 1)
+
+
 def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
                  c: int):
     """Per-slot transmission counts following the per-UE decision tree.
 
-    The counts are int32, and so are the per-reception counts gathered
-    from them, which keeps a chunk's live arrays small.
+    The counts are in ``_count_dtype``, and so are the per-reception
+    counts gathered from them and the LOS counts drawn over those, which
+    keeps a chunk's live arrays small.
     """
-    n_tx = pw.tx(gen, np.full(c, cfg.n_ues, dtype=np.int32))
+    n_tx = pw.tx(gen, np.full(c, cfg.n_ues, dtype=_count_dtype(cfg.n_ues)))
     n_f = pw.fd(gen, n_tx)
     n_fr = pw.fr(gen, n_f)
     coin = gen.random(c) < cfg.q_r
@@ -475,10 +486,16 @@ def _blocks(n_tx):
         s0 = s1
 
 
+# A slot's index within a chunk: the narrowest type holding _CHUNK - 1,
+# uint16.
+_SLOT_DTYPE = np.min_scalar_type(_CHUNK - 1)
+
+
 def _slots(n_fr, n_fd, n_b):
-    """The slot of each FD->relay, BR and FD->mmAP transmission (int32),
-    in slot order."""
-    idx = np.arange(n_fr.size, dtype=np.int32)
+    """The slot of each FD->relay, BR and FD->mmAP transmission, in slot
+    order, as ``_SLOT_DTYPE``: half the bytes of int32, and a block
+    converts only its own slice to intp."""
+    idx = np.arange(n_fr.size, dtype=_SLOT_DTYPE)
     return tuple(np.repeat(idx, n) for n in (n_fr, n_b, n_fd))
 
 
@@ -490,15 +507,18 @@ def _decode_blocks(pw: _Powers, n_fr, n_fd, n_b, slots, receptions):
     local)`` gives a block's five receptions from its slot slice, the
     slices of its FD->relay, BR and FD->mmAP transmissions among the
     chunk's, and those transmissions' slots numbered from the block's
-    first slot; ``_outcomes`` decides them.
+    first slot; ``_outcomes`` decides them. A block's spans follow from
+    each kind's running count of transmissions, with no search over the
+    slot arrays.
     """
     c = n_fr.size
     out = (*(np.empty(c, dtype=np.int64) for _ in range(4)),
            np.empty(c, dtype=bool))
+    stops = [0, 0, 0]
     for block in _blocks(n_fr + n_fd + n_b):
-        # int32 bounds: other keys would convert the whole slot array
-        bounds = np.array((block.start, block.stop), dtype=np.int32)
-        spans = [slice(*s.searchsorted(bounds).tolist()) for s in slots]
+        starts, stops = stops, [a + int(n[block].sum()) for a, n
+                                in zip(stops, (n_fr, n_b, n_fd))]
+        spans = [slice(a, z) for a, z in zip(starts, stops)]
         # intp: bincount, take and fancy indexing convert any other index
         # dtype on every call
         local = tuple(np.subtract(s[span], block.start, dtype=np.intp)

@@ -545,6 +545,12 @@ def _sum_rows(draw):
     return np.array(draw(st.permutations(rows)))
 
 
+def _plain_row_sums(families, width):
+    """``_row_sums`` as one plain ``math.fsum`` per row of terms."""
+    return [math.fsum(row.tolist())
+            for rows, count in families for row in rows(0, count)]
+
+
 class TestSumRule:
     def test_same_float_as_fsum_of_the_terms_as_given(self):
         # Nonnegative terms from 2**-1074 to 1, a quarter of them zero.
@@ -552,7 +558,13 @@ class TestSumRule:
         terms = np.ldexp(1.0 + rng.random(4000), rng.integers(-1075, 0, 4000))
         terms[rng.random(4000) < 0.25] = 0.0
         terms = np.concatenate([terms, [2.0**-1074, 1.0]])
-        cases = [terms, rng.permutation(terms), np.zeros(9), np.array([0.3])]
+        # Signed: a negative term far above the cut, and the walk's kind,
+        # positive terms scaled by -2**-52 (a q_dep one ulp below 0).
+        signed = [np.concatenate([[1.0, -0.25], np.full(2000, 2.0**-200)]),
+                  rng.permutation(np.concatenate([terms,
+                                                  -terms[::3] * 2.0**-52]))]
+        cases = [terms, rng.permutation(terms), *signed, np.zeros(9),
+                 np.array([0.3])]
         for case in cases:
             expect = math.fsum(case.tolist())
             assert queue_model._fsum(case).hex() == expect.hex()
@@ -584,7 +596,21 @@ class TestSumRule:
         ordered = [hexes(cfg) for cfg in cfgs]
         monkeypatch.setattr(queue_model, "_fsum",
                             lambda t: math.fsum(t[t != 0.0].tolist()))
+        monkeypatch.setattr(queue_model, "_row_sums", _plain_row_sums)
         assert [hexes(cfg) for cfg in cfgs] == ordered
+
+    def test_negative_terms_same_floats_as_plain_fsum(self, monkeypatch):
+        # Here p_dep rounds one ulp past 1 in 318 of the block's 2,925
+        # configurations, so q_dep = 1 - p_dep < 0 there, and the nonempty
+        # pmf's rows, long enough for the bracket, hold negative terms.
+        cfg = ScenarioConfig(n_ues=24, q_u=0.05, q_uf=0.8, q_ur=0.7, q_r=1.0,
+                             d_ur_m=60.0, d_ud_m=120.0, theta_rd_deg=10.0)
+        walk = queue_model._Walk(cfg, None)
+        assert (walk.blk.q_dep < 0.0).any()
+        assert 3 * walk.w.size >= queue_model._BRACKET_TERMS
+        got = [x.hex() for x in queue_statistics(cfg).p_nonempty]
+        monkeypatch.setattr(queue_model, "_row_sums", _plain_row_sums)
+        assert got == [x.hex() for x in queue_statistics(cfg).p_nonempty]
 
     @pytest.mark.parametrize("second, tail, want, calls", [
         # fl(1 + 2**-53) is 1.0 (a tie, to even), but 3,000 terms under

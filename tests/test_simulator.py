@@ -383,13 +383,15 @@ def _binomial_calls(draw):
     """(n_max, p, n, seed): a sampler, an n array with zeros, a stream.
 
     n_max above 31 gets fewer guide buckets per n and, with p near 0.5,
-    crosses numpy's BTPE boundary.
+    crosses numpy's BTPE boundary. n comes in any signed integer type
+    wide enough, as the simulator's counts do.
     """
     n_max = draw(st.one_of(st.integers(0, 30), st.integers(31, 80)))
     p = draw(st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0)))
     n = draw(st.lists(st.one_of(st.just(0), st.integers(0, n_max)),
                       max_size=300))
-    return n_max, p, np.array(n, dtype=np.int64), draw(st.integers(0, 2**32 - 1))
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64]))
+    return n_max, p, np.array(n, dtype=dtype), draw(st.integers(0, 2**32 - 1))
 
 
 class _Doubles:
@@ -426,7 +428,7 @@ class TestBinomialSampler:
         for _ in range(2):  # the second call starts from the state left
             want = ref.binomial(n, p)
             got = sampler(gen, n)
-            assert got.dtype == want.dtype
+            assert got.dtype == n.dtype
             assert np.array_equal(got, want)
             assert gen.bit_generator.state == ref.bit_generator.state
 
@@ -530,14 +532,37 @@ class TestReceptionBlocks:
             [(0, 1), (1, 5), (5, 6), (6, 8)]
 
 
+class TestNarrowCounts:
+    """A chunk's counts come in the narrowest type holding -1..N; they
+    give the statistics int32 counts give, at the edge of each type."""
+
+    @pytest.mark.parametrize("mode", simulator.MODES)
+    @pytest.mark.parametrize("n_ues, dtype", [(127, np.int8), (128, np.int16)])
+    @pytest.mark.parametrize("point", [
+        # every count at N: N FD transmissions to the relay per slot
+        dict(q_u=1.0, q_uf=1.0, q_ur=1.0),
+        dict(q_u=0.9, q_r=0.9),
+    ], ids=["all-at-relay", "mixed"])
+    def test_stats_equal_int32_counts(self, n_ues, dtype, point, mode,
+                                      monkeypatch):
+        assert simulator._count_dtype(n_ues) == dtype
+        cfg = ScenarioConfig(n_ues=n_ues, **point)
+        narrow = run(cfg, 1_500, seed=8, mode=mode)
+        monkeypatch.setattr(simulator, "_count_dtype",
+                            lambda n_ues: np.dtype(np.int32))
+        assert _bits(run(cfg, 1_500, seed=8, mode=mode)) == _bits(narrow)
+
+
 class TestChunkMemory:
-    @pytest.mark.parametrize("mode, limit_mb", [("physical", 16),
-                                                ("decoupled", 40)])
+    @pytest.mark.parametrize("mode, limit_mb", [("physical", 13),
+                                                ("decoupled", 22)],
+                             ids=["physical", "decoupled"])
     def test_heavy_chunk_peak(self, mode, limit_mb):
-        # Measured at 14.4 MB (physical) and 35.7 MB (decoupled), against
+        # Measured at 10.5 MB (physical) and 17.0 MB (decoupled), against
+        # 14.6 MB and 35.8 MB with int32 counts and slot indices, and
         # 52.5 MB and 48.3 MB when each chunk's receptions were formed as
         # whole-chunk arrays. A decoupled chunk keeps its LOS masks and
-        # counts, 9 bytes per reception, until its blocks are decoded.
+        # int8 counts, 3 bytes per reception, until its blocks are decoded.
         run(_HEAVY, 100, seed=1, mode=mode)
         tracemalloc.start()
         try:
