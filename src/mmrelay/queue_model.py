@@ -31,7 +31,12 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   temporaries). A gather takes it back to the rows. The success
   probabilities read only the radio fields, so neither does the block:
   every traffic point (n <= N, q_u, q_uf, q_ur, q_r) of a sweep group
-  that shares a table and a zero pattern reuses it;
+  that shares a table and a zero pattern reuses it. A row's values
+  depend only on its counts and the table, so a pattern's block is the
+  rows of any wider pattern's block whose ruled-out counts are 0, in
+  the same order: where the table keeps a block of a covering pattern,
+  the narrower one is that row selection, copied, and nothing is
+  computed again;
 * the traffic point's weighted sums over the block's first rows, those
   of at most n UEs: their multinomial weights, computed by ``_weights``,
   times the block's columns, each output one ``math.fsum``.
@@ -74,7 +79,7 @@ a cold analysis's peak from 5.2 to 13.3 MB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -309,12 +314,17 @@ class _ConfigBlock:
     relay, lost at the mmAP, relay silent s = 0 or transmitting s = 1),
     ``p_dep`` (the relay's packet reaches the mmAP) and
     ``v[s][k + 1, c]`` = P(k stored | c); a zero row on each side of v
-    serves the k - 1 and k + 1 shifts.
+    serves the k - 1 and k + 1 shifts. ``counts`` and ``factors`` hold
+    the walk's b_r and rate sums: each term is (w * count) * factor.
 
     v[s] is the convolution of Binomial(n_fr, p_f) and
     Binomial(n_b, stores[s]), which depends on those four inputs only. It
     is built once per distinct input, sorted n_fr-major for the suffix
     passes of ``_stored_pmfs``, and gathered back to the rows.
+
+    Every per-row value depends only on the row's counts and the table,
+    so the block of a narrower zero pattern is a row selection
+    (``select``) of this one.
     """
 
     comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N
@@ -325,29 +335,54 @@ class _ConfigBlock:
     p_f: np.ndarray       # a tagged FD->relay packet is decoded
     p_dep: np.ndarray
     q_dep: np.ndarray     # 1 - p_dep
-    at_mmap: np.ndarray   # a tagged BR packet is decoded at the mmAP, by s
     stores: np.ndarray
-    ud_fd: np.ndarray     # a tagged FD->mmAP packet is decoded, by s
+    counts: np.ndarray    # (8, R), a count per b_r or rate sum
+    factors: np.ndarray   # (8, R), the success probability it multiplies
     v: np.ndarray
+
+    def _take(self, ends: tuple, index) -> _ConfigBlock:
+        """The rows ``index`` of every per-row array, which hold ``ends``."""
+        return _ConfigBlock(self.comb, ends, *(
+            getattr(self, f.name)[..., index] for f in fields(self)[2:]))
 
     def head(self, n: int) -> _ConfigBlock:
         """The block's rows of at most n UEs, as views."""
         m = self.ends[n]
         if m == self.n_fr.size:
             return self
-        return _ConfigBlock(self.comb, self.ends[:n + 1], *(
-            a[..., :m] for a in (self.n_fr, self.n_fd, self.n_b, self.p_f,
-                                 self.p_dep, self.q_dep, self.at_mmap,
-                                 self.stores, self.ud_fd, self.v)))
+        return self._take(self.ends[:n + 1], slice(m))
+
+    def select(self, active: tuple[bool, ...]) -> _ConfigBlock:
+        """The block of the narrower zero pattern ``active``: the rows
+        whose counts of the schemes it rules out are 0, in the same order,
+        copied."""
+        n_x = np.array([self.n_fr, self.n_fd, self.n_b])
+        keep = np.flatnonzero(~n_x[np.logical_not(active)].any(axis=0))
+        return self._take(tuple(np.searchsorted(keep, self.ends).tolist()),
+                          keep)
 
 
 def _config_block(table: SuccessTable,
                   active: tuple[bool, ...]) -> _ConfigBlock:
     """The block of the table's N UEs' configurations allowed by
-    ``active``, built on first use and kept on the table."""
+    ``active``, kept on the table: a selection of a kept block whose
+    pattern covers ``active`` (the one of fewest rows), or else built."""
     block = table.blocks.get(active)
     if block is not None:
         return block
+    wider = [blk for key, blk in table.blocks.items()
+             if all(k or not a for k, a in zip(key, active))]
+    if wider:
+        block = min(wider, key=lambda blk: blk.n_fr.size).select(active)
+    else:
+        block = _build_block(table, active)
+    table.blocks[active] = block
+    return block
+
+
+def _build_block(table: SuccessTable,
+                 active: tuple[bool, ...]) -> _ConfigBlock:
+    """The block of ``active``, computed from the table's arrays."""
     n = table.cfg.n_ues
     n_fr, n_fd, n_b = _rows(n, active)
     # Counts with one UE of the scheme removed; where that count is 0 the
@@ -370,12 +405,16 @@ def _config_block(table: SuccessTable,
     first, inverse = _distinct(np.vstack([stores[::-1], pair]))
     v = np.take(_stored_pmfs(comb, n_fr[first], p_f[first], n_b[first],
                              stores[:, first]), inverse, axis=2)
+    # The walk's b_r and rate sums, in the order _Walk unpacks them;
+    # made after v, so they are not held through its build
+    counts = np.array([np.ones_like(n_b), n_fd, n_b, n_fd, n_b, n_fr,
+                       n_b, n_b])
+    factors = np.array([p_dep, ud_fd[0], at_mmap[0], ud_fd[1], at_mmap[1],
+                        p_f, *stores])
     ends = tuple(np.cumsum(np.bincount(n_fr + n_fd + n_b,
                                        minlength=n + 1)).tolist())
-    block = _ConfigBlock(comb, ends, n_fr, n_fd, n_b, p_f, p_dep,
-                         1.0 - p_dep, at_mmap, stores, ud_fd, v)
-    table.blocks[active] = block
-    return block
+    return _ConfigBlock(comb, ends, n_fr, n_fd, n_b, p_f, p_dep,
+                        1.0 - p_dep, stores, counts, factors, v)
 
 
 def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,
@@ -423,11 +462,7 @@ class _Walk:
         # One row of terms per sum: P(k arrivals | c), k = 0..n, with the
         # relay silent and transmitting; then (w * count) * factor for b_r
         # (count 1) and the rates
-        n_fr, n_fd, n_b = blk.n_fr, blk.n_fd, blk.n_b
-        (g0, g1), (m0, m1), (s0, s1) = blk.ud_fd, blk.at_mmap, blk.stores
-        counts = np.array([np.ones_like(n_b), n_fd, n_b, n_fd, n_b, n_fr,
-                           n_b, n_b])
-        factors = np.array([blk.p_dep, g0, m0, g1, m1, blk.p_f, s0, s1])
+        counts, factors = blk.counts, blk.factors
         sums = _row_sums([
             *((lambda a, b, v_s=v_s: w * v_s[a + 1:b + 1], n + 1)
               for v_s in blk.v),
@@ -445,16 +480,23 @@ class _Walk:
         """P(net change = i - 1 | queue nonempty) by i."""
         blk, w, q_r = self.blk, self.w, self.cfg.q_r
         v0, v1 = blk.v
-        w_s, w_t = w * (1.0 - q_r), w * q_r
+        # net = arrivals - 1{departure}; a family whose weight is exactly
+        # zero (relay silent at q_r = 1, transmitting at q_r = 0) adds
+        # only zeros, so it is left out
+        families = []
+        if q_r != 1.0:
+            w_s = w * (1.0 - q_r)
+            families.append(lambda a, b: w_s * v0[a:b])
+        if q_r != 0.0:
+            w_t = w * q_r
+            families += [lambda a, b: (w_t * v1[a + 1:b + 1]) * blk.p_dep,
+                         lambda a, b: (w_t * v1[a:b]) * blk.q_dep]
 
         def rows(a, b):
-            # net = arrivals - 1{departure}
-            return np.concatenate([w_s * v0[a:b],
-                                   (w_t * v1[a + 1:b + 1]) * blk.p_dep,
-                                   (w_t * v1[a:b]) * blk.q_dep], axis=1)
+            return np.concatenate([f(a, b) for f in families], axis=1)
 
         return np.array(_row_sums([(rows, self.cfg.n_ues + 2)],
-                                  3 * w.size))
+                                  len(families) * w.size))
 
 
 def queue_statistics(cfg: ScenarioConfig,

@@ -29,9 +29,12 @@ evaluated one radio configuration at a time
 and q_r). Each group shares one ``SuccessTable``, built at its largest N
 and dropped when the call ends, and with it the traffic-free
 configuration blocks of ``queue_model``, one per zero pattern, so a
-traffic point costs its weighted sums. The numbers are those of a fresh
-per-point analysis, bit for bit. If that table cannot be built, each
-point gets its own, and only points that fail alone get an error. With
+traffic point costs its weighted sums. When a point has the group's
+widest pattern (the OR of its points' patterns), that block is built
+first, and every other pattern's block is a row selection of it. The
+numbers are those of a fresh per-point analysis, bit for bit. If that
+table cannot be built, each point gets its own, and only points that
+fail alone get an error. With
 ``jobs > 1`` each worker task is a contiguous run of one group's points;
 a group is split only when there are fewer groups than jobs. Cells are
 printed by ``format_value`` (floats with 9 significant digits) and
@@ -49,7 +52,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import simulator
+from . import queue_model, simulator
 from .geometry import ScenarioConfig
 from .success import SuccessTable
 from .throughput import aggregate_throughput
@@ -330,7 +333,11 @@ def _run_point(spec: SweepSpec, index: int, overrides: dict,
 
 def _run_task(args) -> list[tuple[int, dict]]:
     """Rows of a run of points that share one radio configuration, all
-    evaluated with one ``SuccessTable`` built at their largest N."""
+    evaluated with one ``SuccessTable`` built at their largest N.
+
+    The block of the points' widest zero pattern is built first when a
+    point has that pattern; the other patterns' blocks are then row
+    selections of it."""
     spec, points = args
     table = None
     if points[0][2] is not None:  # invalid points are grouped apart
@@ -339,6 +346,15 @@ def _run_task(args) -> list[tuple[int, dict]]:
                                      key=lambda cfg: cfg.n_ues))
         except Exception:
             pass  # then each point is evaluated on its own cold table
+    if table is not None:
+        patterns = {queue_model._active(*queue_model._ue_activity_probs(cfg))
+                    for _, _, cfg in points}
+        widest = tuple(map(any, zip(*patterns)))
+        if widest in patterns:
+            with contextlib.suppress(Exception):
+                # a failure is the error of the points of that pattern,
+                # which build the block again
+                queue_model._config_block(table, widest)
     return [(index, _run_point(spec, index, overrides, cfg, table))
             for index, overrides, cfg in points]
 

@@ -441,6 +441,20 @@ def _hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def _count_block_builds(monkeypatch) -> list:
+    """The (N, zero pattern) of every configuration block built from
+    scratch from now on; a row selection of a kept block is no build."""
+    built = []
+    rows = queue_model._rows
+
+    def counted(*args):
+        built.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(queue_model, "_rows", counted)
+    return built
+
+
 class TestSweepReuse:
     @pytest.mark.parametrize("recipe, builds", [("fig4.cfg", 12),
                                                 ("fig3.cfg", 2)])
@@ -463,17 +477,50 @@ class TestSweepReuse:
     def test_one_block_serves_every_n(self, monkeypatch):
         # fig3's 45 points share one radio configuration and one zero
         # pattern: one block, built at N = 15, serves N = 1..15.
-        built = []
-        rows = queue_model._rows
-
-        def counted(*args):
-            built.append(args)
-            return rows(*args)
-
-        monkeypatch.setattr(queue_model, "_rows", counted)
+        built = _count_block_builds(monkeypatch)
         out = run_sweep(load_config(str(RECIPES / "fig3.cfg")))
         assert all(r["error"] == "" for r in out)
         assert built == [(15, (True, True, True))]
+
+    def test_one_block_built_per_radio_configuration(self, monkeypatch):
+        # Each of fig4's six groups runs q_uf from 0 (BR only) to 1 (FD
+        # only): three zero patterns. The full pattern's block is built
+        # first, and the two others are row selections of it.
+        built = _count_block_builds(monkeypatch)
+        out = run_sweep(load_config(str(RECIPES / "fig4.cfg")))
+        assert all(r["error"] == "" for r in out)
+        assert built == [(10, (True, True, True))] * 6
+
+    def test_widest_pattern_built_only_where_a_point_has_it(self,
+                                                            monkeypatch):
+        # q_uf = 0 and 1 only: the widest pattern (every scheme active) is
+        # no point's, so each point's own pattern is built, and the
+        # full-simplex block never.
+        built = _count_block_builds(monkeypatch)
+        spec = SweepSpec(base=ScenarioConfig(n_ues=6, q_u=0.3),
+                         axes=(("q_uf", (0.0, 1.0)),))
+        assert all(r["error"] == "" for r in run_sweep(spec))
+        assert built == [(6, (False, False, True)), (6, (True, True, False))]
+
+    def test_failed_block_build_fails_only_its_own_row(self, monkeypatch):
+        # The widest block fails to build: the points of the other
+        # patterns get their own blocks and a fresh analysis's numbers.
+        rows = queue_model._rows
+
+        def failing(n, active):
+            if all(active):
+                raise RuntimeError("planted")
+            return rows(n, active)
+
+        monkeypatch.setattr(queue_model, "_rows", failing)
+        spec = SweepSpec(base=ScenarioConfig(n_ues=6, q_u=0.3),
+                         axes=(("q_uf", (0.0, 0.5, 1.0)),))
+        out = run_sweep(spec)
+        assert [r["error"] for r in out] == ["", "RuntimeError: planted", ""]
+        for row, q_uf in ((out[0], 0.0), (out[2], 1.0)):
+            want = evaluate_point(spec.base.replace(q_uf=q_uf))
+            assert {k: _hex(row[k]) for k in want} == \
+                {k: _hex(v) for k, v in want.items()}
 
     def test_oversized_n_fails_only_its_own_row(self):
         # The group's table at N = 1030 cannot be built, so each point is

@@ -462,6 +462,31 @@ class TestConfigBlock:
                 assert head.v[:, :n + 2].tolist() == own.v[:, :n + 2].tolist()
                 assert not head.v[:, n + 2:].any()
 
+    @pytest.mark.parametrize("radio", [
+        {}, {"alpha": 0.0},
+        # every stored-pmf input distinct (5,456 at N = 30)
+        {"gamma_db": 0.0},
+        {"gamma_db": -10.0, "alpha": 0.01, "d_ud_m": 50.0,
+         "theta_rd_deg": 40.0}])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 30])
+    def test_selection_equals_direct_build(self, radio, n):
+        # A pattern's block is the rows of any covering pattern's block
+        # whose ruled-out counts are 0: every array and ``ends`` equal,
+        # and the same head at every n.
+        table = SuccessTable(ScenarioConfig(n_ues=n, **radio))
+        patterns = list(itertools.product((False, True), repeat=3))
+        direct = {p: queue_model._build_block(table, p) for p in patterns}
+        for p, w in itertools.product(patterns, repeat=2):
+            if not all(b or not a for a, b in zip(p, w)):
+                continue
+            got = direct[w].select(p)
+            for m in range(n + 1):
+                head, want = got.head(m), direct[p].head(m)
+                for f in dataclasses.fields(want):
+                    assert np.array_equal(getattr(head, f.name),
+                                          getattr(want, f.name)), \
+                        (p, w, m, f.name)
+
 
 class TestDeferredNonemptyPmf:
     @pytest.mark.parametrize("q_r, regime, reads", [(1.0, "stable", 1),
