@@ -23,7 +23,8 @@ import sys
 import traceback
 
 from . import simulator
-from .sweeps import format_value, load_config, read_argument, sweep_to_csv
+from .sweeps import (format_value, load_config, read_argument, run_sweep,
+                     write_csv)
 from .throughput import aggregate_throughput
 
 EXIT_OK = 0
@@ -131,7 +132,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_config(args.config)
-    rows = sweep_to_csv(spec, args.output, jobs=args.jobs)
+    rows = run_sweep(spec, jobs=args.jobs)
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        write_csv(spec, rows, fh)
     n_err = sum(1 for r in rows if r.get("error"))
     print(f"wrote {len(rows)} rows to {args.output}"
           + (f" ({n_err} with errors)" if n_err else ""))

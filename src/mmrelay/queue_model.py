@@ -36,7 +36,8 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   rows of any wider pattern's block whose ruled-out counts are 0, in
   the same order: where the table keeps a block of a covering pattern,
   the narrower one is that row selection, copied, and nothing is
-  computed again;
+  computed again. A sweep evaluates a point of its widest pattern first
+  (``sweeps._run_task``), so that point's walk builds the one block;
 * the traffic point's weighted sums over the block's first rows, those
   of at most n UEs: their multinomial weights, computed by ``_weights``,
   times the block's columns, each output one ``math.fsum``.
@@ -309,13 +310,14 @@ class _ConfigBlock:
     The rows are the configurations' counts ``n_fr``, ``n_fd``, ``n_b``,
     ordered by their number of active UEs, so the ``ends[n]`` rows of at
     most n UEs come first (``head(n)``); ``_weights`` weighs them with the
-    binomial table ``comb``. Per configuration c: the gathered success
-    probabilities, ``stores[s]`` (a BR packet is stored: decoded at the
-    relay, lost at the mmAP, relay silent s = 0 or transmitting s = 1),
-    ``p_dep`` (the relay's packet reaches the mmAP) and
-    ``v[s][k + 1, c]`` = P(k stored | c); a zero row on each side of v
-    serves the k - 1 and k + 1 shifts. ``counts`` and ``factors`` hold
-    the walk's b_r and rate sums: each term is (w * count) * factor.
+    binomial table ``comb``. Per configuration c: ``p_dep`` (the relay's
+    packet reaches the mmAP), ``v[s][k + 1, c]`` = P(k stored | c), relay
+    silent s = 0 or transmitting s = 1, with a zero row on each side of v
+    for the k - 1 and k + 1 shifts, and the walk's b_r and rate sums as
+    ``counts`` and ``factors``: each term is (w * count) * factor. The
+    factors are the gathered success probabilities; rows 5-7 are
+    ``p_f`` (a tagged FD->relay packet is decoded) and ``stores[s]`` (a
+    BR packet is stored: decoded at the relay, lost at the mmAP).
 
     v[s] is the convolution of Binomial(n_fr, p_f) and
     Binomial(n_b, stores[s]), which depends on those four inputs only. It
@@ -332,10 +334,8 @@ class _ConfigBlock:
     n_fr: np.ndarray
     n_fd: np.ndarray
     n_b: np.ndarray
-    p_f: np.ndarray       # a tagged FD->relay packet is decoded
     p_dep: np.ndarray
     q_dep: np.ndarray     # 1 - p_dep
-    stores: np.ndarray
     counts: np.ndarray    # (8, R), a count per b_r or rate sum
     factors: np.ndarray   # (8, R), the success probability it multiplies
     v: np.ndarray
@@ -413,8 +413,8 @@ def _build_block(table: SuccessTable,
                         p_f, *stores])
     ends = tuple(np.cumsum(np.bincount(n_fr + n_fd + n_b,
                                        minlength=n + 1)).tolist())
-    return _ConfigBlock(comb, ends, n_fr, n_fd, n_b, p_f, p_dep,
-                        1.0 - p_dep, stores, counts, factors, v)
+    return _ConfigBlock(comb, ends, n_fr, n_fd, n_b, p_dep, 1.0 - p_dep,
+                        counts, factors, v)
 
 
 def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,

@@ -31,7 +31,10 @@ SINR >= gamma in float64.
 Random-number streams are split per purpose (transmission choices,
 per-link LOS draws, per-reception draws) so switching modes never
 perturbs the transmission pattern. Identical (cfg, n_slots, seed, mode)
-arguments yield bit-identical statistics.
+arguments yield bit-identical statistics. ``tests/oracles.py``'s
+``simulate_reference`` states the whole contract in plain loops: the
+streams, the chunks and the draw order within one, the decode rule, the
+queue rule and the statistics; the tests hold ``run`` to it bit for bit.
 
 Slots are processed in chunks, and a chunk in two phases. First every
 random value of the chunk is drawn, in the contract's order, and only
@@ -52,7 +55,7 @@ chunk that starts empty and has no such slot is not searched. Each
 slot's interference is summed in transmission order whatever the block
 size, the rest is elementwise or an integer count, and the scan's
 statistics are integer sums, so every statistic equals that of a
-slot-by-slot update bit for bit.
+slot-by-slot update bit for bit: the reference's.
 
 Every binomial count (transmitters, FD choices, relay aims and, in
 decoupled mode, LOS interferers) comes from ``_Binomial``, an exact
@@ -421,9 +424,9 @@ class _Powers:
     simulator adds up into interference itself, and the decode thresholds
     that judge each reception. The samplers, each covering n <= N, draw
     the transmission counts (``tx``, ``fd``, ``fr`` for q_u, q_uf, q_ur)
-    and, in decoupled mode only, the LOS interferer counts (``los_ur``,
-    ``los_ud``). Equal probabilities share one table, so a run builds at
-    most five.
+    and, in decoupled mode only, the LOS interferer counts (``los``, by
+    link "ur" and "ud"). Equal probabilities share one table, so a run
+    builds at most five.
     """
 
     def __init__(self, cfg: ScenarioConfig, mode: str):
@@ -433,8 +436,7 @@ class _Powers:
             probs += (b.p_los("ur"), b.p_los("ud"))
         tables = {p: _Binomial(cfg.n_ues, p) for p in dict.fromkeys(probs)}
         self.tx, self.fd, self.fr, *los = (tables[p] for p in probs)
-        if los:
-            self.los_ur, self.los_ud = los
+        self.los = dict(zip(("ur", "ud"), los))
 
 
 def _count_dtype(n_ues: int) -> np.dtype:
@@ -553,21 +555,6 @@ def _interferers(n_fr, n_fd, n_b, slots):
     yield n_fd, n_b
 
 
-def _fresh_reception(gen: np.random.Generator, los: _Binomial, kf_n, kb_n,
-                     draw_desired: bool = True):
-    """Draws of receptions with fresh LOS draws: (desired LOS mask, LOS
-    counts among the ``kf_n`` FD interferers, among the ``kb_n`` BR ones).
-
-    ``los`` samples LOS counts at the link's p_los. Without
-    ``draw_desired`` the desired link is always in LOS (the relay's),
-    draws nothing and its mask is True. Draw order: desired state, then
-    the FD counts, then the BR ones. The interference is formed later,
-    one block at a time (``_interference``).
-    """
-    desired = _los_mask(gen, kf_n.size, los.p) if draw_desired else True
-    return desired, los(gen, kf_n), los(gen, kb_n)
-
-
 def _interference(k_f, kf_n, k_b, kb_n, fd: tuple[float, float],
                   br: tuple[float, float]):
     """LOS count * LOS power + NLOS count * NLOS power of the FD, then the
@@ -583,20 +570,23 @@ def _interference(k_f, kf_n, k_b, kb_n, fd: tuple[float, float],
 def _chunk_decoupled(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
     """Per-slot outcomes of a chunk, fresh LOS draws per reception.
 
-    Draws first: reception after reception, its desired-state mask and
-    its LOS interferer counts (``_fresh_reception``), over the whole
-    chunk. Only those are kept; a block gathers its interferer counts
-    again and forms its interference from them.
+    Draws first: reception after reception, over the whole chunk, its
+    desired-state mask (none for the relay's, always in LOS), then its
+    LOS counts among the FD, then the BR interferers. Only the draws are
+    kept; a block gathers its interferer counts again and forms its
+    interference from them (``_interference``).
     """
     b = pw.budget
-    samplers = {"ur": pw.los_ur, "ud": pw.los_ud}
     slots = _slots(n_fr, n_fd, n_b)
     counts = _interferers(n_fr, n_fd, n_b, slots)
     draws = []
     for i, link in enumerate(_LINKS):
+        los = pw.los[link]
+        # next() rather than a zip loop: zip's reused result tuple would
+        # keep this reception's counts alive while the next are built
         kf_n, kb_n = next(counts)
-        # the last reception, the relay's, is always in LOS
-        draws.append(_fresh_reception(gen, samplers[link], kf_n, kb_n, i < 4))
+        desired = _los_mask(gen, kf_n.size, los.p) if i < 4 else True
+        draws.append((desired, los(gen, kf_n), los(gen, kb_n)))
         del kf_n, kb_n  # before the next reception's counts are built
     powers = [(b.powers(link, "fd"), b.powers(link, "br")) for link in _LINKS]
 

@@ -30,8 +30,9 @@ and q_r). Each group shares one ``SuccessTable``, built at its largest N
 and dropped when the call ends, and with it the traffic-free
 configuration blocks of ``queue_model``, one per zero pattern, so a
 traffic point costs its weighted sums. When a point has the group's
-widest pattern (the OR of its points' patterns), that block is built
-first, and every other pattern's block is a row selection of it. The
+widest pattern (the OR of its points' patterns), the first such point
+is evaluated first and builds that block, a failure being its row's
+error, and every other pattern's block is a row selection of it. The
 numbers are those of a fresh per-point analysis, bit for bit. If that
 table cannot be built, each point gets its own, and only points that
 fail alone get an error. With
@@ -110,9 +111,10 @@ class SweepSpec:
     and sim options.
 
     Made here or by ``load_config``, a spec is checked in one place: the
-    outputs, each axis's name and values (``_check_axis``), an axis named
-    twice, the grid's size (``MAX_GRID_POINTS``) and the simulation
-    arguments by ``simulator.check_argument``.
+    base's type, the outputs, each axis's name and values
+    (``_check_axis``), an axis named twice, the grid's size
+    (``MAX_GRID_POINTS``), ``simulate`` (a bool, numpy's included) and
+    the other simulation arguments by ``simulator.check_argument``.
     A value outside its field's domain, or a point whose fields conflict,
     is an error in that point's row only.
     """
@@ -126,6 +128,9 @@ class SweepSpec:
     mode: str = "decoupled"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, ScenarioConfig):
+            raise ValueError(f"base must be a ScenarioConfig, got "
+                             f"{type(self.base).__name__}")
         _check_outputs(self.outputs)
         names = [name for name, _ in self.axes]
         for i, (name, values) in enumerate(self.axes):
@@ -133,6 +138,8 @@ class SweepSpec:
             if name in names[:i]:
                 raise ValueError(f"the sweep names {name!r} twice")
         _check_grid_size(math.prod(len(v) for _, v in self.axes), "the sweep")
+        if not isinstance(self.simulate, (bool, np.bool_)):
+            raise ValueError(f"simulate must be a bool, got {self.simulate!r}")
         for name in ("n_slots", "seed", "mode"):
             simulator.check_argument(name, getattr(self, name))
 
@@ -335,9 +342,10 @@ def _run_task(args) -> list[tuple[int, dict]]:
     """Rows of a run of points that share one radio configuration, all
     evaluated with one ``SuccessTable`` built at their largest N.
 
-    The block of the points' widest zero pattern is built first when a
-    point has that pattern; the other patterns' blocks are then row
-    selections of it."""
+    The first point of the points' widest zero pattern, if any, goes
+    first: its analysis builds that block (a failure is its row's error),
+    and the other patterns' blocks are row selections of it. Rows keep
+    their grid index, and seeds derive from it."""
     spec, points = args
     table = None
     if points[0][2] is not None:  # invalid points are grouped apart
@@ -347,14 +355,12 @@ def _run_task(args) -> list[tuple[int, dict]]:
         except Exception:
             pass  # then each point is evaluated on its own cold table
     if table is not None:
-        patterns = {queue_model._active(*queue_model._ue_activity_probs(cfg))
-                    for _, _, cfg in points}
+        patterns = [queue_model._active(*queue_model._ue_activity_probs(cfg))
+                    for _, _, cfg in points]
         widest = tuple(map(any, zip(*patterns)))
         if widest in patterns:
-            with contextlib.suppress(Exception):
-                # a failure is the error of the points of that pattern,
-                # which build the block again
-                queue_model._config_block(table, widest)
+            i = patterns.index(widest)
+            points = [points[i], *points[:i], *points[i + 1:]]
     return [(index, _run_point(spec, index, overrides, cfg, table))
             for index, overrides, cfg in points]
 
@@ -416,10 +422,3 @@ def write_csv(spec: SweepSpec, rows: list[dict], stream: io.TextIOBase) -> None:
     writer.writerow(cols)
     for row in rows:
         writer.writerow([format_value(row.get(c, "")) for c in cols])
-
-
-def sweep_to_csv(spec: SweepSpec, path: str, jobs: int = 1) -> list[dict]:
-    rows = run_sweep(spec, jobs=jobs)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_csv(spec, rows, fh)
-    return rows

@@ -16,7 +16,10 @@ LOS partitions; the array table must reproduce its floats exactly. The
 queue-scan oracle is the simulator's slot-by-slot queue update, which the
 vectorized scan must reproduce exactly. The binomial oracle is numpy's
 scalar binomial draw, which the simulator's tabulated sampler must
-reproduce draw for draw. The two-UE closed forms are
+reproduce draw for draw. The reference simulator is the simulator's
+whole contract in plain loops, with ``Generator.binomial`` draws, per-slot
+interference sums and the queue-scan oracle; ``simulator.run`` must
+reproduce its statistics bit for bit. The two-UE closed forms are
 carried both verbatim (``literal=True``) and in engine-matching form, with
 every verbatim term that disagrees catalogued in
 ``TWO_UE_LITERAL_DISCREPANCIES``.
@@ -30,6 +33,8 @@ import math
 import numpy as np
 
 from mmrelay.geometry import LinkBudget, LinkState, ScenarioConfig
+from mmrelay.simulator import (_CHUNK, _TARGET_BATCHES, _WARMUP_CAP, SimStats,
+                               _se)
 from mmrelay.success import SuccessTable
 
 
@@ -319,6 +324,199 @@ def _binomial_inversion(next_double, n: int, p: float) -> int:
             u -= px
             px = ((n - x + 1) * p * px) / (x * q)
     return x
+
+
+# ---------------------------------------------------------------------------
+# Reference simulator: the simulator's contract, written plainly.
+# ---------------------------------------------------------------------------
+
+# The five receptions of a slot, in the simulator's order, as the (link,
+# scheme) of their signal: FD and BR at the relay, BR and FD at the mmAP,
+# and the relay's packet at the mmAP.
+_REF_RECEPTIONS = (("ur", "fd"), ("ur", "br"), ("ud", "br"), ("ud", "fd"),
+                   ("rd", "fd"))
+
+
+def _ref_interferers(fr: int, fd: int, b: int):
+    """Per reception kind of a slot with fr FD->relay, fd FD->mmAP and b
+    BR transmissions: (receptions, FD interferers, BR interferers) of
+    each reception. An FD packet aimed at the other receiver does not
+    interfere; the relay sends one packet per slot."""
+    return ((fr, fr - 1, b), (b, fr, b - 1), (b, fd, b - 1),
+            (fd, fd - 1, b), (1, fd, b))
+
+
+def _ref_decoupled(gen, budget: LinkBudget, n_fr, n_fd, n_b):
+    """Per reception kind, each reception's (desired LOS state,
+    interference), in slot order, with fresh LOS draws per reception.
+
+    Kind after kind, over the whole chunk: the desired states (the
+    relay's is always LOS and draws none), then the LOS counts among the
+    FD interferers, then among the BR ones, at the interferers' link's
+    p_los. The interference adds LOS and NLOS powers left to right."""
+    out = []
+    for kind in range(len(_REF_RECEPTIONS)):
+        link = "ur" if kind < 2 else "ud"
+        kf, kb = [], []
+        for slot in zip(n_fr, n_fd, n_b):
+            m, f, b = _ref_interferers(*slot)[kind]
+            kf += [f] * m
+            kb += [b] * m
+        p = budget.p_los(link)
+        los = ((gen.random(len(kf)) < p).tolist() if kind < 4
+               else [True] * len(kf))
+        k_f = gen.binomial(np.array(kf, dtype=np.int64), p).tolist()
+        k_b = gen.binomial(np.array(kb, dtype=np.int64), p).tolist()
+        fd, br = budget.powers(link, "fd"), budget.powers(link, "br")
+        out.append([(d, x * fd[0] + (f - x) * fd[1] + y * br[0]
+                     + (b - y) * br[1])
+                    for d, x, f, y, b in zip(los, k_f, kf, k_b, kb)])
+    return out
+
+
+def _ref_total(received) -> float:
+    """The received powers of a slot's transmissions added in order."""
+    total = 0.0
+    for _, power in received:
+        total += power
+    return total
+
+
+def _ref_physical(gen, budget: LinkBudget, n_fr, n_fd, n_b):
+    """Per reception kind, each reception's (desired LOS state,
+    interference), in slot order, with one LOS draw per link per slot.
+
+    The draws come first, over the whole chunk: the LOS states of the
+    FD->relay, then the BR transmissions toward the relay, then of the
+    FD->mmAP, then the BR transmissions toward the mmAP. A reception's
+    interference is its slot's total at the receiver, FD then BR, less
+    its own power."""
+    sent = (("ur", "fd", n_fr), ("ur", "br", n_b), ("ud", "fd", n_fd),
+            ("ud", "br", n_b))
+    states = [iter((gen.random(sum(n)) < budget.p_los(link)).tolist())
+              for link, _, n in sent]
+    out = [[] for _ in _REF_RECEPTIONS]
+    for slot in zip(n_fr, n_b, n_fd, n_b):
+        fr_r, b_r, fd_d, b_d = (
+            [(los, budget.powers(link, scheme)[0 if los else 1])
+             for los in itertools.islice(state, m)]
+            for (link, scheme, _), state, m in zip(sent, states, slot))
+        at_r = _ref_total(fr_r) + _ref_total(b_r)
+        at_d = _ref_total(fd_d) + _ref_total(b_d)
+        for kind, (received, total) in enumerate(
+                ((fr_r, at_r), (b_r, at_r), (b_d, at_d), (fd_d, at_d))):
+            out[kind] += [(los, total - power) for los, power in received]
+        out[4].append((True, at_d))
+    return out
+
+
+def _ref_decoded(los: bool, interference: float, thresholds) -> bool:
+    return interference <= thresholds[0 if los else 1]
+
+
+def _ref_outcomes(budget: LinkBudget, n_fr, n_fd, n_b, receptions):
+    """(arr_s, arr_t, dir_s, dir_t, rd_ok) of each slot, slot by slot.
+
+    The queue stores the decoded FD->relay packets and the BR packets
+    decoded at the relay and lost at the mmAP; the FD and BR packets
+    decoded at the mmAP are delivered. With the relay transmitting
+    (suffix t), its power adds to the interference at the mmAP."""
+    thr = [budget.thresholds(*r) for r in _REF_RECEPTIONS]
+    p_relay = budget.relay_interference_w
+    fd_r, br_r, br_d, fd_d, rd = map(iter, receptions)
+    out = []
+    for fr, fd, b in zip(n_fr, n_fd, n_b):
+        stored_fr = sum(_ref_decoded(*next(fd_r), thr[0]) for _ in range(fr))
+        at_relay = [_ref_decoded(*next(br_r), thr[1]) for _ in range(b)]
+        silent = [next(br_d) for _ in range(b)], [next(fd_d) for _ in range(fd)]
+        transmitting = tuple([(los, i + p_relay) for los, i in kind]
+                             for kind in silent)
+        arrivals, direct = [], []
+        for at_mmap_b, at_mmap_fd in (silent, transmitting):
+            ok_b = [_ref_decoded(*r, thr[2]) for r in at_mmap_b]
+            arrivals.append(stored_fr + sum(
+                r and not d for r, d in zip(at_relay, ok_b)))
+            direct.append(sum(_ref_decoded(*r, thr[3]) for r in at_mmap_fd)
+                          + sum(ok_b))
+        out.append((*arrivals, *direct, _ref_decoded(*next(rd), thr[4])))
+    return out
+
+
+def simulate_reference(cfg: ScenarioConfig, n_slots: int, seed: int,
+                       mode: str = "decoupled") -> SimStats:
+    """``simulator.run``'s statistics, bit for bit, from plain code.
+
+    The contract: ``SeedSequence(seed).spawn(3)`` gives the transmission
+    stream and the physical and decoupled LOS streams. Slots go in chunks
+    of ``_CHUNK``. Per chunk, the transmission stream draws the per-slot
+    counts (Binomial(N, q_u) transmitters, Binomial(of those, q_uf) FD,
+    Binomial(of those, q_ur) aimed at the relay, the rest BR), then the
+    relay's q_r coins; the mode's stream then draws the chunk's LOS
+    values. Each binomial is ``Generator.binomial`` and each LOS state
+    ``random() < p_los``. Every reception is decided by the budget's
+    thresholds, the queue is updated slot by slot
+    (``scan_chunk_oracle``), and the statistics are assembled as ``run``
+    assembles them.
+    """
+    budget = LinkBudget(cfg)
+    child = np.random.SeedSequence(seed).spawn(3)
+    choices = np.random.Generator(np.random.PCG64(child[0]))
+    decoupled = mode == "decoupled"
+    gen = np.random.Generator(np.random.PCG64(child[2 if decoupled else 1]))
+    receptions = _ref_decoupled if decoupled else _ref_physical
+
+    warm = min(n_slots // 10, _WARMUP_CAP)
+    measured = n_slots - warm
+    nb = min(_TARGET_BATCHES, measured)
+    blen = measured // nb
+    early_end = n_slots // 4
+    late_start = n_slots - n_slots // 4
+    bat, qacc, q = np.zeros((nb, 5)), np.zeros(6), 0
+    for t0 in range(0, n_slots, _CHUNK):
+        c = min(_CHUNK, n_slots - t0)
+        n_tx = choices.binomial(np.full(c, cfg.n_ues), cfg.q_u)
+        n_f = choices.binomial(n_tx, cfg.q_uf)
+        n_fr = choices.binomial(n_f, cfg.q_ur)
+        coin = choices.random(c) < cfg.q_r
+        counts = n_fr.tolist(), (n_f - n_fr).tolist(), (n_tx - n_f).tolist()
+        slots = _ref_outcomes(budget, *counts,
+                              receptions(gen, budget, *counts))
+        q = int(scan_chunk_oracle(q, t0, *map(np.array, zip(*slots)), coin,
+                                  warm, blen, nb, early_end, late_start,
+                                  bat, qacc))
+
+    in_batches = nb * blen
+    direct, relayed, enqueued, nonempty, empties = bat.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_b = np.where(bat[:, 3] > 0, bat[:, 1] / bat[:, 3], math.nan)
+    return SimStats(
+        slots=n_slots,
+        warmup_slots=warm,
+        measured_slots=in_batches,
+        n_batches=nb,
+        delivered_direct=int(direct),
+        delivered_relay=int(relayed),
+        t_sim=(direct + relayed) / in_batches,
+        t_sim_se=_se((bat[:, 0] + bat[:, 1]) / blen),
+        lambda_sim=enqueued / in_batches,
+        lambda_sim_se=_se(bat[:, 2] / blen),
+        mu_sim=relayed / nonempty if nonempty > 0 else math.nan,
+        mu_sim_se=_se(mu_b),
+        p_empty_sim=empties / in_batches,
+        p_empty_se=_se(bat[:, 4] / blen),
+        mean_queue=qacc[0] / in_batches,
+        max_queue=int(qacc[1]),
+        queue_final=q,
+        enqueued_total=int(qacc[4]),
+        departed_total=int(qacc[5]),
+        mean_queue_first_quarter=(qacc[2] / early_end if early_end
+                                  else math.nan),
+        mean_queue_last_quarter=(qacc[3] / (n_slots - late_start)
+                                 if n_slots - late_start else math.nan),
+        drift_sim=q / n_slots,
+        seed=seed,
+        mode=mode,
+    )
 
 
 # ---------------------------------------------------------------------------

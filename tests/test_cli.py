@@ -376,6 +376,24 @@ class TestRunSweep:
                                match=f"^line 2: {re.escape(message)}$"):
                 load_config(_write(tmp_path, f"[sweep]\n{line}\n"))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # a truthy string simulated every point
+        ({"simulate": "false"}, "simulate must be a bool, got 'false'"),
+        ({"simulate": 2}, "simulate must be a bool, got 2"),
+        # a dict made every row an AttributeError
+        ({"base": {"n_ues": 2}}, "base must be a ScenarioConfig, got dict"),
+    ])
+    def test_spec_field_of_the_wrong_type_rejected(self, kwargs, message):
+        kwargs = {"base": ScenarioConfig(n_ues=2), **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(axes=(("q_u", (0.1,)),), **kwargs)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_numpy_bool_simulate_accepted(self, flag):
+        spec = SweepSpec(ScenarioConfig(n_ues=2), simulate=np.bool_(flag))
+        assert sweep_columns(spec) == sweep_columns(
+            SweepSpec(ScenarioConfig(n_ues=2), simulate=flag))
+
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.0])
     def test_bad_jobs_rejected_before_any_point(self, monkeypatch, jobs):
         def unexpected(*args):

@@ -379,6 +379,11 @@ class TestSuccessArrayUse:
             queue_statistics(ScenarioConfig(n_ues=1030, q_u=0.0))
 
 
+def _stored_inputs(blk):
+    """(p_f, stores) of a block: rows 5 and 6-7 of its ``factors``."""
+    return blk.factors[5], blk.factors[6:]
+
+
 class TestConfigBlock:
     @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize("n", [1, 2, 7, 15, 30])
@@ -389,12 +394,13 @@ class TestConfigBlock:
         table = SuccessTable(ScenarioConfig(n_ues=n))
         for active in itertools.product((False, True), repeat=3):
             blk = queue_model._config_block(table, active)
-            for v_s, store in zip(blk.v, blk.stores):
+            p_f, stores = _stored_inputs(blk)
+            for v_s, store in zip(blk.v, stores):
                 assert not v_s[0].any() and not v_s[n + 2].any()
                 for c, (f, b) in enumerate(zip(blk.n_fr.tolist(),
                                                blk.n_b.tolist())):
                     assert v_s[1:n + 2, c].tolist() == stored_pmf_oracle(
-                        n, f, b, blk.p_f[c], store[c])
+                        n, f, b, p_f[c], store[c])
 
     @pytest.mark.parametrize("radio, state", [
         # the relay-transmitting stores repeat where the silent ones differ
@@ -408,17 +414,18 @@ class TestConfigBlock:
         table = SuccessTable(ScenarioConfig(n_ues=n, **radio))
         for active in itertools.product((False, True), repeat=3):
             blk = queue_model._config_block(table, active)
-            for v_s, store in zip(blk.v, blk.stores):
+            p_f, stores = _stored_inputs(blk)
+            for v_s, store in zip(blk.v, stores):
                 for c, (f, b) in enumerate(zip(blk.n_fr.tolist(),
                                                blk.n_b.tolist())):
                     assert v_s[1:n + 2, c].tolist() == stored_pmf_oracle(
-                        n, f, b, blk.p_f[c], store[c])
+                        n, f, b, p_f[c], store[c])
 
         def inputs(*stores):
             return len(set(zip(blk.n_fr.tolist(), blk.n_b.tolist(),
                                *(s.tolist() for s in stores))))
 
-        assert inputs(*blk.stores) > inputs(blk.stores[state])
+        assert inputs(*stores) > inputs(stores[state])
 
     @pytest.mark.parametrize("n, row_runs", [(10, 1), (30, 6)])
     def test_cold_analysis_binomial_passes(self, monkeypatch, n, row_runs):
@@ -440,8 +447,9 @@ class TestConfigBlock:
         aggregate_throughput(cfg, table)
         (blk,) = table.blocks.values()
         assert -(-blk.n_fr.size // queue_model._BLOCK_ROWS) == row_runs
-        inputs = len(set(zip(blk.n_fr.tolist(), blk.p_f.tolist(),
-                             blk.n_b.tolist(), *blk.stores.tolist())))
+        p_f, stores = _stored_inputs(blk)
+        inputs = len(set(zip(blk.n_fr.tolist(), p_f.tolist(),
+                             blk.n_b.tolist(), *stores.tolist())))
         assert inputs < blk.n_fr.size
         assert len(calls) == 2 * -(-inputs // queue_model._BLOCK_ROWS)
         assert sum(calls) == 3 * inputs

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mmrelay import ScenarioConfig, SuccessTable, aggregate_throughput, compare, run
 from mmrelay import simulator
-from oracles import binomial_oracle, scan_chunk_oracle
+from oracles import binomial_oracle, scan_chunk_oracle, simulate_reference
 
 
 _LIGHT = ScenarioConfig(n_ues=5, q_u=0.5, q_r=0.9)
@@ -555,14 +555,16 @@ class TestNarrowCounts:
 
 class TestChunkMemory:
     @pytest.mark.parametrize("mode, limit_mb", [("physical", 13),
-                                                ("decoupled", 22)],
+                                                ("decoupled", 18)],
                              ids=["physical", "decoupled"])
     def test_heavy_chunk_peak(self, mode, limit_mb):
         # Measured at 10.5 MB (physical) and 17.0 MB (decoupled), against
         # 14.6 MB and 35.8 MB with int32 counts and slot indices, and
         # 52.5 MB and 48.3 MB when each chunk's receptions were formed as
         # whole-chunk arrays. A decoupled chunk keeps its LOS masks and
-        # int8 counts, 3 bytes per reception, until its blocks are decoded.
+        # int8 counts, 3 bytes per reception, until its blocks are decoded;
+        # a draw loop that kept one reception's interferer counts alive
+        # while the next were built read 18.7 MB.
         run(_HEAVY, 100, seed=1, mode=mode)
         tracemalloc.start()
         try:
@@ -590,3 +592,44 @@ class TestGoldenStats:
         stats = run(ScenarioConfig(**case["point"]), case["n_slots"],
                     case["seed"], case["mode"])
         assert _bits(stats) == case["stats"]
+
+
+class TestReferenceSimulator:
+    """``run`` equals ``oracles.simulate_reference``, the whole contract
+    (streams, draw order, decode rule, queue rule, statistics) written
+    plainly, ``float.hex`` for ``float.hex``."""
+
+    @pytest.mark.parametrize("mode", simulator.MODES)
+    @pytest.mark.parametrize("cfg, n_slots", [
+        (_LIGHT, 10_000),
+        (_HEAVY, 1_500),
+        # unstable: the queue is carried into a second, short chunk
+        (ScenarioConfig(n_ues=5, q_u=0.6, q_r=0.1), simulator._CHUNK + 3_000),
+        (ScenarioConfig(n_ues=5, q_u=0.0), 5_000),
+        (ScenarioConfig(n_ues=6, q_u=0.7, q_uf=0.0), 5_000),
+        (ScenarioConfig(n_ues=6, q_u=0.7, q_uf=1.0), 5_000),
+        # n * min(p, 1 - p) > 30: the sampler's BTPE side
+        (ScenarioConfig(n_ues=70, q_u=0.5), 300),
+        (_LIGHT, 10),
+    ], ids=["light", "heavy", "unstable-2-chunks", "silent", "no-fd", "no-br",
+            "btpe", "ten-slots"])
+    def test_run_equals_reference(self, cfg, n_slots, mode):
+        stats = run(cfg, n_slots, seed=8, mode=mode)
+        assert _bits(stats) == _bits(simulate_reference(cfg, n_slots, 8, mode))
+        if n_slots > simulator._CHUNK:
+            assert stats.queue_final > 1000
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_ues=st.integers(1, 8),
+           q=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+           gamma_db=st.floats(-5.0, 25.0),
+           d_ur_m=st.floats(10.0, 120.0),
+           n_slots=st.integers(1, 2_000),
+           seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(simulator.MODES))
+    def test_random_scenarios(self, n_ues, q, gamma_db, d_ur_m, n_slots, seed,
+                              mode):
+        cfg = ScenarioConfig(n_ues=n_ues, q_u=q[0], q_uf=q[1], q_ur=q[2],
+                             q_r=q[3], gamma_db=gamma_db, d_ur_m=d_ur_m)
+        assert _bits(run(cfg, n_slots, seed, mode)) == \
+            _bits(simulate_reference(cfg, n_slots, seed, mode))
