@@ -19,10 +19,10 @@ Two LOS-sampling modes expose the analysis's decoupling convention:
 * ``physical`` - one LOS draw per directed link per slot, shared by all
   receptions, which quantifies the correlation the analysis ignores.
 
-The modes differ only in LOS sampling: each forms the same five
-(desired LOS state, interference) pairs per block of a chunk, and both
-share one set of outcome rules (``_outcomes``: the decode tests, the relay's beam at
-the mmAP and the per-slot tallies). The simulator adds up each reception's
+The modes differ only in LOS sampling: each forms the same five kinds of
+(desired LOS state, interference) pairs, and both decide them by one set
+of outcome rules (``_decide``: the decode tests, the relay's beam at the
+mmAP and the per-slot tallies). The simulator adds up each reception's
 interference itself, from the link budget's (LOS, NLOS) received powers
 and its ``relay_interference_w``, and decides it by the budget's decode
 rule: interference at most the threshold of the signal's state, which is
@@ -36,26 +36,30 @@ arguments yield bit-identical statistics. ``tests/oracles.py``'s
 streams, the chunks and the draw order within one, the decode rule, the
 queue rule and the statistics; the tests hold ``run`` to it bit for bit.
 
-Slots are processed in chunks, and a chunk in two phases. First every
-random value of the chunk is drawn, in the contract's order, and only
-compact results are kept: LOS masks, and in decoupled mode LOS counts.
-Every count is held in the narrowest signed integer type that holds
--1..N (``_count_dtype``: int8 up to N = 127), and every transmission's
-slot in uint16, so a decoupled chunk keeps 3 bytes per reception (a mask
-byte and two counts). Then the chunk is decoded in blocks of whole slots
-holding at most ``_RECEPTION_BLOCK`` transmissions, so that a block's
-arrays stay in cache: per block the interference of each reception,
-the outcome rules and the block's slice of the per-slot outcomes. The
-relay-queue scan over the chunk (``_scan_chunk``) does not step slot by
-slot either: only a slot with arrivals while the queue is empty starts
-a busy period, so one sort and one search find where each such period
-would end, and a walk over the busy periods actually reached, one step
-each and at most n / 2 for n slots, marks the empty-queue slots; a
-chunk that starts empty and has no such slot is not searched. Each
-slot's interference is summed in transmission order whatever the block
+Slots are processed in chunks. Every count, and every per-slot outcome,
+is held in the narrowest signed integer type that holds -1..N
+(``_count_dtype``: int8 up to N = 127), and a decoupled reception's slot
+in uint16; a chunk's outcomes live only until its queue scan. A decoupled
+chunk decides each reception as soon as its draws are made: kind after
+kind of reception, in the contract's order, it draws the desired-state
+mask and the FD LOS counts over the whole chunk, then the BR LOS counts
+in pieces of ``_SAMPLE_BLOCK`` receptions, and forms, decides and
+tallies each piece at once. Between pieces it keeps 4 bytes per
+reception of the current kind (its uint16 slot, mask byte and FD count)
+and 1 byte per BR transmission (decoded at the relay, until BR at the
+mmAP is decided). A physical chunk draws its four LOS masks first and then
+decodes in blocks of whole slots holding at most ``_RECEPTION_BLOCK``
+transmissions, so that a block's arrays stay in cache. The relay-queue
+scan over the chunk (``_scan_chunk``) does not step slot by slot
+either: only a slot with arrivals while the queue is empty starts a busy
+period, so one sort and one search find where each such period would
+end, and a walk over the busy periods actually reached, one step each
+and at most n / 2 for n slots, marks the empty-queue slots; a chunk that
+starts empty and has no such slot is not searched. Each slot's
+interference is summed in transmission order whatever the block or piece
 size, the rest is elementwise or an integer count, and the scan's
-statistics are integer sums, so every statistic equals that of a
-slot-by-slot update bit for bit: the reference's.
+statistics are integer sums, taken in int64, so every statistic equals
+that of a slot-by-slot update bit for bit: the reference's.
 
 Every binomial count (transmitters, FD choices, relay aims and, in
 decoupled mode, LOS interferers) comes from ``_Binomial``, an exact
@@ -102,12 +106,14 @@ _TARGET_BATCHES = 50
 # the memory and sampled no faster.
 _GUIDE_BITS = 10
 _GUIDE_CELL_BITS = 15
-# Binomial draws per sampler block, and doubles per piece of a LOS mask:
-# the arrays stay in cache.
+# Binomial draws per sampler block, doubles per piece of a LOS mask and
+# receptions per decided piece of a decoupled chunk: the arrays stay in
+# cache. Not part of the draw order.
 _SAMPLE_BLOCK = 1 << 15
-# Transmissions per reception block: a chunk is decoded in runs of whole
-# slots holding at most this many (a heavier slot is a block of its own).
-# Not part of the draw order: any size gives the same statistics.
+# Transmissions per reception block: a physical chunk is decoded in runs
+# of whole slots holding at most this many (a heavier slot is a block of
+# its own). Not part of the draw order: any size gives the same
+# statistics.
 _RECEPTION_BLOCK = 1 << 15
 
 
@@ -131,7 +137,7 @@ def _next_empty(q, busy, arr_s, arr_t, rd_ok, coin):
     """
     n = arr_s.shape[0]
     p = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.where(coin, arr_t - rd_ok, arr_s), out=p[1:])
+    np.cumsum(np.where(coin, arr_t - rd_ok, arr_s), dtype=np.int64, out=p[1:])
     base = p.min() - 1
     bits = (n + 2).bit_length()
     low = (1 << bits) - 1
@@ -209,8 +215,8 @@ def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
     would end, and ``_empty_slots`` walks the periods reached from the
     chunk start. Without busy slots or a carried-in queue every slot is
     empty, and nothing is searched. Every accumulated value is an integer
-    sum, so the floats equal those of a slot-by-slot update while the sums
-    stay below 2**53.
+    sum, taken in int64 whatever the per-slot values' type, so the floats
+    equal those of a slot-by-slot update while the sums stay below 2**53.
     """
     n = arr_s.shape[0]
     is_busy = arr_s > 0
@@ -224,9 +230,9 @@ def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
     dep = serve & rd_ok
     a = np.where(serve, arr_t, arr_s)
     d = np.where(serve, dir_t, dir_s)
-    qpath = q + np.cumsum(a - dep)
-    qacc[4] += a.sum()
-    qacc[5] += dep.sum()
+    qpath = q + np.cumsum(a - dep, dtype=np.int64)
+    qacc[4] += a.sum(dtype=np.int64)
+    qacc[5] += dep.sum(dtype=np.int64)
     qacc[2] += qpath[:max(early_end - t0, 0)].sum()
     qacc[3] += qpath[max(late_start - t0, 0):].sum()
 
@@ -240,7 +246,8 @@ def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
         edges += warm - t0 - lo
         edges[0] = 0
         for col, v in enumerate((d, dep, a, ~empty, empty)):
-            bat[b0:b0 + edges.size, col] += np.add.reduceat(v[lo:hi], edges)
+            bat[b0:b0 + edges.size, col] += np.add.reduceat(v[lo:hi], edges,
+                                                            dtype=np.int64)
         measured = qpath[lo:hi]
         qacc[0] += measured.sum()
         qacc[1] = max(qacc[1], measured.max())
@@ -474,12 +481,12 @@ def _los_mask(gen: np.random.Generator, size: int, p: float):
 
 
 def _blocks(n_tx):
-    """A chunk's reception blocks, in slot order, as slot slices: runs of
-    whole slots holding at most ``_RECEPTION_BLOCK`` of the ``n_tx``
-    transmissions per slot, or one heavier slot."""
+    """A physical chunk's reception blocks, in slot order, as slot slices:
+    runs of whole slots holding at most ``_RECEPTION_BLOCK`` of the
+    ``n_tx`` transmissions per slot, or one heavier slot."""
     c = n_tx.size
     ends = np.zeros(c + 1, dtype=np.int64)
-    np.cumsum(n_tx, out=ends[1:])
+    np.cumsum(n_tx, dtype=np.int64, out=ends[1:])
     s0 = 0
     while s0 < c:
         s1 = int(ends.searchsorted(int(ends[s0]) + _RECEPTION_BLOCK, "right"))
@@ -493,66 +500,44 @@ def _blocks(n_tx):
 _SLOT_DTYPE = np.min_scalar_type(_CHUNK - 1)
 
 
-def _slots(n_fr, n_fd, n_b):
-    """The slot of each FD->relay, BR and FD->mmAP transmission, in slot
-    order, as ``_SLOT_DTYPE``: half the bytes of int32, and a block
-    converts only its own slice to intp."""
+# The five receptions of a slot, in the order they are drawn and decided,
+# by the (link, scheme) of their signal: FD and BR at the relay, BR and
+# FD at the mmAP, then the relay's packet at the mmAP.
+_RECEPTIONS = (("ur", "fd"), ("ur", "br"), ("ud", "br"), ("ud", "fd"),
+               ("rd", "fd"))
+
+
+def _reception_slots(n_fr, n_fd, n_b):
+    """Per reception, in the order of ``_RECEPTIONS``: the slot of each, in
+    slot order, as ``_SLOT_DTYPE`` (half the bytes of int32; a piece
+    converts only its own slice to intp). Built one kind at a time, and
+    once for the BR transmissions, which both receivers hear."""
     idx = np.arange(n_fr.size, dtype=_SLOT_DTYPE)
-    return tuple(np.repeat(idx, n) for n in (n_fr, n_b, n_fd))
+    yield idx.repeat(n_fr)
+    br = idx.repeat(n_b)
+    yield br
+    yield br
+    del br
+    yield idx.repeat(n_fd)
+    yield idx
 
 
-def _decode_blocks(pw: _Powers, n_fr, n_fd, n_b, slots, receptions):
-    """(arr_s, arr_t, dir_s, dir_t, rd_ok) per slot of a chunk whose draws
-    are done, one block at a time (``_blocks``).
-
-    ``slots`` are the chunk's ``_slots``. ``receptions(block, spans,
-    local)`` gives a block's five receptions from its slot slice, the
-    slices of its FD->relay, BR and FD->mmAP transmissions among the
-    chunk's, and those transmissions' slots numbered from the block's
-    first slot; ``_outcomes`` decides them. A block's spans follow from
-    each kind's running count of transmissions, with no search over the
-    slot arrays.
-    """
-    c = n_fr.size
-    out = (*(np.empty(c, dtype=np.int64) for _ in range(4)),
-           np.empty(c, dtype=bool))
-    stops = [0, 0, 0]
-    for block in _blocks(n_fr + n_fd + n_b):
-        starts, stops = stops, [a + int(n[block].sum()) for a, n
-                                in zip(stops, (n_fr, n_b, n_fd))]
-        spans = [slice(a, z) for a, z in zip(starts, stops)]
-        # intp: bincount, take and fancy indexing convert any other index
-        # dtype on every call
-        local = tuple(np.subtract(s[span], block.start, dtype=np.intp)
-                      for s, span in zip(slots, spans))
-        cb = block.stop - block.start
-        for o, v in zip(out, _outcomes(pw, cb, local,
-                                       *receptions(block, spans, local))):
-            o[block] = v
-    return out
+def _tallies(n_fr):
+    """A chunk's per-slot outcomes (arr_s, arr_t, dir_s, dir_t, rd_ok),
+    before any reception is decided: counts in ``n_fr``'s dtype, the
+    count dtype, which holds any number of a slot's packets."""
+    return (*(np.zeros(n_fr.size, dtype=n_fr.dtype) for _ in range(4)),
+            np.empty(n_fr.size, dtype=bool))
 
 
-# The link of each of the five receptions, in the order of ``_outcomes``.
-_LINKS = ("ur", "ur", "ud", "ud", "ud")
-
-
-def _interferers(n_fr, n_fd, n_b, slots):
-    """Per reception, in the order of ``_outcomes``: its (FD, BR)
-    interferer counts, one per transmission (the relay's: one per slot),
-    gathered from the per-slot counts of a chunk or a block by their
-    ``_slots``. Built one reception at a time, so that a chunk's draws
-    hold at most two receptions' counts."""
-    slots_fr, slots_b, slots_fd = slots
-    # FD packets at the relay: interfered by the other FD-to-relay
-    # transmissions and every broadcast.
-    yield (n_fr - 1).take(slots_fr), n_b.take(slots_fr)
-    kb = (n_b - 1).take(slots_b)
-    yield n_fr.take(slots_b), kb
-    yield n_fd.take(slots_b), kb
-    del kb
-    yield (n_fd - 1).take(slots_fd), n_b.take(slots_fd)
-    # The relay's head-of-queue packet.
-    yield n_fd, n_b
+def _interferers(n_fr, n_fd, n_b):
+    """Per reception, in the order of ``_RECEPTIONS``: its (FD, BR) interferer
+    counts, per slot. An FD packet aimed at the other receiver does not
+    interfere, and no packet interferes with itself; the relay sends one
+    packet per slot."""
+    kb = n_b - 1
+    return ((n_fr - 1, n_b), (n_fr, kb), (n_fd, kb), (n_fd - 1, n_b),
+            (n_fd, n_b))
 
 
 def _interference(k_f, kf_n, k_b, kb_n, fd: tuple[float, float],
@@ -570,57 +555,73 @@ def _interference(k_f, kf_n, k_b, kb_n, fd: tuple[float, float],
 def _chunk_decoupled(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
     """Per-slot outcomes of a chunk, fresh LOS draws per reception.
 
-    Draws first: reception after reception, over the whole chunk, its
-    desired-state mask (none for the relay's, always in LOS), then its
-    LOS counts among the FD, then the BR interferers. Only the draws are
-    kept; a block gathers its interferer counts again and forms its
-    interference from them (``_interference``).
+    Reception after reception, over the whole chunk: its desired-state
+    mask (none for the relay's, always in LOS), then its LOS counts among
+    the FD interferers, then, in pieces of ``_SAMPLE_BLOCK`` receptions,
+    those among the BR interferers. Each piece is decided (``_decide``) as
+    soon as its draws are made, so between pieces a chunk keeps only the
+    reception's slots, mask and FD LOS counts, and the BR-at-relay decode
+    mask.
     """
     b = pw.budget
-    slots = _slots(n_fr, n_fd, n_b)
-    counts = _interferers(n_fr, n_fd, n_b, slots)
-    draws = []
-    for i, link in enumerate(_LINKS):
+    out = _tallies(n_fr)
+    at_relay = np.empty(int(n_b.sum(dtype=np.int64)), dtype=bool)
+    for kind, (slots, (per_f, per_b)) in enumerate(
+            zip(_reception_slots(n_fr, n_fd, n_b),
+                _interferers(n_fr, n_fd, n_b))):
+        # interferers reach the relay over "ur" and the mmAP over "ud"
+        link = "ur" if _RECEPTIONS[kind][0] == "ur" else "ud"
         los = pw.los[link]
-        # next() rather than a zip loop: zip's reused result tuple would
-        # keep this reception's counts alive while the next are built
-        kf_n, kb_n = next(counts)
-        desired = _los_mask(gen, kf_n.size, los.p) if i < 4 else True
-        draws.append((desired, los(gen, kf_n), los(gen, kb_n)))
-        del kf_n, kb_n  # before the next reception's counts are built
-    powers = [(b.powers(link, "fd"), b.powers(link, "br")) for link in _LINKS]
-
-    def receptions(block, spans, local):
-        fr, br, fd = spans
-        return [(desired if desired is True else desired[span],
-                 _interference(k_f[span], kf_n, k_b[span], kb_n, *pair))
-                for span, (desired, k_f, k_b), (kf_n, kb_n), pair
-                in zip((fr, br, br, fd, block), draws,
-                       _interferers(n_fr[block], n_fd[block], n_b[block],
-                                    local),
-                       powers)]
-
-    return _decode_blocks(pw, n_fr, n_fd, n_b, slots, receptions)
+        desired = _los_mask(gen, slots.size, los.p) if kind < 4 else None
+        pieces = [slice(lo, lo + _SAMPLE_BLOCK)
+                  for lo in range(0, slots.size, _SAMPLE_BLOCK)]
+        k_f = np.empty(slots.size, dtype=per_f.dtype)
+        for piece in pieces:
+            k_f[piece] = los(gen, per_f.take(slots[piece]))
+        powers = b.powers(link, "fd"), b.powers(link, "br")
+        for piece in pieces:
+            s = slots[piece]
+            first, stop = int(s[0]), int(s[-1]) + 1
+            # intp: take and bincount convert any other index dtype
+            local = np.subtract(s, first, dtype=np.intp)
+            kf_n, kb_n = (n[first:stop].take(local) for n in (per_f, per_b))
+            interference = _interference(k_f[piece], kf_n,
+                                         los(gen, kb_n), kb_n, *powers)
+            _decide(pw, kind, [o[first:stop] for o in out], local,
+                    True if desired is None else desired[piece],
+                    interference, at_relay[piece] if kind in (1, 2) else None)
+        del desired, k_f  # before the next reception's are drawn
+    return out
 
 
 def _chunk_physical(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
     """Per-slot outcomes of a chunk, one LOS draw per link per slot.
 
     Draws first: the LOS masks of the links toward the relay (FD-to-relay,
-    then BR transmitters) and toward the mmAP (FD-to-mmAP, then BR). Per
-    block, each transmission's received power is the 2-entry gather of
-    its link's (NLOS, LOS) pair by its mask, and a reception's
-    interference is its slot's total at the receiver less its own power.
+    then BR transmitters) and toward the mmAP (FD-to-mmAP, then BR). Then
+    the chunk is decided block by block (``_blocks``): each
+    transmission's received power is the 2-entry gather of its link's
+    (NLOS, LOS) pair by its mask, and a reception's interference is its
+    slot's total at the receiver less its own power. A block numbers its
+    transmissions' slots from its own counts, and its spans among the
+    chunk's transmissions (its slices of the masks) follow from each
+    kind's running count, so no chunk-wide slot array is built.
     """
     b = pw.budget
     links = (("ur", "fd"), ("ur", "br"), ("ud", "fd"), ("ud", "br"))
-    masks = [_los_mask(gen, int(n.sum()), b.p_los(link))
+    masks = [_los_mask(gen, int(n.sum(dtype=np.int64)), b.p_los(link))
              for n, (link, _) in zip((n_fr, n_b, n_fd, n_b), links)]
     pairs = [np.array(b.powers(*link)[::-1]) for link in links]
-
-    def receptions(block, spans, local):
-        slots_fr, slots_b, slots_fd = local
+    out = _tallies(n_fr)
+    stops = [0, 0, 0]
+    for block in _blocks(n_fr + n_fd + n_b):
         cb = block.stop - block.start
+        # the block's FD->relay, BR and FD->mmAP transmissions' slots,
+        # numbered from its first
+        slots_fr, slots_b, slots_fd = local = [
+            np.arange(cb).repeat(n[block]) for n in (n_fr, n_b, n_fd)]
+        starts, stops = stops, [a + s.size for a, s in zip(stops, local)]
+        spans = [slice(a, z) for a, z in zip(starts, stops)]
         los = [m[span] for m, span in zip(masks, (*spans, spans[1]))]
         p_fr_r, p_b_r, p_fd_d, p_b_d = (pair.take(m.view(np.uint8))
                                         for pair, m in zip(pairs, los))
@@ -629,51 +630,61 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
         total_d = (np.bincount(slots_fd, weights=p_fd_d, minlength=cb)
                    + np.bincount(slots_b, weights=p_b_d, minlength=cb))
         los_fr_r, los_b_r, los_fd_d, los_b_d = los
-        return ((los_fr_r, total_r[slots_fr] - p_fr_r),
-                (los_b_r, total_r[slots_b] - p_b_r),
-                (los_b_d, total_d[slots_b] - p_b_d),
-                (los_fd_d, total_d[slots_fd] - p_fd_d),
-                (True, total_d))
+        view = [o[block] for o in out]
+        at_relay = np.empty(slots_b.size, dtype=bool)
+        for kind, reception in enumerate((
+                (slots_fr, los_fr_r, total_r[slots_fr] - p_fr_r),
+                (slots_b, los_b_r, total_r[slots_b] - p_b_r),
+                (slots_b, los_b_d, total_d[slots_b] - p_b_d),
+                (slots_fd, los_fd_d, total_d[slots_fd] - p_fd_d),
+                (None, True, total_d))):
+            _decide(pw, kind, view, *reception, at_relay)
+    return out
 
-    return _decode_blocks(pw, n_fr, n_fd, n_b, _slots(n_fr, n_fd, n_b),
-                          receptions)
 
+def _decide(pw: _Powers, kind: int, out, slots, los, interference,
+            at_relay):
+    """Decide receptions of one kind (an index into ``_RECEPTIONS``) and add
+    them to the per-slot outcomes: the outcome rules of both modes.
 
-def _outcomes(pw: _Powers, c: int, slots, fd_r, br_at_r, br_at_d, fd_d, rd):
-    """(arr_s, arr_t, dir_s, dir_t, rd_ok) per slot of one block of ``c``
-    slots from its receptions.
-
-    Each reception is a (desired LOS state, interference) pair, in the
-    order FD and BR at the relay, BR and FD at the mmAP, then the relay
-    at the mmAP; ``slots`` are the FD->relay, BR and FD->mmAP
-    transmissions' slots in the block. With the relay transmitting
-    (suffix t) the budget's ``relay_interference_w`` adds to the BR and
-    FD interference at the mmAP. The queue stores decoded FD->relay
-    packets and BR packets decoded at the relay and lost at the mmAP;
-    direct deliveries are the FD and BR packets decoded at the mmAP.
+    ``out`` is (arr_s, arr_t, dir_s, dir_t, rd_ok) over a run of slots,
+    ``slots`` the receptions' slots numbered from its first (the relay's
+    reception has one per slot of ``out``), and ``los`` and
+    ``interference`` their desired LOS states and interference. The queue
+    stores decoded FD->relay packets and BR packets decoded at the relay
+    and lost at the mmAP; direct deliveries are the FD and BR packets
+    decoded at the mmAP. ``at_relay`` is the BR-at-relay decode mask of
+    these BR transmissions: BR at the relay fills it and BR at the mmAP
+    reads it. With the relay transmitting (suffix t) the budget's
+    ``relay_interference_w`` adds to the interference at the mmAP, in
+    place.
     """
-    slots_fr, slots_b, slots_fd = slots
-    thr, p_relay = pw.budget.thresholds, pw.budget.relay_interference_w
-    arr_fr = np.bincount(slots_fr[_decoded(*fd_r, thr("ur", "fd"))],
-                         minlength=c)
-    ok_br_r = _decoded(*br_at_r, thr("ur", "br"))
-    (los_bd, i_bd), (los_fd, i_fd) = br_at_d, fd_d
-    arr, direct = [], []
-    for relay_on in (False, True):
-        if relay_on:  # in place: the interference arrays are the block's own
-            i_bd += p_relay
-            i_fd += p_relay
-        ok_br_d = _decoded(los_bd, i_bd, thr("ud", "br"))
-        ok_fd_d = _decoded(los_fd, i_fd, thr("ud", "fd"))
-        arr.append(arr_fr + np.bincount(slots_b[ok_br_r & ~ok_br_d], minlength=c))
-        direct.append(np.bincount(slots_fd[ok_fd_d], minlength=c)
-                      + np.bincount(slots_b[ok_br_d], minlength=c))
-    return arr[0], arr[1], direct[0], direct[1], _decoded(*rd, thr("rd", "fd"))
+    thresholds = pw.budget.thresholds(*_RECEPTIONS[kind])
+    ok = _decoded(los, interference, thresholds)
+    arr_s, arr_t, dir_s, dir_t, rd_ok = out
+    c = arr_s.size
+    if kind == 0:
+        stored = np.bincount(slots[ok], minlength=c)
+        arr_s += stored
+        arr_t += stored
+    elif kind == 1:
+        at_relay[:] = ok
+    elif kind == 4:
+        rd_ok[:] = ok
+    else:
+        for relay_on, (arr, direct) in enumerate(((arr_s, dir_s),
+                                                  (arr_t, dir_t))):
+            if relay_on:
+                interference += pw.budget.relay_interference_w
+                ok = _decoded(los, interference, thresholds)
+            direct += np.bincount(slots[ok], minlength=c)
+            if kind == 2:
+                arr += np.bincount(slots[at_relay & ~ok], minlength=c)
 
 
 def _decoded(los, interference, thresholds: tuple[float, float]):
-    """Decode indicator of one block's receptions: interference at most
-    the threshold.
+    """Decode indicator of receptions: interference at most the
+    threshold.
 
     ``thresholds`` are the signal's (LOS, NLOS) ``LinkBudget.thresholds``;
     ``los`` picks one per reception (True: all in LOS). Bitwise, since
@@ -726,8 +737,8 @@ def run(cfg: ScenarioConfig, n_slots: int, seed: int,
     while t0 < n_slots:
         c = min(_CHUNK, n_slots - t0)
         n_fr, n_fd, n_b, coin = _draw_counts(gen_choices, cfg, pw, c)
-        arr_s, arr_t, dir_s, dir_t, rd_ok = chunk(gen, pw, n_fr, n_fd, n_b)
-        q = _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
+        # the outcomes live only for the scan, not into the next draws
+        q = _scan_chunk(q, t0, *chunk(gen, pw, n_fr, n_fd, n_b), coin,
                         warm, blen, nb, early_end, late_start, bat, qacc)
         t0 += c
 

@@ -248,6 +248,9 @@ def scan_chunk_oracle(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
     empty]; qacc accumulates [sum_q_measured, max_q, sum_q_early,
     sum_q_late, enqueued_total, departed_total] (the last two over the
     whole run, warm-up included).
+
+    Each per-slot value is read as a Python int: with numpy scalars of a
+    narrow type, ``q`` would take that type and wrap.
     """
     n = arr_s.shape[0]
     for i in range(n):
@@ -255,12 +258,12 @@ def scan_chunk_oracle(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
         nonempty = q > 0
         if nonempty and coin[i]:
             dep = 1 if rd_ok[i] else 0
-            a = arr_t[i]
-            d = dir_t[i]
+            a = int(arr_t[i])
+            d = int(dir_t[i])
         else:
             dep = 0
-            a = arr_s[i]
-            d = dir_s[i]
+            a = int(arr_s[i])
+            d = int(dir_s[i])
         q += a - dep
         qacc[4] += a
         qacc[5] += dep

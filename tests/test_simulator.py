@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from mmrelay import ScenarioConfig, SuccessTable, aggregate_throughput, compare, run
 from mmrelay import simulator
+from mmrelay.geometry import LinkBudget
+import oracles
 from oracles import binomial_oracle, scan_chunk_oracle, simulate_reference
 
 
@@ -509,8 +511,8 @@ class TestReceptionEndToEnd:
 
 
 class TestReceptionBlocks:
-    """A chunk is decoded in blocks of whole slots; the block size is not
-    part of the draw order."""
+    """A physical chunk is decoded in blocks of whole slots and a decoupled
+    one in pieces of receptions; neither size is part of the draw order."""
 
     @pytest.mark.parametrize("mode", simulator.MODES)
     @pytest.mark.parametrize("cfg, n_slots", [(_LIGHT, 3_000), (_HEAVY, 1_500)],
@@ -518,10 +520,12 @@ class TestReceptionBlocks:
     def test_stats_independent_of_block_size(self, cfg, n_slots, mode,
                                              monkeypatch):
         default = run(cfg, n_slots, seed=8, mode=mode)
-        # one block per chunk, then blocks of at most 4 transmissions: a
-        # heavy slot (about 27) is a block of its own
+        # one block and one piece per chunk, then blocks of at most 4
+        # transmissions (a heavy slot, about 27, is a block of its own) and
+        # pieces of 4 receptions, which split slots
         for block in (cfg.n_ues * simulator._CHUNK, 4):
             monkeypatch.setattr(simulator, "_RECEPTION_BLOCK", block)
+            monkeypatch.setattr(simulator, "_SAMPLE_BLOCK", block)
             assert _bits(run(cfg, n_slots, seed=8, mode=mode)) == \
                 _bits(default)
 
@@ -553,26 +557,36 @@ class TestNarrowCounts:
         assert _bits(run(cfg, 1_500, seed=8, mode=mode)) == _bits(narrow)
 
 
+def _heavy_peak(n_slots, mode):
+    """tracemalloc's peak over one heavy run, after a warm-up run."""
+    run(_HEAVY, 100, seed=1, mode=mode)
+    tracemalloc.start()
+    try:
+        run(_HEAVY, n_slots, seed=1, mode=mode)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunkMemory:
-    @pytest.mark.parametrize("mode, limit_mb", [("physical", 13),
-                                                ("decoupled", 18)],
+    @pytest.mark.parametrize("mode, limit_mb", [("physical", 6.0),
+                                                ("decoupled", 9.0)],
                              ids=["physical", "decoupled"])
     def test_heavy_chunk_peak(self, mode, limit_mb):
-        # Measured at 10.5 MB (physical) and 17.0 MB (decoupled), against
-        # 14.6 MB and 35.8 MB with int32 counts and slot indices, and
-        # 52.5 MB and 48.3 MB when each chunk's receptions were formed as
-        # whole-chunk arrays. A decoupled chunk keeps its LOS masks and
-        # int8 counts, 3 bytes per reception, until its blocks are decoded;
-        # a draw loop that kept one reception's interferer counts alive
-        # while the next were built read 18.7 MB.
-        run(_HEAVY, 100, seed=1, mode=mode)
-        tracemalloc.start()
-        try:
-            run(_HEAVY, simulator._CHUNK, seed=1, mode=mode)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit_mb * 1024 * 1024
+        # Measured at 5.4 MB (physical) and 8.5 MB (decoupled). With
+        # chunk-wide slot arrays in both modes, int64 per-slot outcomes,
+        # and a decoupled chunk that kept its LOS masks and int8 counts,
+        # 3 bytes per reception, until its blocks were decoded: 10.5 and
+        # 17.0 MB. With int32 counts and slot indices, 14.6 and 35.8 MB.
+        assert _heavy_peak(simulator._CHUNK, mode) <= limit_mb * 1024 * 1024
+
+    @pytest.mark.parametrize("mode", simulator.MODES)
+    def test_three_chunks_peak_as_one(self, mode):
+        # A chunk's outcomes are freed before the next chunk's draws, so
+        # three chunks peak where one does. Keeping them through the next
+        # draws read 0.31 MB more, and 2.1 MB more with int64 outcomes.
+        one = _heavy_peak(simulator._CHUNK, mode)
+        assert _heavy_peak(3 * simulator._CHUNK, mode) <= one + 64 * 1024
 
 
 # Recorded once from the simulator as it stood before the two LOS modes
@@ -633,3 +647,63 @@ class TestReferenceSimulator:
                              q_r=q[3], gamma_db=gamma_db, d_ur_m=d_ur_m)
         assert _bits(run(cfg, n_slots, seed, mode)) == \
             _bits(simulate_reference(cfg, n_slots, seed, mode))
+
+
+class TestReferenceInterference:
+    """Every reception's desired state and interference equal the
+    reference's, ``float.hex`` for ``float.hex``. The statistics cannot
+    show how a sum is associated: at these points no reception sits
+    within the rounding of its threshold."""
+
+    @pytest.mark.parametrize("mode", simulator.MODES)
+    @pytest.mark.parametrize("cfg, n_slots", [
+        (_LIGHT, 5_000),
+        # more than _SAMPLE_BLOCK BR transmissions in the chunk
+        (_HEAVY, 3_000),
+        # two chunks
+        (ScenarioConfig(n_ues=2, q_u=0.5), simulator._CHUNK + 500),
+    ], ids=["light", "heavy", "two-chunks"])
+    def test_each_reception_equals_reference(self, cfg, n_slots, mode,
+                                             monkeypatch):
+        budget = LinkBudget(cfg)
+        # a reception's kind is told by its signal's thresholds
+        keys = [budget.thresholds(*r) for r in oracles._REF_RECEPTIONS]
+        assert len(set(keys)) == len(keys)
+        got = {key: [] for key in keys}
+        decoded = simulator._decoded
+
+        def record(los, interference, thresholds):
+            # copies: the interference at the mmAP gains the relay's term
+            # in place
+            got[thresholds].append(
+                (np.broadcast_to(los, interference.shape).copy(),
+                 interference.copy()))
+            return decoded(los, interference, thresholds)
+
+        monkeypatch.setattr(simulator, "_decoded", record)
+        run(cfg, n_slots, seed=8, mode=mode)
+
+        want = [[] for _ in keys]
+        outcomes = oracles._ref_outcomes
+
+        def capture(budget, n_fr, n_fd, n_b, receptions):
+            for kind, chunk in zip(want, receptions):
+                kind += chunk
+            return outcomes(budget, n_fr, n_fd, n_b, receptions)
+
+        monkeypatch.setattr(oracles, "_ref_outcomes", capture)
+        simulate_reference(cfg, n_slots, 8, mode)
+
+        p_relay = budget.relay_interference_w
+        for kind, key in enumerate(keys):
+            calls = got[key]
+            # BR and FD at the mmAP: each set of receptions is decided with
+            # the relay silent, then transmitting
+            sides = (calls[0::2], calls[1::2]) if kind in (2, 3) else (calls,)
+            for relay_on, side in enumerate(sides):
+                los = np.concatenate([s for s, _ in side])
+                interference = np.concatenate([i for _, i in side])
+                assert los.tolist() == [s for s, _ in want[kind]]
+                assert [x.hex() for x in interference.tolist()] == \
+                    [(i + p_relay if relay_on else i).hex()
+                     for _, i in want[kind]]
