@@ -132,8 +132,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = load_config(args.config)
-    rows = run_sweep(spec, jobs=args.jobs)
+    # opened before the grid runs, so an unwritable path fails at once
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        rows = run_sweep(spec, jobs=args.jobs)
         write_csv(spec, rows, fh)
     n_err = sum(1 for r in rows if r.get("error"))
     print(f"wrote {len(rows)} rows to {args.output}"

@@ -310,14 +310,14 @@ class _ConfigBlock:
     The rows are the configurations' counts ``n_fr``, ``n_fd``, ``n_b``,
     ordered by their number of active UEs, so the ``ends[n]`` rows of at
     most n UEs come first (``head(n)``); ``_weights`` weighs them with the
-    binomial table ``comb``. Per configuration c: ``p_dep`` (the relay's
-    packet reaches the mmAP), ``v[s][k + 1, c]`` = P(k stored | c), relay
-    silent s = 0 or transmitting s = 1, with a zero row on each side of v
-    for the k - 1 and k + 1 shifts, and the walk's b_r and rate sums as
-    ``counts`` and ``factors``: each term is (w * count) * factor. The
-    factors are the gathered success probabilities; rows 5-7 are
-    ``p_f`` (a tagged FD->relay packet is decoded) and ``stores[s]`` (a
-    BR packet is stored: decoded at the relay, lost at the mmAP).
+    binomial table ``comb``. Per configuration c: ``v[s][k + 1, c]`` =
+    P(k stored | c), relay silent s = 0 or transmitting s = 1, with a zero
+    row on each side of v for the k - 1 and k + 1 shifts, and the walk's
+    b_r and rate sums as ``counts`` and ``factors``: each term is
+    (w * count) * factor. The factors are the gathered success
+    probabilities: row 0 is p_dep (the relay's packet reaches the mmAP),
+    rows 5-7 ``p_f`` (a tagged FD->relay packet is decoded) and
+    ``stores[s]`` (a BR packet is decoded at the relay, lost at the mmAP).
 
     v[s] is the convolution of Binomial(n_fr, p_f) and
     Binomial(n_b, stores[s]), which depends on those four inputs only. It
@@ -334,8 +334,6 @@ class _ConfigBlock:
     n_fr: np.ndarray
     n_fd: np.ndarray
     n_b: np.ndarray
-    p_dep: np.ndarray
-    q_dep: np.ndarray     # 1 - p_dep
     counts: np.ndarray    # (8, R), a count per b_r or rate sum
     factors: np.ndarray   # (8, R), the success probability it multiplies
     v: np.ndarray
@@ -413,8 +411,7 @@ def _build_block(table: SuccessTable,
                         p_f, *stores])
     ends = tuple(np.cumsum(np.bincount(n_fr + n_fd + n_b,
                                        minlength=n + 1)).tolist())
-    return _ConfigBlock(comb, ends, n_fr, n_fd, n_b, p_dep, 1.0 - p_dep,
-                        counts, factors, v)
+    return _ConfigBlock(comb, ends, n_fr, n_fd, n_b, counts, factors, v)
 
 
 def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,
@@ -440,8 +437,8 @@ def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,
 
 class _Walk:
     """One traffic point's queue walk: its weights ``w`` on the block rows
-    ``blk`` of at most n UEs, and every ``QueueStatistics`` field. The
-    nonempty pmf is computed each time it is read, so ``_solve``, which
+    ``blk`` of at most n UEs, and every ``QueueStatistics`` field by name.
+    The nonempty pmf is computed each time it is read, so ``_solve``, which
     reads it on the stable side only, skips it on the unstable side."""
 
     def __init__(self, cfg: ScenarioConfig, table: SuccessTable | None):
@@ -489,8 +486,9 @@ class _Walk:
             families.append(lambda a, b: w_s * v0[a:b])
         if q_r != 0.0:
             w_t = w * q_r
-            families += [lambda a, b: (w_t * v1[a + 1:b + 1]) * blk.p_dep,
-                         lambda a, b: (w_t * v1[a:b]) * blk.q_dep]
+            p_dep, q_dep = blk.factors[0], 1.0 - blk.factors[0]
+            families += [lambda a, b: (w_t * v1[a + 1:b + 1]) * p_dep,
+                         lambda a, b: (w_t * v1[a:b]) * q_dep]
 
         def rows(a, b):
             return np.concatenate([f(a, b) for f in families], axis=1)
@@ -520,9 +518,8 @@ def queue_statistics(cfg: ScenarioConfig,
     later calls.
     """
     walk = _Walk(cfg, table)
-    return QueueStatistics(walk.p_empty, walk.p_nonempty, walk.p_arrival_tx,
-                           walk.b_r, walk.t_ud0, walk.t_ud1, walk.t_fr,
-                           walk.t_ur0, walk.t_ur1)
+    return QueueStatistics(*(getattr(walk, f.name)
+                             for f in fields(QueueStatistics)))
 
 
 def _mean(pmf: np.ndarray) -> float:

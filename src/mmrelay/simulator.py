@@ -48,7 +48,7 @@ tallies each piece at once. Between pieces it keeps 4 bytes per
 reception of the current kind (its uint16 slot, mask byte and FD count)
 and 1 byte per BR transmission (decoded at the relay, until BR at the
 mmAP is decided). A physical chunk draws its four LOS masks first and then
-decodes in blocks of whole slots holding at most ``_RECEPTION_BLOCK``
+decodes in blocks of whole slots holding at most ``_SAMPLE_BLOCK``
 transmissions, so that a block's arrays stay in cache. The relay-queue
 scan over the chunk (``_scan_chunk``) does not step slot by slot
 either: only a slot with arrivals while the queue is empty starts a busy
@@ -106,15 +106,12 @@ _TARGET_BATCHES = 50
 # the memory and sampled no faster.
 _GUIDE_BITS = 10
 _GUIDE_CELL_BITS = 15
-# Binomial draws per sampler block, doubles per piece of a LOS mask and
-# receptions per decided piece of a decoupled chunk: the arrays stay in
-# cache. Not part of the draw order.
+# Binomial draws per sampler block, doubles per piece of a LOS mask,
+# receptions per decided piece of a decoupled chunk and transmissions per
+# block of whole slots of a physical one (a heavier slot is a block of its
+# own): the arrays stay in cache. Not part of the draw order: any size
+# gives the same statistics.
 _SAMPLE_BLOCK = 1 << 15
-# Transmissions per reception block: a physical chunk is decoded in runs
-# of whole slots holding at most this many (a heavier slot is a block of
-# its own). Not part of the draw order: any size gives the same
-# statistics.
-_RECEPTION_BLOCK = 1 << 15
 
 
 def _next_empty(q, busy, arr_s, arr_t, rd_ok, coin):
@@ -482,14 +479,14 @@ def _los_mask(gen: np.random.Generator, size: int, p: float):
 
 def _blocks(n_tx):
     """A physical chunk's reception blocks, in slot order, as slot slices:
-    runs of whole slots holding at most ``_RECEPTION_BLOCK`` of the
+    runs of whole slots holding at most ``_SAMPLE_BLOCK`` of the
     ``n_tx`` transmissions per slot, or one heavier slot."""
     c = n_tx.size
     ends = np.zeros(c + 1, dtype=np.int64)
     np.cumsum(n_tx, dtype=np.int64, out=ends[1:])
     s0 = 0
     while s0 < c:
-        s1 = int(ends.searchsorted(int(ends[s0]) + _RECEPTION_BLOCK, "right"))
+        s1 = int(ends.searchsorted(int(ends[s0]) + _SAMPLE_BLOCK, "right"))
         s1 = max(s1 - 1, s0 + 1)
         yield slice(s0, s1)
         s0 = s1

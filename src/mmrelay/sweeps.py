@@ -23,10 +23,10 @@ spec's ``outputs`` names each at most once, from ``STANDARD_METRICS``.
 
 ``run_sweep`` evaluates the analytical model at every grid point (axis 1
 outer, axis 2 inner), optionally simulates each point, and never aborts
-the grid: per-point failures land in the ``error`` column. Points are
-evaluated one radio configuration at a time
-(``ScenarioConfig.radio_key``: every field but n_ues, q_u, q_uf, q_ur
-and q_r). Each group shares one ``SuccessTable``, built at its largest N
+the grid: per-point failures land in the ``error`` column (a point whose
+configuration cannot be built is not evaluated). The others are
+evaluated one radio configuration at a time (``ScenarioConfig.radio_key``:
+every field but n_ues, q_u, q_uf, q_ur and q_r). Each group shares one ``SuccessTable``, built at its largest N
 and dropped when the call ends, and with it the traffic-free
 configuration blocks of ``queue_model``, one per zero pattern, so a
 traffic point costs its weighted sums. When a point has the group's
@@ -314,15 +314,19 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _run_point(spec: SweepSpec, index: int, overrides: dict,
-               cfg: ScenarioConfig | None, table: SuccessTable | None) -> dict:
-    # a valid point's axis values as its config holds them (n_ues an int)
-    row = {name: value if cfg is None else getattr(cfg, name)
-           for name, value in overrides.items()}
+def _error(exc: Exception) -> str:
+    """A row's ``error`` cell: a ``ValueError``'s message, or any other
+    exception's type and message."""
+    kind = "" if isinstance(exc, ValueError) else f"{type(exc).__name__}: "
+    return f"{kind}{exc}"
+
+
+def _run_point(spec: SweepSpec, index: int, cfg: ScenarioConfig,
+               table: SuccessTable | None) -> dict:
+    # the axis values as the config holds them (n_ues an int)
+    row = {name: getattr(cfg, name) for name, _ in spec.axes}
     row["error"] = ""
     try:
-        if cfg is None:  # an invalid point: this raises its error
-            cfg = spec.base.replace(**overrides)
         row.update(evaluate_point(cfg, table))
         if spec.simulate:
             stats = simulator.run(cfg, spec.n_slots,
@@ -331,10 +335,8 @@ def _run_point(spec: SweepSpec, index: int, overrides: dict,
             row["t_sim_se"] = stats.t_sim_se
             row["t_sim_z"] = simulator._z(stats.t_sim - row["t_total"],
                                           stats.t_sim_se)
-    except ValueError as exc:
-        row["error"] = str(exc)
     except Exception as exc:  # any model fault stays in its own row
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["error"] = _error(exc)
     return row
 
 
@@ -347,22 +349,20 @@ def _run_task(args) -> list[tuple[int, dict]]:
     and the other patterns' blocks are row selections of it. Rows keep
     their grid index, and seeds derive from it."""
     spec, points = args
-    table = None
-    if points[0][2] is not None:  # invalid points are grouped apart
-        try:
-            table = SuccessTable(max((cfg for _, _, cfg in points),
-                                     key=lambda cfg: cfg.n_ues))
-        except Exception:
-            pass  # then each point is evaluated on its own cold table
+    try:
+        table = SuccessTable(max((cfg for _, cfg in points),
+                                 key=lambda cfg: cfg.n_ues))
+    except Exception:
+        table = None  # then each point is evaluated on its own cold table
     if table is not None:
         patterns = [queue_model._active(*queue_model._ue_activity_probs(cfg))
-                    for _, _, cfg in points]
+                    for _, cfg in points]
         widest = tuple(map(any, zip(*patterns)))
         if widest in patterns:
             i = patterns.index(widest)
             points = [points[i], *points[:i], *points[i + 1:]]
-    return [(index, _run_point(spec, index, overrides, cfg, table))
-            for index, overrides, cfg in points]
+    return [(index, _run_point(spec, index, cfg, table))
+            for index, cfg in points]
 
 
 def sweep_columns(spec: SweepSpec) -> list[str]:
@@ -390,18 +390,20 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
 
     Points are grouped by ``ScenarioConfig.radio_key``, in order of first
     appearance, and each group is evaluated with one success table; a
-    point whose configuration is invalid gets its row's ``error`` only.
+    point whose configuration cannot be built (once, here) joins no group
+    and gets its row's ``error`` only.
     """
     simulator.check_argument("jobs", jobs)
     grid = spec.grid()
-    groups: dict[tuple | None, list] = {}
+    rows: list[dict | None] = [None] * len(grid)
+    groups: dict[tuple, list] = {}
     for index, overrides in enumerate(grid):
         try:
             cfg = spec.base.replace(**overrides)
-        except Exception:
-            cfg = None  # _run_point records the error in the row
-        key = None if cfg is None else cfg.radio_key()
-        groups.setdefault(key, []).append((index, overrides, cfg))
+        except Exception as exc:
+            rows[index] = {**overrides, "error": _error(exc)}
+            continue
+        groups.setdefault(cfg.radio_key(), []).append((index, cfg))
     tasks = [(spec, points) for points in _tasks(list(groups.values()), jobs)]
     if len(tasks) > 1 and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -409,7 +411,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
             done = list(pool.map(_run_task, tasks))
     else:
         done = [_run_task(task) for task in tasks]
-    rows: list[dict | None] = [None] * len(grid)
     for task_rows in done:
         for index, row in task_rows:
             rows[index] = row

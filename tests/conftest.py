@@ -1,14 +1,21 @@
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+# The package is imported from the checkout, here and in every Python
+# process a test starts (the CLI, the demos), with or without an install.
+sys.path[:0] = [str(ROOT / "tests"), SRC]
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 from mmrelay import ScenarioConfig, SuccessTable
 
-RECIPES = Path(__file__).resolve().parent.parent / "recipes"
+RECIPES = ROOT / "recipes"
 
 
 @pytest.fixture(scope="session")

@@ -437,6 +437,47 @@ class TestRunSweep:
         assert "theta_bw_br" in rows[1]["error"]
         assert "t_total" in rows[0] and "t_total" not in rows[1]
 
+    # theta_rd = 60 cannot be covered by a 30-degree BR beam, so its points'
+    # configurations cannot be built; alpha makes two radio configurations
+    _INVALID_POINTS = ("[scenario]\ntheta_bw_br_deg = 30\n"
+                       "[sweep]\ntheta_rd_deg = 20, 60\nalpha = 0.1, 0.2\n")
+
+    def test_invalid_point_config_built_once(self, tmp_path, monkeypatch):
+        spec = load_config(_write(tmp_path, self._INVALID_POINTS))
+        replace = ScenarioConfig.replace
+        calls = []
+
+        def counted(cfg, **changes):
+            calls.append(changes)
+            return replace(cfg, **changes)
+
+        monkeypatch.setattr(ScenarioConfig, "replace", counted)
+        rows = run_sweep(spec)
+        assert calls == spec.grid()
+        with pytest.raises(ValueError) as exc:
+            replace(spec.base, theta_rd_deg=60.0, alpha=0.2)
+        assert rows[3] == {"theta_rd_deg": 60.0, "alpha": 0.2,
+                           "error": str(exc.value)}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_task_gets_an_invalid_point(self, tmp_path, monkeypatch,
+                                           jobs):
+        # every task's points are (grid index, built configuration)
+        spec = load_config(_write(tmp_path, self._INVALID_POINTS))
+        split = sweeps._tasks
+        seen = []
+
+        def spied(groups, jobs):
+            tasks = split(groups, jobs)
+            seen.extend(point for points in tasks for point in points)
+            return tasks
+
+        monkeypatch.setattr(sweeps, "_tasks", spied)
+        rows = run_sweep(spec, jobs=jobs)
+        assert [index for index, _ in seen] == [0, 1]
+        assert all(isinstance(cfg, ScenarioConfig) for _, cfg in seen)
+        assert [bool(r["error"]) for r in rows] == [False, False, True, True]
+
     def test_unexpected_model_exception_stays_in_its_row(self, tmp_path,
                                                          monkeypatch):
         import mmrelay.sweeps as sweeps
@@ -700,6 +741,44 @@ class TestCliProcess:
         assert _cli("sweep", path, "-o", str(out1))[0] == 0
         assert _cli("sweep", path, "-o", str(out2), "--jobs", "2")[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sweep_output_checked_before_the_grid(self, tmp_path,
+                                                  monkeypatch, capsys):
+        import mmrelay.cli as cli
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_sweep", unexpected)
+        path = _write(tmp_path, "[sweep]\nn_ues = 1:4\n")
+        out = tmp_path / "missing" / "out.csv"
+        assert cli.main(["sweep", path, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "mmrelay: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("theta_rd, suffix", [
+        ("20, 30", ""), ("20, 60", " (1 with errors)")])
+    def test_sweep_summary_line(self, tmp_path, capsys, theta_rd, suffix):
+        # a 30-degree BR beam cannot cover theta_rd = 60
+        import mmrelay.cli as cli
+        path = _write(tmp_path, "[scenario]\ntheta_bw_br_deg = 30\n"
+                                f"[sweep]\ntheta_rd_deg = {theta_rd}\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", path, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 rows to {out}{suffix}\n"
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_compare_regime_note(self, tmp_path, capsys):
+        # Unstable (the relay never transmits), but in 50 slots at this seed
+        # no packet reaches the relay, so the simulated queue ends empty.
+        import mmrelay.cli as cli
+        path = _write(tmp_path, "[scenario]\nn_ues = 2\nq_u = 0.02\n"
+                                "q_r = 0\n")
+        code = cli.main(["compare", path, "--slots", "50", "--seed", "0"])
+        assert code == 3
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "note: analytic regime is unstable but the simulated queue "
+            "stayed bounded; treat comparison as regime-sensitive")
 
     def test_compare_silent_network_passes(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nn_ues = 2\nq_u = 0\n")

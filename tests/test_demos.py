@@ -4,7 +4,6 @@ A demo imports the public API by name, so a renamed or removed name shows
 up here as a nonzero exit instead of going unnoticed.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +20,6 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo):
-    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=120)
+                          text=True, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr

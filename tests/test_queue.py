@@ -639,7 +639,7 @@ class TestSumRule:
         cfg = ScenarioConfig(n_ues=24, q_u=0.05, q_uf=0.8, q_ur=0.7, q_r=1.0,
                              d_ur_m=60.0, d_ud_m=120.0, theta_rd_deg=10.0)
         walk = queue_model._Walk(cfg, None)
-        assert (walk.blk.q_dep < 0.0).any()
+        assert (1.0 - walk.blk.factors[0] < 0.0).any()
         assert 3 * walk.w.size >= queue_model._BRACKET_TERMS
         got = [x.hex() for x in queue_statistics(cfg).p_nonempty]
         monkeypatch.setattr(queue_model, "_row_sums", _plain_row_sums)

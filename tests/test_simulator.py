@@ -512,7 +512,8 @@ class TestReceptionEndToEnd:
 
 class TestReceptionBlocks:
     """A physical chunk is decoded in blocks of whole slots and a decoupled
-    one in pieces of receptions; neither size is part of the draw order."""
+    one in pieces of receptions, both of ``_SAMPLE_BLOCK``; that size is not
+    part of the draw order."""
 
     @pytest.mark.parametrize("mode", simulator.MODES)
     @pytest.mark.parametrize("cfg, n_slots", [(_LIGHT, 3_000), (_HEAVY, 1_500)],
@@ -524,13 +525,12 @@ class TestReceptionBlocks:
         # transmissions (a heavy slot, about 27, is a block of its own) and
         # pieces of 4 receptions, which split slots
         for block in (cfg.n_ues * simulator._CHUNK, 4):
-            monkeypatch.setattr(simulator, "_RECEPTION_BLOCK", block)
             monkeypatch.setattr(simulator, "_SAMPLE_BLOCK", block)
             assert _bits(run(cfg, n_slots, seed=8, mode=mode)) == \
                 _bits(default)
 
     def test_blocks_are_runs_of_whole_slots(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_RECEPTION_BLOCK", 4)
+        monkeypatch.setattr(simulator, "_SAMPLE_BLOCK", 4)
         n_tx = np.array([5, 0, 1, 2, 1, 7, 0, 0], dtype=np.int32)
         assert [(b.start, b.stop) for b in simulator._blocks(n_tx)] == \
             [(0, 1), (1, 5), (5, 6), (6, 8)]
