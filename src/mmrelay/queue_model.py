@@ -477,24 +477,17 @@ class _Walk:
         """P(net change = i - 1 | queue nonempty) by i."""
         blk, w, q_r = self.blk, self.w, self.cfg.q_r
         v0, v1 = blk.v
-        # net = arrivals - 1{departure}; a family whose weight is exactly
-        # zero (relay silent at q_r = 1, transmitting at q_r = 0) adds
-        # only zeros, so it is left out
-        families = []
-        if q_r != 1.0:
-            w_s = w * (1.0 - q_r)
-            families.append(lambda a, b: w_s * v0[a:b])
-        if q_r != 0.0:
-            w_t = w * q_r
-            p_dep, q_dep = blk.factors[0], 1.0 - blk.factors[0]
-            families += [lambda a, b: (w_t * v1[a + 1:b + 1]) * p_dep,
-                         lambda a, b: (w_t * v1[a:b]) * q_dep]
+        # net = arrivals - 1{departure}, relay silent or transmitting; at
+        # q_r = 0 or 1 a family's terms are +-0.0, which the sums drop
+        w_s, w_t = w * (1.0 - q_r), w * q_r
+        p_dep, q_dep = blk.factors[0], 1.0 - blk.factors[0]
 
         def rows(a, b):
-            return np.concatenate([f(a, b) for f in families], axis=1)
+            return np.concatenate([w_s * v0[a:b],
+                                   (w_t * v1[a + 1:b + 1]) * p_dep,
+                                   (w_t * v1[a:b]) * q_dep], axis=1)
 
-        return np.array(_row_sums([(rows, self.cfg.n_ues + 2)],
-                                  len(families) * w.size))
+        return np.array(_row_sums([(rows, self.cfg.n_ues + 2)], 3 * w.size))
 
 
 def queue_statistics(cfg: ScenarioConfig,

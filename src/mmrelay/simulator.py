@@ -54,8 +54,7 @@ scan over the chunk (``_scan_chunk``) does not step slot by slot
 either: only a slot with arrivals while the queue is empty starts a busy
 period, so one sort and one search find where each such period would
 end, and a walk over the busy periods actually reached, one step each
-and at most n / 2 for n slots, marks the empty-queue slots; a chunk that
-starts empty and has no such slot is not searched. Each slot's
+and at most n / 2 for n slots, marks the empty-queue slots. Each slot's
 interference is summed in transmission order whatever the block or piece
 size, the rest is elementwise or an integer count, and the scan's
 statistics are integer sums, taken in int64, so every statistic equals
@@ -210,17 +209,14 @@ def _scan_chunk(q, t0, arr_s, arr_t, dir_s, dir_t, rd_ok, coin,
     arr_s > 0, starts a busy period when it finds the queue empty, and no
     other slot does. ``_next_empty`` finds where each possible busy period
     would end, and ``_empty_slots`` walks the periods reached from the
-    chunk start. Without busy slots or a carried-in queue every slot is
-    empty, and nothing is searched. Every accumulated value is an integer
-    sum, taken in int64 whatever the per-slot values' type, so the floats
-    equal those of a slot-by-slot update while the sums stay below 2**53.
+    chunk start. Every accumulated value is an integer sum, taken in int64
+    whatever the per-slot values' type, so the floats equal those of a
+    slot-by-slot update while the sums stay below 2**53.
     """
     n = arr_s.shape[0]
     is_busy = arr_s > 0
     busy = np.flatnonzero(is_busy)
-    first, after = 0, busy
-    if busy.size or q:
-        first, after = _next_empty(q, busy, arr_s, arr_t, rd_ok, coin)
+    first, after = _next_empty(q, busy, arr_s, arr_t, rd_ok, coin)
     empty = _empty_slots(n, is_busy, busy, first, after)
 
     serve = coin & ~empty

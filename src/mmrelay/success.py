@@ -138,14 +138,9 @@ class SuccessTable:
         # Largest count first: an overflow is reported before any work.
         pmf = [_binom_pmf(n, b.p_los(ilink)) for n in range(m, -1, -1)][::-1]
         # Each link's (LOS, NLOS) weights of its desired signal; a state of
-        # weight zero is dropped, from the weights and from the thresholds
-        weights = {link: (b.p_los(link), 1.0 - b.p_los(link))
+        # weight zero adds only zero terms, which ``live`` drops
+        w_state = {link: (b.p_los(link), 1.0 - b.p_los(link))
                    for link, _, _ in keys}
-        w_state = {link: [w for w in ws if w != 0.0]
-                   for link, ws in weights.items()}
-        thresholds = {(link, scheme, relay): [
-            t for t, w in zip(b.thresholds(link, scheme), weights[link])
-            if w != 0.0] for link, scheme, relay in keys}
         (p_fl, p_fn), (p_bl, p_bn) = b.powers(ilink, "fd"), b.powers(ilink, "br")
         p_relay = b.relay_interference_w
         # Flat tables over (n, j), read at j <= n only: the weight of j of
@@ -167,7 +162,7 @@ class SuccessTable:
         # Only rows where some key may decode are listed; per listed row
         # the FD part of the sum, w_f[k] and n_b
         listed = _rows_that_can_decode(fd[at], n_b[cell], min(p_bl, p_bn), [
-            t for ts in thresholds.values() for t in ts])
+            t for key in keys for t in b.thresholds(*key[:2])])
         cell, at = cell[listed], at[listed]
         row_fd, row_w_f, row_b = fd[at], pmfs[at], n_b[cell]
         # The listed cells, where their rows start and end, and their
@@ -200,7 +195,7 @@ class SuccessTable:
             picked, counts = [], []
             for link, scheme, relay in keys:
                 ok = np.stack([interference[relay] <= t
-                               for t in thresholds[link, scheme, relay]], 1)
+                               for t in b.thresholds(link, scheme)], 1)
                 ok &= live[link]
                 picked.append(terms[link][ok])
                 counts.append(np.add.reduceat(ok.ravel(),

@@ -24,22 +24,21 @@ spec's ``outputs`` names each at most once, from ``STANDARD_METRICS``.
 ``run_sweep`` evaluates the analytical model at every grid point (axis 1
 outer, axis 2 inner), optionally simulates each point, and never aborts
 the grid: per-point failures land in the ``error`` column (a point whose
-configuration cannot be built is not evaluated). The others are
-evaluated one radio configuration at a time (``ScenarioConfig.radio_key``:
-every field but n_ues, q_u, q_uf, q_ur and q_r). Each group shares one ``SuccessTable``, built at its largest N
-and dropped when the call ends, and with it the traffic-free
-configuration blocks of ``queue_model``, one per zero pattern, so a
-traffic point costs its weighted sums. When a point has the group's
-widest pattern (the OR of its points' patterns), the first such point
-is evaluated first and builds that block, a failure being its row's
-error, and every other pattern's block is a row selection of it. The
-numbers are those of a fresh per-point analysis, bit for bit. If that
-table cannot be built, each point gets its own, and only points that
-fail alone get an error. With
-``jobs > 1`` each worker task is a contiguous run of one group's points;
-a group is split only when there are fewer groups than jobs. Cells are
-printed by ``format_value`` (floats with 9 significant digits) and
-identical spec + seed reruns are byte-identical, whatever ``jobs``.
+configuration cannot be built is not evaluated). The others are evaluated
+one radio configuration at a time (``ScenarioConfig.radio_key``: every
+field but n_ues, q_u, q_uf, q_ur and q_r). Each group shares one
+``SuccessTable``, built at its largest N and dropped when the call ends,
+and with it the traffic-free configuration blocks of ``queue_model``, one
+per zero pattern, so a traffic point costs its weighted sums. The points
+of the group's widest pattern (the OR of its points') go first: the first
+builds that block (a failure is its row's error), and every other
+pattern's block is a row selection of it. The numbers are those of a
+fresh per-point analysis, bit for bit. If that table cannot be built,
+each point gets its own, and only points that fail alone get an error.
+With ``jobs > 1`` each worker task is a contiguous run of one group's
+points; a group is split only when there are fewer groups than jobs.
+Cells are printed by ``format_value`` (floats with 9 significant digits)
+and identical spec + seed reruns are byte-identical, whatever ``jobs``.
 """
 
 from __future__ import annotations
@@ -225,14 +224,19 @@ def _line(lineno: int | None):
 def load_config(path: str) -> SweepSpec:
     """Parse a scenario/sweep file; every problem names its line number."""
     scenario: dict = {}
-    br_line = None
     axes: list[tuple[str, tuple]] = []
     outputs: tuple[str, ...] = STANDARD_METRICS
     sim: dict = {}
     key_lines: dict[tuple[str, str], int] = {}   # (section, key) -> line
     section = "scenario"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        try:  # a leading BOM is not text; lines end as in a text-mode file
+            lines = io.StringIO(fh.read().decode("utf-8-sig"), newline=None)
+        except UnicodeDecodeError as exc:  # name the bad byte's line
+            data, at = exc.object, exc.start
+            with _line(len((data[:at] + b"?").splitlines())):
+                raise ValueError(f"byte {data[at]:#04x} is not UTF-8")
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -259,8 +263,6 @@ def load_config(path: str) -> SweepSpec:
                         raise ValueError(f"unknown key {key!r} in [scenario]")
                     scenario[key] = _parse_scalar(key, value)
                     ScenarioConfig.check_field(key, scenario[key])
-                    if key == "theta_bw_br_deg":
-                        br_line = lineno
                 elif section == "sweep":
                     if key == "outputs":
                         outputs = tuple(p.strip() for p in value.split(","))
@@ -287,7 +289,7 @@ def load_config(path: str) -> SweepSpec:
                     raise ValueError(f"unknown key {key!r} in [simulation]")
     # Every field was checked on its line; what is left is the BR beamwidth
     # check, which fires only when theta_bw_br_deg is set.
-    with _line(br_line):
+    with _line(key_lines.get(("scenario", "theta_bw_br_deg"))):
         base = ScenarioConfig(**scenario)
     return SweepSpec(base=base, axes=tuple(axes), outputs=outputs, **sim)
 
@@ -344,23 +346,21 @@ def _run_task(args) -> list[tuple[int, dict]]:
     """Rows of a run of points that share one radio configuration, all
     evaluated with one ``SuccessTable`` built at their largest N.
 
-    The first point of the points' widest zero pattern, if any, goes
-    first: its analysis builds that block (a failure is its row's error),
-    and the other patterns' blocks are row selections of it. Rows keep
-    their grid index, and seeds derive from it."""
+    The points of their widest zero pattern go first: the first one's
+    analysis builds that block (a failure is its row's error), and the
+    other patterns' blocks are row selections of it. Rows keep their
+    grid index, and seeds derive from it."""
     spec, points = args
     try:
         table = SuccessTable(max((cfg for _, cfg in points),
                                  key=lambda cfg: cfg.n_ues))
     except Exception:
         table = None  # then each point is evaluated on its own cold table
-    if table is not None:
-        patterns = [queue_model._active(*queue_model._ue_activity_probs(cfg))
-                    for _, cfg in points]
-        widest = tuple(map(any, zip(*patterns)))
-        if widest in patterns:
-            i = patterns.index(widest)
-            points = [points[i], *points[:i], *points[i + 1:]]
+    patterns = [queue_model._active(*queue_model._ue_activity_probs(cfg))
+                for _, cfg in points]
+    widest = tuple(map(any, zip(*patterns)))
+    points = [point for _, point in sorted(
+        zip(patterns, points), key=lambda pair: pair[0] != widest)]
     return [(index, _run_point(spec, index, cfg, table))
             for index, cfg in points]
 

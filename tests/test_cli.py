@@ -101,6 +101,35 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "[scenario]\nn_ues = 4\n[sweep]\nq_u = 0.1, 0.5\n",
+        "n_ues = 4\n",
+    ])
+    def test_byte_order_mark_is_not_text(self, tmp_path, text):
+        # Windows editors start a UTF-8 file with one
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(text.encode("utf-8-sig"))
+        assert load_config(str(path)) == load_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("padding, newline", [
+        (0, "\n"), (0, "\r\n"), (0, "\r"),
+        (2000, "\n"),   # far past the decoder's read-ahead
+    ])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, capsys, padding,
+                                          newline):
+        import mmrelay.cli as cli
+        lines = ["# padding"] * padding + ["[scenario]", "q_u = 0.5  # 30\xb0",
+                                           "n_ues = 4", ""]
+        text, line = newline.join(lines), padding + 2
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(text.encode("latin-1"))
+        message = f"^line {line}: byte 0xb0 is not UTF-8$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+        assert cli.main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(message, err.removeprefix("mmrelay: ")), err
+
     def test_comments_and_sections(self, tmp_path):
         text = ("# banner\n[scenario]\nq_u = 0.2  # inline\n\n"
                 "[sweep]\nn_ues = 1:3\n[simulation]\nsimulate = false\n")

@@ -645,6 +645,20 @@ class TestSumRule:
         monkeypatch.setattr(queue_model, "_row_sums", _plain_row_sums)
         assert got == [x.hex() for x in queue_statistics(cfg).p_nonempty]
 
+    @pytest.mark.parametrize("point", [
+        {},
+        # the negative-q_dep point above, relay never transmitting
+        dict(n_ues=24, q_u=0.05, q_uf=0.8, q_ur=0.7, d_ur_m=60.0,
+             d_ud_m=120.0, theta_rd_deg=10.0),
+    ])
+    def test_never_transmitting_relay_shifts_the_empty_pmf(self, point):
+        # At q_r = 0 the transmitting families weigh 0 and add only +-0.0,
+        # so the nonempty pmf is the empty one shifted by the departure
+        # slot that never comes: [0.0, *p_empty], byte for byte.
+        stats = queue_statistics(ScenarioConfig(**point).replace(q_r=0.0))
+        assert stats.p_nonempty.tobytes() == \
+            np.array([0.0, *stats.p_empty]).tobytes()
+
     @pytest.mark.parametrize("second, tail, want, calls", [
         # fl(1 + 2**-53) is 1.0 (a tie, to even), but 3,000 terms under
         # the cut 2**-80 push the exact sum past the midpoint

@@ -272,6 +272,7 @@ class TestArrayTable:
         {"alpha": 5e-324},                   # the threshold seed overflows
         {"gamma_db": 43.39593648733956},     # 7 ulps under the ud/fd LOS
         {"gamma_db": 43.39593648733957},     # SNR, and 5 ulps over it
+        {"d_ur_m": 12.0},                    # p_los = 1 at the relay only
     ])
     def test_cells_equal_scalar_oracle_exactly(self, point):
         n = 12
