@@ -25,19 +25,23 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   FD->relay and Binomial(n_b, store) BR pmfs. That pmf depends only on
   (n_fr, p_f, n_b, stores), which many configurations share (at N = 30
   on the default radio, 854 distinct inputs for 5,456 rows), so it is
-  built once per distinct input, sorted n_fr-major: the inputs with
-  n_fr >= i are a suffix, and the convolution is one numpy pass per i
-  over that suffix (in runs of ``_BLOCK_ROWS`` inputs, which bounds the
-  temporaries). A gather takes it back to the rows. The success
-  probabilities read only the radio fields, so neither does the block:
-  every traffic point (n <= N, q_u, q_uf, q_ur, q_r) of a sweep group
-  that shares a table and a zero pattern reuses it. A row's values
-  depend only on its counts and the table, so a pattern's block is the
-  rows of any wider pattern's block whose ruled-out counts are 0, in
-  the same order: where the table keeps a block of a covering pattern,
-  the narrower one is that row selection, copied, and nothing is
-  computed again. A sweep evaluates a point of its widest pattern first
-  (``sweeps._run_task``), so that point's walk builds the one block;
+  built and kept once per distinct input, sorted n_fr-major: the
+  inputs with n_fr >= i are a suffix, and the convolution is one numpy
+  pass per i over that suffix (in runs of ``_BLOCK_ROWS`` inputs, which
+  bounds the temporaries). Each row holds the index of its input, and
+  the walk gathers a pmf cell for the rows only as it sums that cell,
+  so the block's memory follows its distinct inputs, not its rows
+  (2 * (N + 3) doubles per input). The success probabilities read only
+  the radio fields, so neither does the block: every traffic point
+  (n <= N, q_u, q_uf, q_ur, q_r) of a sweep group that shares a table
+  and a zero pattern reuses it. A row's values depend only on its
+  counts and the table, so a pattern's block is the rows of any wider
+  pattern's block whose ruled-out counts are 0, in the same order:
+  where the table keeps a block of a covering pattern, the narrower one
+  is that row selection, its per-row arrays copied and its pmfs shared,
+  and nothing is computed again. A sweep evaluates a point of its
+  widest pattern first (``sweeps._run_task``), so that point's walk
+  builds the one block;
 * the traffic point's weighted sums over the block's first rows, those
   of at most n UEs: their multinomial weights, computed by ``_weights``,
   times the block's columns, each output one ``math.fsum``.
@@ -89,8 +93,8 @@ from .success import SuccessTable
 
 # Distinct inputs per run of the stored-count convolution. The default
 # radio's N = 30 block is one run (854 inputs) and a cold analysis there
-# peaks near 4 MB; a block whose 5,456 inputs are all distinct (N = 30
-# at gamma = 0 dB) is six runs and peaks near 6.3 MB.
+# peaks near 2.7 MB; a block whose 5,456 inputs are all distinct (N = 30
+# at gamma = 0 dB) is six runs and peaks near 5.9 MB (tracemalloc).
 _BLOCK_ROWS = 1024
 
 # Nonzero terms from which ``_fsum`` may bracket a sum's tail. Below it,
@@ -173,11 +177,25 @@ def _active(p_fr: float, p_fd: float, p_b: float) -> tuple[bool, ...]:
 def _rows(n: int, active: tuple[bool, ...]) -> np.ndarray:
     """(n_fr, n_fd, n_b) of every configuration of n UEs whose weight a
     zero probability does not rule out, as a (3, R) array ordered by the
-    number of active UEs n_fr + n_fd + n_b (n_fr-major within a count)."""
-    idx = np.indices([n + 1 if a else 1 for a in active]).reshape(3, -1)
-    total = idx.sum(axis=0)
-    keep = np.flatnonzero(total <= n)
-    return idx[:, keep[np.argsort(total[keep], kind="stable")]]
+    number of active UEs n_fr + n_fd + n_b (n_fr-major within a count).
+
+    Listed directly: each total t = 0..n is a row whose UEs are yet to
+    be placed; every scheme but the last allowed one splits a row into
+    one per count it can take, in increasing order, and the last takes
+    what is left.
+    """
+    schemes = [s for s, a in enumerate(active) if a]
+    left = np.arange(n + 1 if schemes else 1)
+    rows = np.zeros((3, left.size), dtype=left.dtype)
+    for s in schemes[:-1]:
+        split = np.repeat(np.arange(left.size), left + 1)
+        x = np.arange(split.size) - (np.cumsum(left + 1) - (left + 1))[split]
+        rows = rows[:, split]
+        rows[s] = x
+        left = left[split] - x
+    if schemes:
+        rows[schemes[-1]] = left
+    return rows
 
 
 def _comb_table(n: int) -> np.ndarray:
@@ -281,7 +299,8 @@ def _fsum(terms: np.ndarray) -> float:
 def _row_sums(families, width: int) -> list[float]:
     """``_fsum`` of every row of ``width`` terms, family by
     family; a family is a pair (rows, count), and ``rows(a, b)`` returns
-    its rows a..b - 1 as a 2-D array.
+    its rows a..b - 1 as a 2-D array, all ``width`` terms for a = 0 and
+    for a > 0 maybe without leading terms that are zeros.
 
     Rows shorter than ``_BRACKET_TERMS`` cannot be bracketed, so their
     sums need only a sort and an fsum: they are built at once, sorted
@@ -310,38 +329,43 @@ class _ConfigBlock:
     The rows are the configurations' counts ``n_fr``, ``n_fd``, ``n_b``,
     ordered by their number of active UEs, so the ``ends[n]`` rows of at
     most n UEs come first (``head(n)``); ``_weights`` weighs them with the
-    binomial table ``comb``. Per configuration c: ``v[s][k + 1, c]`` =
-    P(k stored | c), relay silent s = 0 or transmitting s = 1, with a zero
-    row on each side of v for the k - 1 and k + 1 shifts, and the walk's
-    b_r and rate sums as ``counts`` and ``factors``: each term is
-    (w * count) * factor. The factors are the gathered success
-    probabilities: row 0 is p_dep (the relay's packet reaches the mmAP),
-    rows 5-7 ``p_f`` (a tagged FD->relay packet is decoded) and
-    ``stores[s]`` (a BR packet is decoded at the relay, lost at the mmAP).
+    binomial table ``comb``. Per configuration c:
+    ``v[s][k + 1, inverse[c]]`` = P(k stored | c), relay silent s = 0 or
+    transmitting s = 1, with a zero row on each side of v for the k - 1
+    and k + 1 shifts, and the walk's b_r and rate sums as ``counts`` and
+    ``factors``: each term is (w * count) * factor. The factors are the
+    gathered success probabilities: row 0 is p_dep (the relay's packet
+    reaches the mmAP), rows 5-7 ``p_f`` (a tagged FD->relay packet is
+    decoded) and ``stores[s]`` (a BR packet is decoded at the relay, lost
+    at the mmAP).
 
     v[s] is the convolution of Binomial(n_fr, p_f) and
     Binomial(n_b, stores[s]), which depends on those four inputs only. It
-    is built once per distinct input, sorted n_fr-major for the suffix
-    passes of ``_stored_pmfs``, and gathered back to the rows.
+    is built and kept once per distinct input, one column each, sorted
+    n_fr-major for the suffix passes of ``_stored_pmfs``; ``inverse``
+    names each row's column, and the walk gathers ``v_s[k][inverse]``
+    only for the cells it is summing.
 
     Every per-row value depends only on the row's counts and the table,
     so the block of a narrower zero pattern is a row selection
-    (``select``) of this one.
+    (``select``) of this one; a selection or a ``head`` shares ``v``.
     """
 
     comb: np.ndarray      # comb[i, j] = C(i, j) for i, j <= N
     ends: tuple           # ends[n]: the number of rows of at most n UEs
+    v: np.ndarray         # (2, N + 3, U), per distinct input
     n_fr: np.ndarray
     n_fd: np.ndarray
     n_b: np.ndarray
     counts: np.ndarray    # (8, R), a count per b_r or rate sum
     factors: np.ndarray   # (8, R), the success probability it multiplies
-    v: np.ndarray
+    inverse: np.ndarray   # (R,), each row's column of v
 
     def _take(self, ends: tuple, index) -> _ConfigBlock:
-        """The rows ``index`` of every per-row array, which hold ``ends``."""
-        return _ConfigBlock(self.comb, ends, *(
-            getattr(self, f.name)[..., index] for f in fields(self)[2:]))
+        """The rows ``index`` of every per-row array, which hold ``ends``;
+        ``v`` is shared, not copied."""
+        return _ConfigBlock(self.comb, ends, self.v, *(
+            getattr(self, f.name)[..., index] for f in fields(self)[3:]))
 
     def head(self, n: int) -> _ConfigBlock:
         """The block's rows of at most n UEs, as views."""
@@ -353,7 +377,7 @@ class _ConfigBlock:
     def select(self, active: tuple[bool, ...]) -> _ConfigBlock:
         """The block of the narrower zero pattern ``active``: the rows
         whose counts of the schemes it rules out are 0, in the same order,
-        copied."""
+        copied (``v`` is shared)."""
         n_x = np.array([self.n_fr, self.n_fd, self.n_b])
         keep = np.flatnonzero(~n_x[np.logical_not(active)].any(axis=0))
         return self._take(tuple(np.searchsorted(keep, self.ends).tolist()),
@@ -401,17 +425,19 @@ def _build_block(table: SuccessTable,
     # (n_fr, n_b, stores[0], stores[1]); the pair id sorts n_fr-major.
     pair = n_fr * (n + 1) + n_b
     first, inverse = _distinct(np.vstack([stores[::-1], pair]))
-    v = np.take(_stored_pmfs(comb, n_fr[first], p_f[first], n_b[first],
-                             stores[:, first]), inverse, axis=2)
+    v = _stored_pmfs(comb, n_fr[first], p_f[first], n_b[first],
+                     stores[:, first])
     # The walk's b_r and rate sums, in the order _Walk unpacks them;
-    # made after v, so they are not held through its build
+    # made after v, so they are not held through its build. A count
+    # converts to the same float from any integer type.
     counts = np.array([np.ones_like(n_b), n_fd, n_b, n_fd, n_b, n_fr,
-                       n_b, n_b])
+                       n_b, n_b], dtype=np.min_scalar_type(n))
     factors = np.array([p_dep, ud_fd[0], at_mmap[0], ud_fd[1], at_mmap[1],
                         p_f, *stores])
     ends = tuple(np.cumsum(np.bincount(n_fr + n_fd + n_b,
                                        minlength=n + 1)).tolist())
-    return _ConfigBlock(comb, ends, n_fr, n_fd, n_b, counts, factors, v)
+    return _ConfigBlock(comb, ends, v, n_fr, n_fd, n_b, counts, factors,
+                        inverse)
 
 
 def _weights(blk: _ConfigBlock, n: int, p_fr: float, p_fd: float,
@@ -457,12 +483,19 @@ class _Walk:
         w = _weights(blk, n, *probs)
         self.cfg, self.blk, self.w = cfg, blk, w
         # One row of terms per sum: P(k arrivals | c), k = 0..n, with the
-        # relay silent and transmitting; then (w * count) * factor for b_r
-        # (count 1) and the rates
-        counts, factors = blk.counts, blk.factors
+        # relay silent and transmitting, gathered from v only for the
+        # rows of at least k UEs (``_first``); then (w * count) * factor
+        # for b_r (count 1) and the rates
+        counts, factors, inverse = blk.counts, blk.factors, blk.inverse
+
+        def stored(v_s):
+            def rows(a, b):
+                lo = self._first(a)
+                return w[lo:] * v_s[a + 1:b + 1].take(inverse[lo:], 1)
+            return rows
+
         sums = _row_sums([
-            *((lambda a, b, v_s=v_s: w * v_s[a + 1:b + 1], n + 1)
-              for v_s in blk.v),
+            *((stored(v_s), n + 1) for v_s in blk.v),
             (lambda a, b: (w * counts[a:b]) * factors[a:b], len(factors))],
             w.size)
         top = 2 * (n + 1)
@@ -472,20 +505,30 @@ class _Walk:
         self.t_ud0, self.t_ud1 = (ud0_fd + ud0_b) / n, (ud1_fd + ud1_b) / n
         self.t_fr, self.t_ur0, self.t_ur1 = fr / n, ur0 / n, ur1 / n
 
+    def _first(self, k: int) -> int:
+        """The first row that can store k packets. The rows of fewer than
+        k UEs, which store fewer, come first, and their terms in a sum
+        over k or more stored packets are zeros, which the sums drop."""
+        return self.blk.ends[k - 1] if k > 0 else 0
+
     @property
     def p_nonempty(self) -> np.ndarray:
         """P(net change = i - 1 | queue nonempty) by i."""
         blk, w, q_r = self.blk, self.w, self.cfg.q_r
-        v0, v1 = blk.v
+        (v0, v1), inverse = blk.v, blk.inverse
         # net = arrivals - 1{departure}, relay silent or transmitting; at
         # q_r = 0 or 1 a family's terms are +-0.0, which the sums drop
         w_s, w_t = w * (1.0 - q_r), w * q_r
         p_dep, q_dep = blk.factors[0], 1.0 - blk.factors[0]
 
         def rows(a, b):
-            return np.concatenate([w_s * v0[a:b],
-                                   (w_t * v1[a + 1:b + 1]) * p_dep,
-                                   (w_t * v1[a:b]) * q_dep], axis=1)
+            # at least a - 1 stored; k + 1 and k stored while
+            # transmitting, from one gather
+            lo = self._first(a - 1)
+            t = w_t[lo:] * v1[a:b + 1].take(inverse[lo:], 1)
+            return np.concatenate([w_s[lo:] * v0[a:b].take(inverse[lo:], 1),
+                                   t[1:] * p_dep[lo:], t[:-1] * q_dep[lo:]],
+                                  axis=1)
 
         return np.array(_row_sums([(rows, self.cfg.n_ues + 2)], 3 * w.size))
 

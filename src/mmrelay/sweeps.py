@@ -150,7 +150,11 @@ class SweepSpec:
 
 
 def _parse_scalar(field: str, text: str):
+    """The number ``text`` states; digit underscores (1_000), which
+    ``int`` and ``float`` accept, are not part of the file syntax."""
     try:
+        if "_" in text:
+            raise ValueError
         if field in _INT_FIELDS:
             return int(text)
         return float(text)
@@ -202,9 +206,10 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def read_argument(name: str, text: str):
     """A ``simulator.check_argument`` argument given as text: an integer
-    where the text is one (``mode`` stays text), checked by that rule."""
+    where the text is one without digit underscores (``mode`` stays
+    text), checked by that rule."""
     value = text
-    if name != "mode":
+    if name != "mode" and "_" not in text:
         with contextlib.suppress(ValueError):
             value = int(text)
     simulator.check_argument(name, value)

@@ -1,5 +1,6 @@
 import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,6 +17,21 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 from mmrelay import ScenarioConfig, SuccessTable
 
 RECIPES = ROOT / "recipes"
+
+
+def run_limited(code: str, limit_mb: int) -> subprocess.CompletedProcess:
+    """Run ``code`` in one child interpreter whose address space is capped
+    at ``limit_mb`` MB (``RLIMIT_AS``), with ``tests`` importable, and
+    return the finished process with its text output. An allocation past
+    the cap raises ``MemoryError`` in the child, so a memory regression
+    fails the calling test instead of exhausting the machine."""
+    cap = limit_mb << 20
+    setup = ("import resource\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "tests"), os.environ["PYTHONPATH"]])}
+    return subprocess.run([sys.executable, "-c", setup + code], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,25 @@
 import concurrent.futures
 import csv
+import dataclasses
 import io
+import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmrelay import ConfigError, ScenarioConfig, SuccessTable, load_config, \
     run_sweep
 from mmrelay import aggregate_throughput, queue_model, simulator, sweeps
+from mmrelay.geometry import MAX_N_UES
 from mmrelay.sweeps import SweepSpec, _tasks, evaluate_point, \
     sweep_columns, write_csv
-from conftest import RECIPES
+from conftest import RECIPES, run_limited
 
 
 def _write(tmp_path, text, name="scenario.cfg"):
@@ -90,6 +95,36 @@ class TestLoadConfig:
         assert cli.main(["analyze", path]) == 2
         err = capsys.readouterr().err
         assert re.match(message, err.removeprefix("mmrelay: ")), err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[scenario]\nn_ues = 1_000\n",
+         "line 2: value '1_000' for 'n_ues' is not an integer"),
+        ("[scenario]\nq_u = 0.1_5\n",
+         "line 2: value '0.1_5' for 'q_u' is not numeric"),
+        ("[sweep]\nn_ues = 1:1_0\n",
+         "line 2: value '1_0' for 'n_ues' is not an integer"),
+        ("[sweep]\nq_u = 0.1, 0_5\n",
+         "line 2: value '0_5' for 'q_u' is not numeric"),
+        ("[simulation]\nn_slots = 1_000\n",
+         "line 2: n_slots must be an integer >= 1, got '1_000'"),
+    ])
+    def test_digit_underscores_are_not_numbers(self, tmp_path, text,
+                                               message):
+        # int() and float() read 1_000 as 1000; the file syntax does not
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(_write(tmp_path, text))
+
+    def test_digit_underscores_exit_codes(self, tmp_path, capsys):
+        import mmrelay.cli as cli
+        path = _write(tmp_path, "[scenario]\nn_ues = 1_000\n")
+        assert cli.main(["analyze", path]) == 2
+        assert capsys.readouterr().err == \
+            "mmrelay: line 2: value '1_000' for 'n_ues' is not an integer\n"
+        path = _write(tmp_path, "[scenario]\nn_ues = 2\n", name="ok.cfg")
+        assert cli.main(["simulate", path, "--slots", "1_000"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --slots: n_slots must be an integer >= 1, "
+            "got '1_000'\n")
 
     def test_unknown_key(self, tmp_path):
         path = _write(tmp_path, "[scenario]\nbogus = 1\n")
@@ -819,6 +854,148 @@ class TestCliProcess:
         path = _write(tmp_path, "[scenario]\nn_ues = 2\nq_u = 0.5\n")
         code, out, _ = _cli("compare", path, "--slots", "400000", "--seed", "5")
         assert code == 0, out
+
+
+class TestSupportedN:
+    def test_largest_n_is_analysed_within_the_cap(self):
+        # A cold analysis at the bound, default radio: about 130 MB
+        # resident and 1.3 s, under a 512 MB address-space cap.
+        code = ("from mmrelay import ScenarioConfig, aggregate_throughput\n"
+                "from mmrelay.geometry import MAX_N_UES\n"
+                "cfg = ScenarioConfig(n_ues=MAX_N_UES)\n"
+                "print(aggregate_throughput(cfg).regime)\n")
+        proc = run_limited(code, limit_mb=512)
+        assert (proc.returncode, proc.stdout) == (0, "stable\n"), proc.stderr
+
+    def test_one_more_is_rejected_with_its_reason(self, tmp_path, capsys):
+        import mmrelay.cli as cli
+        message = (f"n_ues must be at most {MAX_N_UES}, got {MAX_N_UES + 1}: "
+                   "the exact analysis's memory grows as N**4")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ScenarioConfig(n_ues=MAX_N_UES + 1)
+        for text in (f"[scenario]\nn_ues = {MAX_N_UES + 1}\n",
+                     f"[sweep]\nn_ues = {MAX_N_UES - 1}:{MAX_N_UES + 1}\n"):
+            path = _write(tmp_path, text)
+            with pytest.raises(ConfigError,
+                               match=f"^line 2: {re.escape(message)}"):
+                load_config(path)
+            assert cli.main(["analyze", path]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"mmrelay: line 2: {message}")
+
+
+# Config text for ``_check_config_texts``: the real sections and their
+# keys, odd values, and wrong sections, wrong keys and malformed lines.
+_SECTION_KEYS = {
+    "[scenario]": sorted(sweeps._SCENARIO_FIELDS),
+    "[sweep]": sorted(sweeps._SCENARIO_FIELDS | {"outputs"}),
+    "[simulation]": ["simulate", "n_slots", "seed", "mode"],
+}
+_ODD_VALUES = (
+    "0", "1", "-1", "2", "3", "7", "30", "128", "129", "1_000", "1030",
+    "1e3", "2.5", "0.5", "1.5", "-0.5", "0.0", "1e-320", "1e400", "nan",
+    "inf", "-inf", "+5", "0x10", "\u0661\u0662", "abc", "true", "off",
+    "physical", "decoupled", "1:3", "1:3:0.5", "0:1:0.25", "3:1", "1:2:0",
+    "1:2:-1", "0:1e6:1e-6", "1:2:3:4", "1, 2", "0.1, 0.5", "1,,2", "1, 1",
+    "t_total, q_r_min", "regime, regime", "t_sim", "", " ")
+# Values in or at the edge of a key's domain, as a scalar or as an axis,
+# so that many files load and some sweep: (scalars, axes)
+_KEY_VALUES = {"n_ues": (("4", "128", "129", "1_000"),
+                         ("1:3", "2, 5", "127:129", "1, 1_000")),
+               "simulate": (("true", "off"),), "n_slots": (("300",),),
+               "seed": (("3",),), "mode": (("physical",),),
+               "outputs": (("t_total, q_r_min", "regime"),)}
+_PROBABILITY_VALUES = (("0.3",), ("0.1, 0.5", "0:1:0.5"))
+_OTHER_VALUES = (("20",), ("10, 40", "20:40:10"))
+
+
+_ODD_LINES = ("[ Sweep ]", "[bogus]", "[]", "[scenario", "bogus = 1",
+              "slots = 5", "n_ues", "= 3", "n_ues == 3", "q_u 0.5", "]",
+              "# only a note", "\t", "\ufeff[scenario]", "q_u = 0.5 # note")
+
+
+def _key_values(section: str, key: str) -> tuple:
+    """The values ``key`` takes in ``section``: a scenario field's axes in
+    [sweep], its scalars elsewhere."""
+    values = _KEY_VALUES.get(key, _PROBABILITY_VALUES
+                             if key.startswith("q_") else _OTHER_VALUES)
+    return values[1] if section == "[sweep]" and len(values) > 1 \
+        else values[0]
+
+
+@st.composite
+def _config_texts(draw):
+    """A config file's text: up to 8 lines, each a section header, a
+    key = value pair of the current section's keys (a value in or at the
+    edge of the key's domain, an odd one or noise), or an odd line, in
+    one newline style."""
+    section, lines = "[scenario]", []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("section",) * 2 + ("pair",) * 6
+                                    + ("odd", "noise")))
+        if kind == "section":
+            section = draw(st.sampled_from(list(_SECTION_KEYS)))
+            lines.append(section)
+        elif kind == "pair":
+            key = draw(st.sampled_from(_SECTION_KEYS[section]))
+            value = draw(st.sampled_from(
+                ("key",) * 4 + ("odd", "noise")).flatmap(lambda kind: {
+                    "key": st.sampled_from(_key_values(section, key)),
+                    "odd": st.sampled_from(_ODD_VALUES),
+                    "noise": st.text("0123456789.:,-e_ ", max_size=8)}[kind]))
+            lines.append(f"{key} = {value}")
+        elif kind == "odd":
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+        else:
+            lines.append(draw(st.text(st.characters(
+                blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                max_size=12)))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
+
+
+def _check_config_texts(examples: int) -> None:
+    """Every generated file raises a ``ConfigError`` that names its line,
+    or loads with every N within ``MAX_N_UES``; a loaded spec of at most
+    12 points at N <= 30 gives one ``run_sweep`` row per point (at most
+    500 simulated slots), and no row holds a ``MemoryError``. Run in a
+    capped child by ``TestConfigText``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.cfg")
+
+        @settings(max_examples=examples, deadline=None, database=None)
+        @given(_config_texts())
+        @example(f"n_ues = {MAX_N_UES + 1}\n")
+        @example(f"[sweep]\nn_ues = 1, {MAX_N_UES + 1}\n")
+        @example("[scenario]\nn_ues = 1_000\n[sweep]\nq_u = 0.1, 0.5\n")
+        def check(text):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                spec = load_config(path)
+            except ConfigError as exc:
+                assert re.match(r"line \d+: ", str(exc)), str(exc)
+                return
+            grid = spec.grid()
+            ns = [point.get("n_ues", spec.base.n_ues) for point in grid]
+            assert all(1 <= n <= MAX_N_UES for n in ns), ns
+            if len(grid) > 12 or max(ns) > 30:
+                return
+            rows = run_sweep(dataclasses.replace(
+                spec, n_slots=min(spec.n_slots, 500)))
+            assert len(rows) == len(grid)
+            assert not [r for r in rows if "MemoryError" in r["error"]], rows
+
+        check()
+
+
+class TestConfigText:
+    def test_every_file_names_its_bad_line_or_loads(self):
+        # One child for all examples, its address space capped at 1 GB
+        proc = run_limited("import test_cli\n"
+                           "test_cli._check_config_texts(400)\n",
+                           limit_mb=1024)
+        assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 class TestRecipes:

@@ -395,7 +395,7 @@ class TestConfigBlock:
         for active in itertools.product((False, True), repeat=3):
             blk = queue_model._config_block(table, active)
             p_f, stores = _stored_inputs(blk)
-            for v_s, store in zip(blk.v, stores):
+            for v_s, store in zip(blk.v[..., blk.inverse], stores):
                 assert not v_s[0].any() and not v_s[n + 2].any()
                 for c, (f, b) in enumerate(zip(blk.n_fr.tolist(),
                                                blk.n_b.tolist())):
@@ -415,7 +415,7 @@ class TestConfigBlock:
         for active in itertools.product((False, True), repeat=3):
             blk = queue_model._config_block(table, active)
             p_f, stores = _stored_inputs(blk)
-            for v_s, store in zip(blk.v, stores):
+            for v_s, store in zip(blk.v[..., blk.inverse], stores):
                 for c, (f, b) in enumerate(zip(blk.n_fr.tolist(),
                                                blk.n_b.tolist())):
                     assert v_s[1:n + 2, c].tolist() == stored_pmf_oracle(
@@ -454,6 +454,28 @@ class TestConfigBlock:
         assert len(calls) == 2 * -(-inputs // queue_model._BLOCK_ROWS)
         assert sum(calls) == 3 * inputs
 
+    # 455 rows at N = 12; at gamma = 0 dB every input is distinct
+    @pytest.mark.parametrize("radio, distinct", [({}, 299),
+                                                 ({"gamma_db": 0.0}, 455)])
+    def test_one_v_column_per_distinct_input_shared(self, radio, distinct):
+        # v has one column per distinct (n_fr, p_f, n_b, stores) input,
+        # every column some row's; a head, a selection and a narrower
+        # pattern's block index that one array instead of copying it.
+        n = 12
+        table = SuccessTable(ScenarioConfig(n_ues=n, **radio))
+        blk = queue_model._config_block(table, (True, True, True))
+        p_f, stores = _stored_inputs(blk)
+        inputs = len(set(zip(blk.n_fr.tolist(), p_f.tolist(),
+                             blk.n_b.tolist(), *stores.tolist())))
+        assert inputs == distinct
+        assert blk.v.shape == (2, n + 3, inputs)
+        assert np.array_equal(np.unique(blk.inverse), np.arange(inputs))
+        narrower = queue_model._config_block(table, (False, True, True))
+        for part in (blk.head(5), blk.select((True, False, True)),
+                     narrower, narrower.head(3)):
+            assert part.v is blk.v
+            assert part.inverse.size == part.n_fr.size
+
     def test_rows_of_at_most_n_ues_come_first(self):
         # A point at n < N weighs a prefix of the block: exactly the rows,
         # in order, and the stored-count pmfs of a block built at n.
@@ -467,8 +489,10 @@ class TestConfigBlock:
                 for name in ("n_fr", "n_fd", "n_b"):
                     assert np.array_equal(getattr(head, name),
                                           getattr(own, name))
-                assert head.v[:, :n + 2].tolist() == own.v[:, :n + 2].tolist()
-                assert not head.v[:, n + 2:].any()
+                head_v = head.v[..., head.inverse]
+                own_v = own.v[..., own.inverse]
+                assert head_v[:, :n + 2].tolist() == own_v[:, :n + 2].tolist()
+                assert not head_v[:, n + 2:].any()
 
     @pytest.mark.parametrize("radio", [
         {}, {"alpha": 0.0},
@@ -491,9 +515,13 @@ class TestConfigBlock:
             for m in range(n + 1):
                 head, want = got.head(m), direct[p].head(m)
                 for f in dataclasses.fields(want):
+                    if f.name in ("v", "inverse"):
+                        continue
                     assert np.array_equal(getattr(head, f.name),
                                           getattr(want, f.name)), \
                         (p, w, m, f.name)
+                assert np.array_equal(head.v[..., head.inverse],
+                                      want.v[..., want.inverse]), (p, w, m)
 
 
 class TestDeferredNonemptyPmf:
@@ -523,19 +551,34 @@ class TestDeferredNonemptyPmf:
             [stats.t_ud0, stats.t_ud1, stats.t_ur0, stats.t_ur1]
 
 
+def _cold_peak(cfg):
+    """tracemalloc's peak, in bytes, over a cold analysis of ``cfg``."""
+    tracemalloc.start()
+    try:
+        aggregate_throughput(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWalkMemory:
     def test_cold_n30_analysis_peak(self):
-        # The stored-count pmfs take about 2.9 MB here; the binomial pmfs
-        # and their products are built once per distinct input, one run
-        # of _BLOCK_ROWS inputs at a time.
+        # The stored-count pmfs are kept per distinct input (854 here, for
+        # 5,456 rows: 0.45 MB) and gathered one summed row at a time; the
+        # binomial pmfs and their products are built once per distinct
+        # input, one run of _BLOCK_ROWS inputs at a time.
         cfg = ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5)
-        tracemalloc.start()
-        try:
-            aggregate_throughput(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 1024 * 1024
+        assert _cold_peak(cfg) <= 3.5 * 1024 * 1024
+
+    @pytest.mark.parametrize("n, radio, limit_mb", [
+        # 2,249 distinct inputs for 39,711 rows
+        (60, {}, 16),
+        # every one of the 5,456 inputs distinct, so v is as wide as the
+        # rows, but no copy of it is gathered back to them
+        (30, {"gamma_db": 0.0}, 6.5)])
+    def test_cold_analysis_peak(self, n, radio, limit_mb):
+        cfg = ScenarioConfig(n_ues=n, q_u=0.5, q_r=0.5, **radio)
+        assert _cold_peak(cfg) <= limit_mb * 1024 * 1024
 
 
 @st.composite
