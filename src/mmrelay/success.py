@@ -54,15 +54,6 @@ import numpy as np
 from .geometry import LinkBudget, ScenarioConfig
 
 
-def _binom_pmf(n: int, p: float) -> list[float]:
-    q = 1.0 - p
-    try:
-        return [math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)]
-    except OverflowError:
-        raise ValueError(
-            f"binomial weights of {n} trials overflow a float") from None
-
-
 # Each receiver's keys (link, scheme, relay on), by its interferers' link.
 _KEYS = {
     "ur": (("ur", "fd", False), ("ur", "br", False)),
@@ -135,8 +126,6 @@ class SuccessTable:
         """
         b, m = self.budget, self.cfg.n_ues
         keys = _KEYS[ilink]
-        # Largest count first: an overflow is reported before any work.
-        pmf = [_binom_pmf(n, b.p_los(ilink)) for n in range(m, -1, -1)][::-1]
         # Each link's (LOS, NLOS) weights of its desired signal; a state of
         # weight zero adds only zero terms, which ``live`` drops
         w_state = {link: (b.p_los(link), 1.0 - b.p_los(link))
@@ -146,10 +135,13 @@ class SuccessTable:
         # Flat tables over (n, j), read at j <= n only: the weight of j of
         # n interferers in LOS, and the parts of a partition's interference
         # k*p_fl + (n_f-k)*p_fn + h*p_bl + (n_b-h)*p_bn, each formed as
-        # that sum forms it on int64 counts.
+        # that sum forms it on int64 counts. The weights go in the order
+        # ``pmfs[j <= n]`` takes them; none overflows below n = 1030.
         n, j = np.indices((m + 1, m + 1)).reshape(2, -1)
+        p, q = b.p_los(ilink), 1.0 - b.p_los(ilink)
         pmfs = np.zeros(n.size)
-        pmfs[j <= n] = np.concatenate(pmf)
+        pmfs[j <= n] = [math.comb(t, k) * p**k * q ** (t - k)
+                        for t in range(m + 1) for k in range(t + 1)]
         fd = j * p_fl + (n - j) * p_fn
         bl, bn = j * p_bl, (n - j) * p_bn
         # The cells (n_f, n_b), n_f-major, and the rows (cell, k),

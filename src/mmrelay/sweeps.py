@@ -33,8 +33,9 @@ per zero pattern, so a traffic point costs its weighted sums. The points
 of the group's widest pattern (the OR of its points') go first: the first
 builds that block (a failure is its row's error), and every other
 pattern's block is a row selection of it. The numbers are those of a
-fresh per-point analysis, bit for bit. If that table cannot be built,
-each point gets its own, and only points that fail alone get an error.
+fresh per-point analysis, bit for bit. With n_ues <= MAX_N_UES, a
+group's table fails only where its radio has no link budget; each point
+is then evaluated alone, the shortest way to give each row that error.
 With ``jobs > 1`` each worker task is a contiguous run of one group's
 points; a group is split only when there are fewer groups than jobs.
 Cells are printed by ``format_value`` (floats with 9 significant digits)
@@ -58,7 +59,7 @@ from .success import SuccessTable
 from .throughput import aggregate_throughput
 
 _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
-_INT_FIELDS = {"n_ues"}
+_INT_FIELDS = {"n_ues", "n_slots", "seed", "jobs"}
 
 # Most points a sweep grid may have, the product of its axes' lengths. A
 # file's range or list is counted before any value is built, so a range
@@ -150,10 +151,11 @@ class SweepSpec:
 
 
 def _parse_scalar(field: str, text: str):
-    """The number ``text`` states; digit underscores (1_000), which
-    ``int`` and ``float`` accept, are not part of the file syntax."""
+    """The number ``text`` states, in the one syntax of files and flags:
+    that of ``int`` (``_INT_FIELDS``) or ``float``, but ASCII only and
+    with no digit underscores (1_000)."""
     try:
-        if "_" in text:
+        if not text.isascii() or "_" in text:
             raise ValueError
         if field in _INT_FIELDS:
             return int(text)
@@ -205,13 +207,13 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def read_argument(name: str, text: str):
-    """A ``simulator.check_argument`` argument given as text: an integer
-    where the text is one without digit underscores (``mode`` stays
-    text), checked by that rule."""
+    """A ``simulator.check_argument`` argument given as text, checked by
+    that rule: the number ``_parse_scalar`` reads, else (and for
+    ``mode``) the text, which the rule's message then quotes."""
     value = text
-    if name != "mode" and "_" not in text:
+    if name != "mode":
         with contextlib.suppress(ValueError):
-            value = int(text)
+            value = _parse_scalar(name, text)
     simulator.check_argument(name, value)
     return value
 
@@ -359,8 +361,8 @@ def _run_task(args) -> list[tuple[int, dict]]:
     try:
         table = SuccessTable(max((cfg for _, cfg in points),
                                  key=lambda cfg: cfg.n_ues))
-    except Exception:
-        table = None  # then each point is evaluated on its own cold table
+    except Exception:  # a link-budget error, which each point then raises
+        table = None
     patterns = [queue_model._active(*queue_model._ue_activity_probs(cfg))
                 for _, cfg in points]
     widest = tuple(map(any, zip(*patterns)))

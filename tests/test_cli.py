@@ -34,6 +34,10 @@ def _cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# Digits that int() and float() read but the number syntax does not:
+# Arabic-Indic 12, fullwidth 0.5 and fullwidth 10
+_ARABIC_12, _WIDE_0_5, _WIDE_10 = "\u0661\u0662", "\uff10.5", "\uff11\uff10"
+
 # (argument, value, the rule's message); a value is given to code as is
 # and to a file line or a flag as its text.
 _ARGUMENT_RULES = [
@@ -43,6 +47,9 @@ _ARGUMENT_RULES = [
     ("seed", "1.5", "seed must be an integer >= 0, got '1.5'"),
     ("jobs", 0, "jobs must be an integer >= 1, got 0"),
     ("jobs", "x", "jobs must be an integer >= 1, got 'x'"),
+    *((name, digits, f"{name} must be an integer >= {low}, got '{digits}'")
+      for name, low in (("n_slots", 1), ("seed", 0), ("jobs", 1))
+      for digits in (_ARABIC_12, _WIDE_10)),
     ("mode", "bogus", "mode must be 'decoupled' or 'physical', got 'bogus'"),
     ("n_ues", 0, "n_ues must be an integer >= 1, got 0"),
     ("n_ues", -3, "n_ues must be an integer >= 1, got -3"),
@@ -83,6 +90,24 @@ class TestLoadConfig:
         ("[scenario]\nq_u =\n", "^line 2: missing value for 'q_u'$"),
         ("[simulation]\nsimulate = maybe\n",
          "^line 2: expected a boolean, got 'maybe'$"),
+        (f"[scenario]\nn_ues = {_ARABIC_12}\n",
+         f"^line 2: value '{_ARABIC_12}' for 'n_ues' is not an integer$"),
+        (f"[scenario]\nq_u = {_WIDE_0_5}\n",
+         f"^line 2: value '{_WIDE_0_5}' for 'q_u' is not numeric$"),
+        (f"[scenario]\nq_u = 0.5\nn_ues = {_WIDE_10}\n",
+         f"^line 3: value '{_WIDE_10}' for 'n_ues' is not an integer$"),
+        (f"[sweep]\nn_ues = 2, {_ARABIC_12}\n",
+         f"^line 2: value '{_ARABIC_12}' for 'n_ues' is not an integer$"),
+        (f"[sweep]\nq_u = 0.1, {_WIDE_0_5}\n",
+         f"^line 2: value '{_WIDE_0_5}' for 'q_u' is not numeric$"),
+        (f"[sweep]\nn_ues = {_WIDE_10}, 2\n",
+         f"^line 2: value '{_WIDE_10}' for 'n_ues' is not an integer$"),
+        (f"[sweep]\nn_ues = 1:{_ARABIC_12}\n",
+         f"^line 2: value '{_ARABIC_12}' for 'n_ues' is not an integer$"),
+        (f"[sweep]\nq_u = 0:{_WIDE_0_5}:0.25\n",
+         f"^line 2: value '{_WIDE_0_5}' for 'q_u' is not numeric$"),
+        (f"[sweep]\nq_u = 0.1, 0.5\nn_ues = 1:{_WIDE_10}\n",
+         f"^line 3: value '{_WIDE_10}' for 'n_ues' is not an integer$"),
         ("[simulation]\nslots = 5\n",
          "^line 2: unknown key 'slots' in \\[simulation\\]$"),
     ])
@@ -646,8 +671,8 @@ class TestSweepReuse:
                 {k: _hex(v) for k, v in want.items()}
 
     def test_oversized_n_fails_only_its_own_row(self):
-        # The group's table at N = 1030 cannot be built, so each point is
-        # evaluated on its own table: N = 5 gets a fresh analysis's row.
+        # N = 1030 is over MAX_N_UES, so its configuration fails when it is
+        # built and it joins no group; N = 5 gets a fresh analysis's row.
         spec = SweepSpec(base=ScenarioConfig(q_u=0.1),
                          axes=(("n_ues", (5, 1030)),))
         rows = run_sweep(spec)
@@ -894,10 +919,10 @@ _SECTION_KEYS = {
 _ODD_VALUES = (
     "0", "1", "-1", "2", "3", "7", "30", "128", "129", "1_000", "1030",
     "1e3", "2.5", "0.5", "1.5", "-0.5", "0.0", "1e-320", "1e400", "nan",
-    "inf", "-inf", "+5", "0x10", "\u0661\u0662", "abc", "true", "off",
-    "physical", "decoupled", "1:3", "1:3:0.5", "0:1:0.25", "3:1", "1:2:0",
-    "1:2:-1", "0:1e6:1e-6", "1:2:3:4", "1, 2", "0.1, 0.5", "1,,2", "1, 1",
-    "t_total, q_r_min", "regime, regime", "t_sim", "", " ")
+    "inf", "-inf", "+5", "0x10", _ARABIC_12, _WIDE_0_5, _WIDE_10, "abc",
+    "true", "off", "physical", "decoupled", "1:3", "1:3:0.5", "0:1:0.25",
+    "3:1", "1:2:0", "1:2:-1", "0:1e6:1e-6", "1:2:3:4", "1, 2", "0.1, 0.5",
+    "1,,2", "1, 1", "t_total, q_r_min", "regime, regime", "t_sim", "", " ")
 # Values in or at the edge of a key's domain, as a scalar or as an axis,
 # so that many files load and some sweep: (scalars, axes)
 _KEY_VALUES = {"n_ues": (("4", "128", "129", "1_000"),

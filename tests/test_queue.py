@@ -372,10 +372,11 @@ class TestSuccessArrayUse:
         with pytest.raises(ValueError, match="N = 3 UEs"):
             queue_statistics(cfg, SuccessTable(cfg.replace(n_ues=3)))
 
-    def test_weight_overflow_names_the_count(self):
-        # The table's binomial pmfs of 1030 trials overflow before any
-        # block is built.
-        with pytest.raises(ValueError, match="1030"):
+    def test_n_beyond_the_bound_refused_before_any_table(self):
+        # N = 1030, where the binomial weights would overflow a float, is
+        # refused when its configuration is built.
+        with pytest.raises(ValueError,
+                           match="^n_ues must be at most 128, got 1030: "):
             queue_statistics(ScenarioConfig(n_ues=1030, q_u=0.0))
 
 

@@ -10,7 +10,6 @@ import pytest
 from mmrelay import LinkBudget, ScenarioConfig, SuccessTable, load_config
 from mmrelay import success
 from mmrelay.geometry import LinkState
-from mmrelay.success import _binom_pmf
 
 from conftest import RECIPES, random_two_ue_cfg
 from oracles import (cell, sinr, sinr_linear, success_probability_bruteforce,
@@ -408,14 +407,3 @@ class TestArrayTable:
         # About 0.7 MB; all 46,376 partitions listed in one run read
         # about 4.2 MB.
         assert self._build_peak(30) <= 3 * 1024 * 1024
-
-
-class TestBinomOverflow:
-    def test_overflow_names_the_count(self):
-        with pytest.raises(ValueError, match="1030"):
-            _binom_pmf(1030, 0.5)
-
-    def test_largest_supported_count_unchanged(self):
-        got = _binom_pmf(1029, 0.5)
-        assert got == [math.comb(1029, k) * 0.5**k * 0.5 ** (1029 - k)
-                       for k in range(1030)]
