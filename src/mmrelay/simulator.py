@@ -44,21 +44,23 @@ chunk decides each reception as soon as its draws are made: kind after
 kind of reception, in the contract's order, it draws the desired-state
 mask and the FD LOS counts over the whole chunk, then the BR LOS counts
 in pieces of ``_SAMPLE_BLOCK`` receptions, and forms, decides and
-tallies each piece at once. Between pieces it keeps 4 bytes per
-reception of the current kind (its uint16 slot, mask byte and FD count)
-and 1 byte per BR transmission (decoded at the relay, until BR at the
-mmAP is decided). A physical chunk draws its four LOS masks first and then
-decodes in blocks of whole slots holding at most ``_SAMPLE_BLOCK``
-transmissions, so that a block's arrays stay in cache. The relay-queue
-scan over the chunk (``_scan_chunk``) does not step slot by slot
-either: only a slot with arrivals while the queue is empty starts a busy
-period, so one sort and one search find where each such period would
-end, and a walk over the busy periods actually reached, one step each
-and at most n / 2 for n slots, marks the empty-queue slots. Each slot's
-interference is summed in transmission order whatever the block or piece
-size, the rest is elementwise or an integer count, and the scan's
-statistics are integer sums, taken in int64, so every statistic equals
-that of a slot-by-slot update bit for bit: the reference's.
+tallies each piece at once. Between pieces it keeps 3 bytes and a bit
+per reception of the current kind (its uint16 slot, FD count and mask
+bit) and 1 bit per BR transmission (decoded at the relay, until BR at the
+mmAP is decided), and a kind is freed once it is decided. A physical
+chunk draws its four LOS masks first, as bits, and then decodes in blocks
+of whole slots holding at most ``_SAMPLE_BLOCK`` transmissions, each
+unpacking its own span of the masks, so that a block's arrays stay in
+cache. The relay-queue scan over the chunk (``_scan_chunk``) does not
+step slot by slot either: only a slot with arrivals while the queue is
+empty starts a busy period, so one sort and one search find where each
+such period would end, and a walk over the busy periods actually
+reached, one step each and at most n / 2 for n slots, marks the
+empty-queue slots. Each slot's interference is summed in transmission
+order whatever the block or piece size, the rest is elementwise or an
+integer count, and the scan's statistics are integer sums, taken in
+int64, so every statistic equals that of a slot-by-slot update bit for
+bit: the reference's.
 
 Every binomial count (transmitters, FD choices, relay aims and, in
 decoupled mode, LOS interferers) comes from ``_Binomial``, an exact
@@ -105,11 +107,11 @@ _TARGET_BATCHES = 50
 # the memory and sampled no faster.
 _GUIDE_BITS = 10
 _GUIDE_CELL_BITS = 15
-# Binomial draws per sampler block, doubles per piece of a LOS mask,
-# receptions per decided piece of a decoupled chunk and transmissions per
-# block of whole slots of a physical one (a heavier slot is a block of its
-# own): the arrays stay in cache. Not part of the draw order: any size
-# gives the same statistics.
+# Binomial draws per sampler block, doubles per piece of a LOS mask
+# (rounded up to whole bytes of its bits), receptions per decided piece of
+# a decoupled chunk and transmissions per block of whole slots of a
+# physical one (a heavier slot is a block of its own): the arrays stay in
+# cache. Not part of the draw order: any size gives the same statistics.
 _SAMPLE_BLOCK = 1 << 15
 
 
@@ -461,16 +463,28 @@ def _draw_counts(gen: np.random.Generator, cfg: ScenarioConfig, pw: _Powers,
 
 
 def _los_mask(gen: np.random.Generator, size: int, p: float):
-    """``gen.random(size) < p``, drawn in pieces of ``_SAMPLE_BLOCK``
-    doubles: consecutive draws continue one stream, so this is the same
-    mask without a chunk-sized array of doubles."""
-    mask = np.empty(size, dtype=bool)
-    u = np.empty(min(size, _SAMPLE_BLOCK))
-    for lo in range(0, size, _SAMPLE_BLOCK):
-        part = u[:min(_SAMPLE_BLOCK, size - lo)]
+    """``gen.random(size) < p`` as packed bits (``np.packbits``,
+    ``bitorder="little"``; ``_unpack`` unpacks a span), drawn in pieces of
+    ``_SAMPLE_BLOCK`` doubles rounded up to whole bytes: consecutive draws
+    continue one stream, so this is the same mask without a chunk-sized
+    array of doubles, and in an eighth of the bytes of a bool array."""
+    step = -(-_SAMPLE_BLOCK // 8) * 8
+    bits = np.empty(-(-size // 8), dtype=np.uint8)
+    u = np.empty(min(size, step))
+    for lo in range(0, size, step):
+        part = u[:min(step, size - lo)]
         gen.random(out=part)
-        np.less(part, p, out=mask[lo:lo + part.size])
-    return mask
+        packed = np.packbits(part < p, bitorder="little")
+        bits[lo // 8:lo // 8 + packed.size] = packed
+    return bits
+
+
+def _unpack(packed, lo: int, hi: int):
+    """Bits [lo, hi) of a mask packed as ``_los_mask`` packs one, as
+    bools; only the bytes the span meets are unpacked."""
+    a = lo // 8
+    return np.unpackbits(packed[a:-(-hi // 8)], bitorder="little")[
+        lo - 8 * a:hi - 8 * a].view(bool)
 
 
 def _blocks(n_tx):
@@ -553,37 +567,46 @@ def _chunk_decoupled(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
     the FD interferers, then, in pieces of ``_SAMPLE_BLOCK`` receptions,
     those among the BR interferers. Each piece is decided (``_decide``) as
     soon as its draws are made, so between pieces a chunk keeps only the
-    reception's slots, mask and FD LOS counts, and the BR-at-relay decode
-    mask.
+    reception's slots, its mask as bits and its FD LOS counts, and the
+    BR-at-relay decode bits of each piece until BR at the mmAP reads them.
+    A kind is freed once it is decided, before the next kind's slots are
+    built.
     """
     b = pw.budget
     out = _tallies(n_fr)
-    at_relay = np.empty(int(n_b.sum(dtype=np.int64)), dtype=bool)
-    for kind, (slots, (per_f, per_b)) in enumerate(
-            zip(_reception_slots(n_fr, n_fd, n_b),
-                _interferers(n_fr, n_fd, n_b))):
+    # not zip(...) with the interferers: zip's result tuple would keep the
+    # last kind's slots alive into the next kind
+    receptions = _reception_slots(n_fr, n_fd, n_b)
+    at_relay = []  # BR at the relay's packed decode bits, one per piece
+    for kind, (per_f, per_b) in enumerate(_interferers(n_fr, n_fd, n_b)):
+        slots = next(receptions)
         # interferers reach the relay over "ur" and the mmAP over "ud"
         link = "ur" if _RECEPTIONS[kind][0] == "ur" else "ud"
         los = pw.los[link]
         desired = _los_mask(gen, slots.size, los.p) if kind < 4 else None
-        pieces = [slice(lo, lo + _SAMPLE_BLOCK)
+        pieces = [slice(lo, min(lo + _SAMPLE_BLOCK, slots.size))
                   for lo in range(0, slots.size, _SAMPLE_BLOCK)]
         k_f = np.empty(slots.size, dtype=per_f.dtype)
         for piece in pieces:
             k_f[piece] = los(gen, per_f.take(slots[piece]))
         powers = b.powers(link, "fd"), b.powers(link, "br")
         for piece in pieces:
-            s = slots[piece]
-            first, stop = int(s[0]), int(s[-1]) + 1
+            first = int(slots[piece.start])
+            stop = int(slots[piece.stop - 1]) + 1
             # intp: take and bincount convert any other index dtype
-            local = np.subtract(s, first, dtype=np.intp)
+            local = np.subtract(slots[piece], first, dtype=np.intp)
             kf_n, kb_n = (n[first:stop].take(local) for n in (per_f, per_b))
             interference = _interference(k_f[piece], kf_n,
                                          los(gen, kb_n), kb_n, *powers)
-            _decide(pw, kind, [o[first:stop] for o in out], local,
-                    True if desired is None else desired[piece],
-                    interference, at_relay[piece] if kind in (1, 2) else None)
-        del desired, k_f  # before the next reception's are drawn
+            ok = _decide(pw, kind, [o[first:stop] for o in out], local,
+                         True if desired is None
+                         else _unpack(desired, piece.start, piece.stop),
+                         interference,
+                         _unpack(at_relay.pop(0), 0, local.size) if kind == 2
+                         else None)
+            if kind == 1:
+                at_relay.append(np.packbits(ok, bitorder="little"))
+        del slots, desired, k_f  # before the next kind's are built
     return out
 
 
@@ -591,14 +614,15 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
     """Per-slot outcomes of a chunk, one LOS draw per link per slot.
 
     Draws first: the LOS masks of the links toward the relay (FD-to-relay,
-    then BR transmitters) and toward the mmAP (FD-to-mmAP, then BR). Then
-    the chunk is decided block by block (``_blocks``): each
+    then BR transmitters) and toward the mmAP (FD-to-mmAP, then BR), held
+    as bits. Then the chunk is decided block by block (``_blocks``): each
     transmission's received power is the 2-entry gather of its link's
     (NLOS, LOS) pair by its mask, and a reception's interference is its
     slot's total at the receiver less its own power. A block numbers its
     transmissions' slots from its own counts, and its spans among the
     chunk's transmissions (its slices of the masks) follow from each
-    kind's running count, so no chunk-wide slot array is built.
+    kind's running count, so no chunk-wide slot array is built, and the
+    block unpacks only those spans.
     """
     b = pw.budget
     links = (("ur", "fd"), ("ur", "br"), ("ud", "fd"), ("ud", "br"))
@@ -614,8 +638,8 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
         slots_fr, slots_b, slots_fd = local = [
             np.arange(cb).repeat(n[block]) for n in (n_fr, n_b, n_fd)]
         starts, stops = stops, [a + s.size for a, s in zip(stops, local)]
-        spans = [slice(a, z) for a, z in zip(starts, stops)]
-        los = [m[span] for m, span in zip(masks, (*spans, spans[1]))]
+        los = [_unpack(m, a, z) for m, a, z in
+               zip(masks, (*starts, starts[1]), (*stops, stops[1]))]
         p_fr_r, p_b_r, p_fd_d, p_b_d = (pair.take(m.view(np.uint8))
                                         for pair, m in zip(pairs, los))
         total_r = (np.bincount(slots_fr, weights=p_fr_r, minlength=cb)
@@ -624,14 +648,16 @@ def _chunk_physical(gen: np.random.Generator, pw: _Powers, n_fr, n_fd, n_b):
                    + np.bincount(slots_b, weights=p_b_d, minlength=cb))
         los_fr_r, los_b_r, los_fd_d, los_b_d = los
         view = [o[block] for o in out]
-        at_relay = np.empty(slots_b.size, dtype=bool)
+        at_relay = None
         for kind, reception in enumerate((
                 (slots_fr, los_fr_r, total_r[slots_fr] - p_fr_r),
                 (slots_b, los_b_r, total_r[slots_b] - p_b_r),
                 (slots_b, los_b_d, total_d[slots_b] - p_b_d),
                 (slots_fd, los_fd_d, total_d[slots_fd] - p_fd_d),
                 (None, True, total_d))):
-            _decide(pw, kind, view, *reception, at_relay)
+            ok = _decide(pw, kind, view, *reception, at_relay)
+            if kind == 1:
+                at_relay = ok
     return out
 
 
@@ -646,11 +672,12 @@ def _decide(pw: _Powers, kind: int, out, slots, los, interference,
     ``interference`` their desired LOS states and interference. The queue
     stores decoded FD->relay packets and BR packets decoded at the relay
     and lost at the mmAP; direct deliveries are the FD and BR packets
-    decoded at the mmAP. ``at_relay`` is the BR-at-relay decode mask of
-    these BR transmissions: BR at the relay fills it and BR at the mmAP
-    reads it. With the relay transmitting (suffix t) the budget's
-    ``relay_interference_w`` adds to the interference at the mmAP, in
-    place.
+    decoded at the mmAP. Returns the receptions' decode mask (at the
+    mmAP, the one with the relay transmitting). Only BR at the mmAP reads
+    ``at_relay``: the mask BR at the relay returned for the same BR
+    transmissions, as bools; the other kinds take None. With the relay
+    transmitting (suffix t) the budget's ``relay_interference_w`` adds to
+    the interference at the mmAP, in place.
     """
     thresholds = pw.budget.thresholds(*_RECEPTIONS[kind])
     ok = _decoded(los, interference, thresholds)
@@ -660,11 +687,9 @@ def _decide(pw: _Powers, kind: int, out, slots, los, interference,
         stored = np.bincount(slots[ok], minlength=c)
         arr_s += stored
         arr_t += stored
-    elif kind == 1:
-        at_relay[:] = ok
     elif kind == 4:
         rd_ok[:] = ok
-    else:
+    elif kind in (2, 3):
         for relay_on, (arr, direct) in enumerate(((arr_s, dir_s),
                                                   (arr_t, dir_t))):
             if relay_on:
@@ -673,6 +698,7 @@ def _decide(pw: _Powers, kind: int, out, slots, los, interference,
             direct += np.bincount(slots[ok], minlength=c)
             if kind == 2:
                 arr += np.bincount(slots[at_relay & ~ok], minlength=c)
+    return ok
 
 
 def _decoded(los, interference, thresholds: tuple[float, float]):

@@ -3,6 +3,7 @@ import json
 import math
 import signal
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -512,8 +513,10 @@ class TestReceptionEndToEnd:
 
 class TestReceptionBlocks:
     """A physical chunk is decoded in blocks of whole slots and a decoupled
-    one in pieces of receptions, both of ``_SAMPLE_BLOCK``; that size is not
-    part of the draw order."""
+    one in pieces of receptions, both of ``_SAMPLE_BLOCK``, and LOS masks
+    are drawn in pieces of that size rounded up to whole bytes; the size is
+    not part of the draw order. A size that is not a multiple of 8 makes
+    blocks and pieces start and end within a byte of the packed masks."""
 
     @pytest.mark.parametrize("mode", simulator.MODES)
     @pytest.mark.parametrize("cfg, n_slots", [(_LIGHT, 3_000), (_HEAVY, 1_500)],
@@ -521,10 +524,10 @@ class TestReceptionBlocks:
     def test_stats_independent_of_block_size(self, cfg, n_slots, mode,
                                              monkeypatch):
         default = run(cfg, n_slots, seed=8, mode=mode)
-        # one block and one piece per chunk, then blocks of at most 4
+        # one block and one piece per chunk, then blocks of at most 4 or 13
         # transmissions (a heavy slot, about 27, is a block of its own) and
-        # pieces of 4 receptions, which split slots
-        for block in (cfg.n_ues * simulator._CHUNK, 4):
+        # pieces of 4 or 13 receptions, which split slots
+        for block in (cfg.n_ues * simulator._CHUNK, 4, 13):
             monkeypatch.setattr(simulator, "_SAMPLE_BLOCK", block)
             assert _bits(run(cfg, n_slots, seed=8, mode=mode)) == \
                 _bits(default)
@@ -569,15 +572,18 @@ def _heavy_peak(n_slots, mode):
 
 
 class TestChunkMemory:
-    @pytest.mark.parametrize("mode, limit_mb", [("physical", 6.0),
-                                                ("decoupled", 9.0)],
+    @pytest.mark.parametrize("mode, limit_mb", [("physical", 3.5),
+                                                ("decoupled", 6.5)],
                              ids=["physical", "decoupled"])
     def test_heavy_chunk_peak(self, mode, limit_mb):
-        # Measured at 5.4 MB (physical) and 8.5 MB (decoupled). With
-        # chunk-wide slot arrays in both modes, int64 per-slot outcomes,
-        # and a decoupled chunk that kept its LOS masks and int8 counts,
-        # 3 bytes per reception, until its blocks were decoded: 10.5 and
-        # 17.0 MB. With int32 counts and slot indices, 14.6 and 35.8 MB.
+        # Measured at 3.28 MB (physical) and 6.23 MB (decoupled), with LOS
+        # and relay-decode masks held as bits and each decoupled kind freed
+        # once decided. With bool masks, and a decoupled kind's slots kept
+        # into the next kind: 5.40 and 8.52 MB. With chunk-wide slot arrays
+        # in both modes, int64 per-slot outcomes, and a decoupled chunk that
+        # kept its LOS masks and int8 counts, 3 bytes per reception, until
+        # its blocks were decoded: 10.5 and 17.0 MB. With int32 counts and
+        # slot indices, 14.6 and 35.8 MB.
         assert _heavy_peak(simulator._CHUNK, mode) <= limit_mb * 1024 * 1024
 
     @pytest.mark.parametrize("mode", simulator.MODES)
@@ -587,6 +593,58 @@ class TestChunkMemory:
         # draws read 0.31 MB more, and 2.1 MB more with int64 outcomes.
         one = _heavy_peak(simulator._CHUNK, mode)
         assert _heavy_peak(3 * simulator._CHUNK, mode) <= one + 64 * 1024
+
+    def test_decided_kinds_are_freed(self, monkeypatch):
+        # A decoupled kind's slot array is dead by the next kind's first
+        # draw. The BR array serves BR at the relay and at the mmAP (kinds
+        # 1 and 2), so it is dead from kind 3 on.
+        refs = []
+        slots = simulator._reception_slots
+
+        def tracked(*counts):
+            for array in slots(*counts):
+                refs.append(weakref.ref(array))
+                yield array
+
+        mask = simulator._los_mask
+        checked = []
+
+        def check(gen, size, p):
+            kind = len(refs) - 1
+            decided = {0: [], 1: [0], 2: [0], 3: [0, 1, 2]}[kind]
+            assert [refs[k]() for k in decided] == [None] * len(decided)
+            checked.append(kind)
+            return mask(gen, size, p)
+
+        monkeypatch.setattr(simulator, "_reception_slots", tracked)
+        monkeypatch.setattr(simulator, "_los_mask", check)
+        run(_HEAVY, 2_000, seed=1, mode="decoupled")
+        assert checked == [0, 1, 2, 3]
+
+
+class TestPackedMasks:
+    """LOS masks are drawn as packed bits; unpacked they are the bool
+    masks ``gen.random(size) < p`` gives, from the same doubles."""
+
+    @pytest.mark.parametrize("block", [4, 13, 1 << 15])
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, (1 << 15) + 3])
+    def test_equals_bool_mask(self, size, block, monkeypatch):
+        monkeypatch.setattr(simulator, "_SAMPLE_BLOCK", block)
+        ref, gen = (np.random.Generator(np.random.PCG64(5)) for _ in "ab")
+        want = ref.random(size) < 0.3
+        bits = simulator._los_mask(gen, size, 0.3)
+        assert bits.dtype == np.uint8 and bits.size == -(-size // 8)
+        assert np.array_equal(simulator._unpack(bits, 0, size), want)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_span_at_unaligned_ends(self):
+        mask = np.random.default_rng(2).random(61) < 0.5
+        bits = np.packbits(mask, bitorder="little")
+        for lo, hi in [(0, 61), (3, 5), (7, 9), (8, 16), (9, 60), (13, 13),
+                       (60, 61), (5, 8)]:
+            got = simulator._unpack(bits, lo, hi)
+            assert got.dtype == bool
+            assert got.tolist() == mask[lo:hi].tolist()
 
 
 # Recorded once from the simulator as it stood before the two LOS modes
