@@ -57,9 +57,9 @@ _FIELD_DOMAINS = {
 # Most UEs a scenario may have. The exact analysis keeps one stored-count
 # pmf of 2 * (N + 3) doubles per distinct input, and where every one of
 # the C(N + 3, 3) configurations has its own (d_ur_m = 100, d_ud_m = 150,
-# gamma_db = 0, say), a cold analysis at N = 128 peaks near 840 MB of
-# resident memory and takes about 13 s of CPU (the default radio: 130 MB
-# and 1.3 s). The bound keeps a cold analysis under 1 GB whatever the
+# gamma_db = 0, say), a cold analysis at N = 128 peaks near 800 MB of
+# resident memory and takes about 8 s of CPU (the default radio: 116 MB
+# and 1.9 s). The bound keeps a cold analysis under 1 GB whatever the
 # radio, and admits the simulator's int16 counts (N > 127).
 MAX_N_UES = 128
 
@@ -130,7 +130,7 @@ class ScenarioConfig:
                 raise ValueError(
                     f"n_ues must be at most {MAX_N_UES}, got {value!r}: the "
                     "exact analysis's memory grows as N**4 (up to about "
-                    f"840 MB at N = {MAX_N_UES})")
+                    f"800 MB at N = {MAX_N_UES})")
             return
         if name == "theta_bw_br_deg" and value is None:
             return

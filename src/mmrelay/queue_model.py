@@ -17,9 +17,10 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   ``SuccessTable`` per zero pattern (which of p_fr, p_fd and p_b are
   zero; that decides which configurations can carry weight). It holds
   the configurations of the table's N UEs (the only copy of them),
-  ordered by their number of active UEs n_fr + n_fd + n_b, the binomial
-  coefficients, every success probability gathered from the 2-D arrays
-  of ``SuccessTable.grid`` by fancy indexing, the stored and departure
+  ordered by their number of active UEs n_fr + n_fd + n_b (one byte a
+  count), the binomial coefficients, every success probability gathered
+  from the 2-D arrays of ``SuccessTable.grid`` by fancy indexing straight
+  into the one array the walk reads, the stored and departure
   probabilities, and each configuration's pmf of stored packets, relay
   silent and transmitting: the convolution of its Binomial(n_fr, p_f)
   FD->relay and Binomial(n_b, store) BR pmfs. That pmf depends only on
@@ -27,8 +28,11 @@ decoupling convention, matched by the simulator's ``decoupled`` mode).
   on the default radio, 854 distinct inputs for 5,456 rows), so it is
   built and kept once per distinct input, sorted n_fr-major: the
   inputs with n_fr >= i are a suffix, and the convolution is one numpy
-  pass per i over that suffix (in runs of ``_BLOCK_ROWS`` inputs, which
-  bounds the temporaries). Each row holds the index of its input, and
+  pass per i over that suffix. The inputs go in runs sized by the bytes
+  of their pmf tables (``_RUN_BYTES``), so the temporaries of a build do
+  not grow with the block: at N = 30 a build holds about 0.7 MB beside
+  the 0.9 MB it keeps, and at N = 100 about 1.6 MB beside 23 MB
+  (tracemalloc). Each row holds the index of its input, and
   the walk gathers a pmf cell for the rows only as it sums that cell,
   so the block's memory follows its distinct inputs, not its rows
   (2 * (N + 3) doubles per input). The success probabilities read only
@@ -91,11 +95,14 @@ import numpy as np
 from .geometry import ScenarioConfig
 from .success import SuccessTable
 
-# Distinct inputs per run of the stored-count convolution. The default
-# radio's N = 30 block is one run (854 inputs) and a cold analysis there
-# peaks near 2.7 MB; a block whose 5,456 inputs are all distinct (N = 30
-# at gamma = 0 dB) is six runs and peaks near 5.9 MB (tracemalloc).
-_BLOCK_ROWS = 1024
+# Bytes of a dense (N + 1)-row pmf table over one run of the
+# stored-count convolution. ``_stored_pmfs`` splits a block's distinct
+# inputs into the fewest equal runs whose table stays about this size;
+# a run holds five such tables at most (its FD->relay pmfs, its two BR
+# pmfs, and their product with one FD row), and the support from which
+# its pmfs are scattered. Every block at N <= 15 (at most 816 inputs)
+# is one run; at N = 30 the default radio's 854 inputs are two.
+_RUN_BYTES = 1 << 17
 
 # Nonzero terms from which ``_fsum`` may bracket a sum's tail. Below it,
 # or with more than half the terms in the head, the extra pass and the
@@ -177,7 +184,9 @@ def _active(p_fr: float, p_fd: float, p_b: float) -> tuple[bool, ...]:
 def _rows(n: int, active: tuple[bool, ...]) -> np.ndarray:
     """(n_fr, n_fd, n_b) of every configuration of n UEs whose weight a
     zero probability does not rule out, as a (3, R) array ordered by the
-    number of active UEs n_fr + n_fd + n_b (n_fr-major within a count).
+    number of active UEs n_fr + n_fd + n_b (n_fr-major within a count), of
+    the narrowest unsigned type that holds n (one byte a count at
+    N <= MAX_N_UES), which is how the block keeps them.
 
     Listed directly: each total t = 0..n is a row whose UEs are yet to
     be placed; every scheme but the last allowed one splits a row into
@@ -195,7 +204,7 @@ def _rows(n: int, active: tuple[bool, ...]) -> np.ndarray:
         left = left[split] - x
     if schemes:
         rows[schemes[-1]] = left
-    return rows
+    return rows.astype(np.min_scalar_type(n))
 
 
 def _comb_table(n: int) -> np.ndarray:
@@ -206,59 +215,76 @@ def _comb_table(n: int) -> np.ndarray:
 
 def _binom_rows(comb: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Column c: comb(n_c, k) * p_c**k * (1 - p_c)**(n_c - k) for k <= n_c,
-    zero past n_c, as a (N + 1, C) array for the N of ``comb``; a p of
-    shape (S, C) gives S such arrays, (S, N + 1, C).
+    zero past n_c, as a (max(n) + 1, C) array; a p of shape (S, C) gives
+    S such arrays, (S, max(n) + 1, C).
 
-    Only the support is evaluated, then scattered into zeros. The powers
-    are numpy ``**``, which gives the same float for a (p, k) pair
-    whatever the array layout.
+    Only the support is evaluated, its products and 1 - p in place (a
+    product is the same float in either order), then scattered into
+    zeros. The powers are numpy ``**``, which gives the same float for a
+    (p, k) pair whatever the array layout.
     """
+    n = n.astype(np.intp)  # the block's counts are one byte each
     c = np.repeat(np.arange(n.size), n + 1)
-    k = np.arange(c.size) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+    k = np.arange(c.size)
+    k -= np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
     m, q = n[c], p[..., c]
-    out = np.zeros((*p.shape[:-1], comb.shape[1], n.size))
-    out[..., k, c] = comb[m, k] * q**k * (1.0 - q) ** (m - k)
+    pmf = q**k
+    pmf *= comb[m, k]
+    m -= k
+    np.subtract(1.0, q, out=q)
+    pmf *= q**m
+    out = np.zeros((*p.shape[:-1], n.max() + 1, n.size))
+    out[..., k, c] = pmf
     return out
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of ``keys`` that start a distinct value, sorted by its
-    last row, then the one before, and so on; and each column's index
-    among them."""
+def _distinct(keys: tuple[np.ndarray, ...]) -> tuple[np.ndarray,
+                                                     np.ndarray]:
+    """The columns of the equal-length rows ``keys`` that start a distinct
+    value, sorted by the last row, then the one before, and so on; and
+    each column's index among them. The rows are sorted and compared one
+    at a time, so no copy of all of them is made."""
     order = np.lexsort(keys)
-    sorted_keys = keys[:, order]
-    new = np.empty(order.size, dtype=bool)
+    new = np.zeros(order.size, dtype=bool)
     new[0] = True
-    new[1:] = (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
 
 
 def _stored_pmfs(comb: np.ndarray, n_fr: np.ndarray, p_f: np.ndarray,
-                 n_b: np.ndarray, stores: np.ndarray) -> np.ndarray:
-    """v[s][1:N + 2, c]: the pmf of Binomial(n_fr[c], p_f[c]) +
-    Binomial(n_b[c], stores[s][c]), with a zero row on each side, for
-    columns whose n_fr does not decrease.
+                 n_b: np.ndarray, stores: np.ndarray,
+                 cols: np.ndarray) -> np.ndarray:
+    """v[s][1:N + 2, j]: the pmf of Binomial(n_fr[c], p_f[c]) +
+    Binomial(n_b[c], stores[s][c]) for c = cols[j], with a zero row on
+    each side, for ``cols`` whose n_fr does not decrease.
 
-    The columns go in runs of ``_BLOCK_ROWS``. In a run the columns with
-    n_fr >= i are a suffix, and the term of i FD->relay packets is one
-    slice update over that suffix for every count and both s at once.
-    The passes go in increasing i, so each cell adds its products in the
-    order of a per-column loop; the terms past a column's n_b are exact
-    zeros.
+    The columns are gathered a run at a time, in the fewest equal runs
+    whose (N + 1)-row pmf table stays about ``_RUN_BYTES``. In a run the
+    columns with n_fr >= i are a suffix, and the term of i FD->relay
+    packets is one slice update over that suffix for every count and both
+    s at once. The passes go in increasing i, so each cell adds its
+    products in the order of a per-column loop; the pmf tables stop at
+    the run's largest count, and the terms they leave out, past a
+    column's n_b, are exact zeros.
     """
     n = comb.shape[0] - 1
-    v = np.zeros((len(stores), n + 3, n_fr.size))
-    for lo in range(0, n_fr.size, _BLOCK_ROWS):
-        run = slice(lo, lo + _BLOCK_ROWS)
-        f, v_run = n_fr[run], v[:, :, run]
+    v = np.zeros((len(stores), n + 3, cols.size))
+    runs = -(-cols.size * 8 * (n + 1) // _RUN_BYTES)
+    step = -(-cols.size // runs)
+    for lo in range(0, cols.size, step):
+        run = cols[lo:lo + step]
+        f, v_run = n_fr[run], v[:, :, lo:lo + step]
         e = np.searchsorted(f, np.arange(f[-1] + 1))
         pmf_f = _binom_rows(comb, f, p_f[run])
         pmf_b = _binom_rows(comb, n_b[run], stores[:, run])
         for i, e_i in enumerate(e):
-            v_run[:, i + 1:n + 2, e_i:] += (pmf_f[i, e_i:]
-                                            * pmf_b[:, :n + 1 - i, e_i:])
+            b_i = pmf_b[:, :n + 1 - i, e_i:]
+            top = i + 1 + b_i.shape[1]
+            v_run[:, i + 1:top, e_i:] += pmf_f[i, e_i:] * b_i
     return v
 
 
@@ -410,30 +436,29 @@ def _build_block(table: SuccessTable,
     # Counts with one UE of the scheme removed; where that count is 0 the
     # gathered value is unused: it enters a binomial of 0 trials or is
     # multiplied by n_x = 0.
-    b = np.maximum(n_b - 1, 0)
-    fd = np.maximum(n_fd - 1, 0)
-    at_relay = table.grid("ur", "br", False)[n_fr, b]
-    at_mmap = np.array([table.grid("ud", "br", relay)[n_fd, b]
-                        for relay in (False, True)])
-    stores = at_relay * (1.0 - at_mmap)
-    p_f = table.grid("ur", "fd", False)[np.maximum(n_fr - 1, 0), n_b]
-    p_dep = table.grid("rd", "fd", False)[n_fd, n_b]
-    ud_fd = np.array([table.grid("ud", "fd", relay)[fd, n_b]
-                      for relay in (False, True)])
+    b = np.maximum(n_b, 1) - 1
+    fd = np.maximum(n_fd, 1) - 1
+    # The walk's b_r and rate sums, in the order _Walk unpacks them. Each
+    # success probability is gathered straight into its row of the kept
+    # factors, and the stores, at_relay * (1 - at_mmap), are made in place
+    # from rows 2 and 4 (a product is the same float in either order). A
+    # count converts to the same float from any integer type.
+    counts = np.array([np.ones_like(n_b), n_fd, n_b, n_fd, n_b, n_fr,
+                       n_b, n_b])
+    factors = np.empty((8, n_fr.size))
+    factors[0] = table.grid("rd", "fd", False)[n_fd, n_b]
+    for s, relay in enumerate((False, True)):
+        factors[1 + 2 * s] = table.grid("ud", "fd", relay)[fd, n_b]
+        factors[2 + 2 * s] = table.grid("ud", "br", relay)[n_fd, b]
+    factors[5] = table.grid("ur", "fd", False)[np.maximum(n_fr, 1) - 1, n_b]
+    stores = factors[6:]
+    np.subtract(1.0, factors[2:5:2], out=stores)
+    stores *= table.grid("ur", "br", False)[n_fr, b]
     comb = _comb_table(n)
     # p_f is a function of (n_fr, n_b), so a column of v is one of
-    # (n_fr, n_b, stores[0], stores[1]); the pair id sorts n_fr-major.
-    pair = n_fr * (n + 1) + n_b
-    first, inverse = _distinct(np.vstack([stores[::-1], pair]))
-    v = _stored_pmfs(comb, n_fr[first], p_f[first], n_b[first],
-                     stores[:, first])
-    # The walk's b_r and rate sums, in the order _Walk unpacks them;
-    # made after v, so they are not held through its build. A count
-    # converts to the same float from any integer type.
-    counts = np.array([np.ones_like(n_b), n_fd, n_b, n_fd, n_b, n_fr,
-                       n_b, n_b], dtype=np.min_scalar_type(n))
-    factors = np.array([p_dep, ud_fd[0], at_mmap[0], ud_fd[1], at_mmap[1],
-                        p_f, *stores])
+    # (n_fr, n_b, stores[0], stores[1]), sorted n_fr-major.
+    first, inverse = _distinct((stores[1], stores[0], n_b, n_fr))
+    v = _stored_pmfs(comb, n_fr, factors[5], n_b, stores, first)
     ends = tuple(np.cumsum(np.bincount(n_fr + n_fd + n_b,
                                        minlength=n + 1)).tolist())
     return _ConfigBlock(comb, ends, v, n_fr, n_fd, n_b, counts, factors,

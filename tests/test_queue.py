@@ -386,12 +386,15 @@ def _stored_inputs(blk):
 
 
 class TestConfigBlock:
-    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("run_inputs", [None, 7])
     @pytest.mark.parametrize("n", [1, 2, 7, 15, 30])
-    def test_stored_pmfs_match_oracle(self, monkeypatch, n, block_rows):
-        # Runs of 7 rows split the n_fr slabs, so a run starts inside one.
-        if block_rows is not None:
-            monkeypatch.setattr(queue_model, "_BLOCK_ROWS", block_rows)
+    def test_stored_pmfs_match_oracle(self, monkeypatch, n, run_inputs):
+        # Runs of at most 7 inputs split the n_fr slabs, so a run starts
+        # inside one; without the patch every block here is one run but
+        # N = 30's, which is two.
+        if run_inputs is not None:
+            monkeypatch.setattr(queue_model, "_RUN_BYTES",
+                                run_inputs * 8 * (n + 1))
         table = SuccessTable(ScenarioConfig(n_ues=n))
         for active in itertools.product((False, True), repeat=3):
             blk = queue_model._config_block(table, active)
@@ -428,13 +431,14 @@ class TestConfigBlock:
 
         assert inputs(*stores) > inputs(stores[state])
 
-    @pytest.mark.parametrize("n, row_runs", [(10, 1), (30, 6)])
-    def test_cold_analysis_binomial_passes(self, monkeypatch, n, row_runs):
-        # Two pmf builds per run of _BLOCK_ROWS distinct inputs (n_fr, p_f,
-        # n_b, stores): FD->relay, and stored BR with the relay silent and
+    @pytest.mark.parametrize("n, runs", [(10, 1), (30, 2)])
+    def test_cold_analysis_binomial_passes(self, monkeypatch, n, runs):
+        # Two pmf builds per run of distinct inputs (n_fr, p_f, n_b,
+        # stores): FD->relay, and stored BR with the relay silent and
         # transmitting in one call. Each covers those inputs only: at
-        # N = 30, 854 inputs for 5,456 rows, so one run where the rows
-        # would take six.
+        # N = 30, 854 inputs for 5,456 rows, so two equal runs whose
+        # (N + 1)-row tables stay within _RUN_BYTES, where the rows would
+        # take eleven.
         calls = []
         binom_rows = queue_model._binom_rows
 
@@ -447,13 +451,39 @@ class TestConfigBlock:
         table = SuccessTable(cfg)
         aggregate_throughput(cfg, table)
         (blk,) = table.blocks.values()
-        assert -(-blk.n_fr.size // queue_model._BLOCK_ROWS) == row_runs
+        table_bytes = 8 * (n + 1)
         p_f, stores = _stored_inputs(blk)
         inputs = len(set(zip(blk.n_fr.tolist(), p_f.tolist(),
                              blk.n_b.tolist(), *stores.tolist())))
         assert inputs < blk.n_fr.size
-        assert len(calls) == 2 * -(-inputs // queue_model._BLOCK_ROWS)
+        assert -(-inputs * table_bytes // queue_model._RUN_BYTES) == runs
+        assert -(-blk.n_fr.size * table_bytes
+                 // queue_model._RUN_BYTES) == (1 if n == 10 else 11)
+        assert len(calls) == 2 * runs
         assert sum(calls) == 3 * inputs
+        # equal runs: their sizes differ by at most one input
+        assert max(calls[::2]) - min(calls[::2]) <= 1
+
+    @pytest.mark.parametrize("radio", [{}, {"gamma_db": 0.0}])
+    def test_every_block_at_n15_is_one_run(self, monkeypatch, radio):
+        # C(18, 3) = 816 rows at N = 15, all distinct inputs at
+        # gamma = 0 dB: every pattern's block takes two pmf builds.
+        calls = []
+        binom_rows = queue_model._binom_rows
+
+        def counted(comb, trials, p):
+            calls.append(p.size)
+            return binom_rows(comb, trials, p)
+
+        monkeypatch.setattr(queue_model, "_binom_rows", counted)
+        table = SuccessTable(ScenarioConfig(n_ues=15, **radio))
+        for active in itertools.product((False, True), repeat=3):
+            calls.clear()
+            blk = queue_model._build_block(table, active)
+            assert len(calls) == 2
+            assert calls[0] == blk.v.shape[2]
+        assert blk.n_fr.size == 816
+        assert blk.v.shape[2] == (816 if radio else 406)
 
     # 455 rows at N = 12; at gamma = 0 dB every input is distinct
     @pytest.mark.parametrize("radio, distinct", [({}, 299),
@@ -562,24 +592,55 @@ def _cold_peak(cfg):
         tracemalloc.stop()
 
 
+# A radio on which every stored-count input of a block is distinct.
+_ALL_DISTINCT = {"d_ur_m": 100.0, "d_ud_m": 150.0, "gamma_db": 0.0}
+
+
 class TestWalkMemory:
     def test_cold_n30_analysis_peak(self):
         # The stored-count pmfs are kept per distinct input (854 here, for
         # 5,456 rows: 0.45 MB) and gathered one summed row at a time; the
         # binomial pmfs and their products are built once per distinct
-        # input, one run of _BLOCK_ROWS inputs at a time.
+        # input, in two runs whose tables stay small. Peak 1.7 MB
+        # (tracemalloc); a build with runs of 1,024 inputs, each success
+        # probability held twice and a copy of the input keys read 2.7 MB.
+        # The readings below compare the same two builds.
         cfg = ScenarioConfig(n_ues=30, q_u=0.5, q_r=0.5)
-        assert _cold_peak(cfg) <= 3.5 * 1024 * 1024
+        assert _cold_peak(cfg) <= 2.0 * 1024 * 1024
 
     @pytest.mark.parametrize("n, radio, limit_mb", [
-        # 2,249 distinct inputs for 39,711 rows
-        (60, {}, 16),
+        # 2,249 distinct inputs for 39,711 rows: 9.0 MB (12.1 MB)
+        (60, {}, 10),
         # every one of the 5,456 inputs distinct, so v is as wide as the
-        # rows, but no copy of it is gathered back to them
-        (30, {"gamma_db": 0.0}, 6.5)])
+        # rows, but no copy of it is gathered back to them: 4.1 MB
+        # (6.2 MB)
+        (30, {"gamma_db": 0.0}, 4.5)])
     def test_cold_analysis_peak(self, n, radio, limit_mb):
         cfg = ScenarioConfig(n_ues=n, q_u=0.5, q_r=0.5, **radio)
         assert _cold_peak(cfg) <= limit_mb * 1024 * 1024
+
+    @pytest.mark.parametrize("radio, limit_mb", [
+        # 2,249 distinct inputs: 0.85-0.92 MB (5.2 MB)
+        ({}, 1.25),
+        # all 39,711 distinct: 1.4-1.5 MB (7.9 MB)
+        (_ALL_DISTINCT, 2.0)])
+    def test_block_build_transient(self, radio, limit_mb):
+        # What a block build holds beyond the block it keeps (tracemalloc
+        # peak minus the block's bytes) does not grow with its rows: each
+        # gathered probability is held once, the input keys are compared
+        # a row at a time, and the pmf tables go in runs of bounded bytes.
+        table = SuccessTable(ScenarioConfig(n_ues=60, **radio))
+        tracemalloc.start()
+        try:
+            blk = queue_model._build_block(table, (True, True, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(blk, f.name).nbytes
+                   for f in dataclasses.fields(blk)
+                   if isinstance(getattr(blk, f.name), np.ndarray))
+        assert blk.v.shape[2] == (blk.n_fr.size if radio else 2249)
+        assert peak - kept <= limit_mb * 1024 * 1024
 
 
 @st.composite
